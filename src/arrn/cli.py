@@ -30,31 +30,27 @@ from .evaluate import (
     ADAPTED,
     FULL,
     ablation_grid,
-    count_macs,
     default_thread_count,
     evaluate_sweep,
     write_ablation_csv,
     write_sweep_csv,
     write_tree_csv,
 )
-from .grids import GridSpec, ResolutionLadder
+from .grids import ResolutionLadder
 from .kernels import SmoothingKernelSpec
-from .layers import FeatureMap
 from .model import (
     PREFER_COARSER,
     PREFER_FINER,
     ArrnModel,
     DropoutConfig,
     equivalence_report,
-    forward_adapted,
-    forward_full,
     load_checkpoint,
     randomize_for_verification,
     save_checkpoint,
 )
 from .pyramid import decompose, load_pyramid, reconstruct, save_pyramid
 from .resample import downsample
-from .signal import read_arsg, write_arsg
+from .signal import atomic_write, read_arsg, write_arsg
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -74,8 +70,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_ints(tokens, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError as exc:
+        raise UsageError(f"expected integers, got {text!r}") from exc
+
+
 def _parse_extents(token: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in token.lower().split("x"))
+    return _parse_ints(token.lower().split("x"), token)
 
 
 def _parse_ladder(text: str) -> ResolutionLadder:
@@ -93,7 +96,7 @@ def _parse_resolutions(text: str) -> list[tuple[int, ...]]:
 
 
 def _parse_features(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return _parse_ints((p for p in text.split(",") if p.strip()), text)
 
 
 def _kernel_from_args(args) -> SmoothingKernelSpec:
@@ -323,10 +326,7 @@ def cmd_train(args) -> int:
             zip(result.epoch_losses, result.learning_rates)
         ):
             lines.append(f"{epoch},{loss!r},{lr!r}")
-        path = Path(args.loss_csv)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n")
-        tmp.replace(path)
+        atomic_write(args.loss_csv, "\n".join(lines) + "\n")
     print(
         f"trained {config.epochs} epochs; final loss "
         f"{result.epoch_losses[-1]:.4f}; train accuracy "
@@ -370,6 +370,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.batch < 1:
+        raise UsageError("--batch must be positive")
     if args.checkpoint:
         model, _ = load_checkpoint(args.checkpoint)
     else:
@@ -378,46 +380,29 @@ def cmd_bench(args) -> int:
         dtype = np.float32 if args.dtype == "f32" else np.float64
         model = _model_from_args(args, ladder, kernel, args.classes, dtype, args.seed)
         randomize_for_verification(model, np.random.default_rng(args.seed))
-    import time as _time
-
-    from .model import entry_level as _entry_level
-
-    resolutions = _parse_resolutions(args.resolutions)
     rng = np.random.default_rng(args.seed)
+    inputs = rng.standard_normal(
+        (args.batch, model.input_features) + model.ladder[0].extents
+    )
+    result = evaluate_sweep(
+        model,
+        inputs,
+        np.zeros(args.batch, dtype=np.int64),
+        _parse_resolutions(args.resolutions),
+        policy=args.policy,
+        measure_time=not args.no_timing,
+        batch_size=args.batch,
+    )
     lines = ["resolution,mode,kernel,macs,wall_ms"]
-    dims = model.ladder[0].dims
-    from .resample import resample_perfect_array
-
-    for extents in resolutions:
-        grid = GridSpec(extents)
-        values = rng.standard_normal(
-            (args.batch, model.input_features) + grid.extents
-        ).astype(model.dtype)
-        for mode in (FULL, ADAPTED):
-            if mode == FULL:
-                x = resample_perfect_array(values, model.ladder[0].extents, dims)
-                fmap = FeatureMap(model.ladder[0], x.astype(model.dtype))
-                t0 = _time.perf_counter()
-                forward_full(model, fmap)
-                elapsed = _time.perf_counter() - t0
-                macs_total = count_macs(model, 0, FULL)
-            else:
-                level, target = _entry_level(model.ladder, grid, args.policy)
-                x = resample_perfect_array(values, target.extents, dims)
-                fmap = FeatureMap(target, x.astype(model.dtype))
-                t0 = _time.perf_counter()
-                forward_adapted(model, fmap)
-                elapsed = _time.perf_counter() - t0
-                macs_total = count_macs(model, level, ADAPTED)
-            wall = 0.0 if args.no_timing else elapsed * 1000.0
-            lines.append(
-                f"{grid},{mode},{model.kernel.variant},{macs_total},{wall!r}"
-            )
-            print(f"{grid!s:>8} {mode:8} macs={macs_total} wall_ms={wall:.2f}")
-    path = Path(args.out)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    for row in result.rows:
+        lines.append(
+            f"{row.resolution},{row.mode},{row.kernel},{row.macs},{row.wall_ms!r}"
+        )
+        print(
+            f"{row.resolution:>8} {row.mode:8} macs={row.macs} "
+            f"wall_ms={row.wall_ms:.2f}"
+        )
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"bench -> {args.out}")
     return EXIT_OK
 
@@ -438,7 +423,7 @@ def cmd_ablate(args) -> int:
         noise=args.noise,
         seed=args.data_seed,
     )
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _parse_ints(args.seeds.split(","), args.seeds)
     resolutions = (
         _parse_resolutions(args.resolutions) if args.resolutions else None
     )
@@ -517,10 +502,7 @@ def _write_sweep_svg(path, rows, width=640, height=400):
             f'font-size="12" fill="{color}">{mode}</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(parts) + "\n")
-    tmp.replace(path)
+    atomic_write(path, "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FormatError
 from .grids import GridSpec
 from .resample import lowpass_perfect_array
-from .signal import DiscreteSignal, read_arsg, write_arsg
+from .signal import DiscreteSignal, atomic_write, read_arsg, write_arsg
 
 
 @dataclass(frozen=True)
@@ -231,16 +231,15 @@ def save_dataset(directory: str | Path, dataset: SynthDataset) -> None:
         packed = split.inputs.reshape((n * f,) + grid.extents)
         write_arsg(directory / f"{name}.arsg", DiscreteSignal(grid, packed))
         labels_text = "\n".join(str(int(l)) for l in split.labels) + "\n"
-        tmp = directory / f"{name}_labels.txt.tmp"
-        tmp.write_text(labels_text)
-        tmp.replace(directory / f"{name}_labels.txt")
+        atomic_write(directory / f"{name}_labels.txt", labels_text)
     manifest = {
         "spec": dataset.spec.describe(),
         "signatures": dataset.signatures.tolist(),
     }
-    tmp = directory / "dataset.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(directory / "dataset.json")
+    atomic_write(
+        directory / "dataset.json",
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    )
 
 
 def load_dataset(directory: str | Path) -> SynthDataset:

@@ -19,13 +19,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import macs
 from .data import SynthDataset, SynthDatasetSpec, generate_dataset
+from .errors import GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
 from .layers import FeatureMap
@@ -37,6 +38,7 @@ from .model import (
     forward_full,
 )
 from .resample import resample_perfect_array
+from .signal import atomic_write
 from .training import TrainConfig, train
 
 SWEEP_CSV_HEADER = "resolution,mode,kernel,dropout,accuracy,macs,wall_ms"
@@ -199,7 +201,7 @@ def evaluate_sweep(
     for resolution in resolutions:
         grid = _resolution_grid(resolution, dims)
         if any(g > b for g, b in zip(grid.extents, base.extents)):
-            raise ValueError(f"resolution {grid} exceeds the base grid {base}")
+            raise GridError(f"resolution {grid} exceeds the base grid {base}")
         low = resample_perfect_array(inputs, grid.extents, dims).astype(model.dtype)
         for mode in modes:
             if mode == FULL:
@@ -243,10 +245,7 @@ def write_sweep_csv(path: str | Path, rows) -> None:
             f"{r.resolution},{r.mode},{r.kernel},{r.dropout},"
             f"{r.accuracy!r},{r.macs},{r.wall_ms!r}"
         )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +289,8 @@ def _train_one_cell(
         rng=np.random.default_rng(seed),
         dtype=base_config.numpy_dtype,
     )
-    config = TrainConfig(
-        epochs=base_config.epochs,
-        batch_size=base_config.batch_size,
-        learning_rate=base_config.learning_rate,
-        min_learning_rate=base_config.min_learning_rate,
-        betas=base_config.betas,
-        weight_decay=base_config.weight_decay,
-        dropout=dropout_p if dropout_on else None,
-        seed=seed,
-        dtype=base_config.dtype,
+    config = replace(
+        base_config, dropout=dropout_p if dropout_on else None, seed=seed
     )
     train(model, dataset.train.inputs, dataset.train.labels, config)
     sweep = evaluate_sweep(
@@ -420,17 +411,11 @@ def write_ablation_csv(path: str | Path, cells: list[AblationCell]) -> None:
     lines = ["kernel,dropout,mode,accuracy"]
     for c in cells:
         lines.append(f"{c.kernel},{c.dropout},{c.mode},{c.accuracy!r}")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_tree_csv(path: str | Path, tree: list[dict]) -> None:
     lines = ["node,mean_accuracy,ratio"]
     for row in tree:
         lines.append(f"{row['node']},{row['mean_accuracy']!r},{row['ratio']!r}")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -54,8 +54,10 @@ from .layers import (
     silu_op,
 )
 from .resample import upsample_array
+from .signal import atomic_write
 
 ARNN_MAGIC = b"ARNN1\n"
+_CHECKPOINT_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 PREFER_FINER = "prefer-finer"
 PREFER_COARSER = "prefer-coarser"
@@ -280,47 +282,22 @@ class ArrnModel:
         norms.append(self.terminal_norm)
         return norms
 
-    def _stat_owner(self, name: str) -> BatchNorm:
-        if name.startswith("terminal.bn"):
-            return self.terminal_norm
-        res_idx = int(name.split(".")[0][3:])
-        layer_idx = int(name.split(".")[1][2:])
-        return self.residuals[res_idx].block.layers[layer_idx]
+    def state(self) -> dict[str, np.ndarray]:
+        """Every checkpointed array by name, in ARNN1 order.
 
-    def named_arrays(self) -> list[tuple[str, str]]:
-        """Deterministic (name, kind) order for checkpoint serialization."""
-        entries = [(p.name, "param") for p in self.parameters()]
+        Parameters come first, then the running statistics, named by the
+        index of their layer inside the block (``res0.bn1.mean``). The
+        values are the model's live arrays: writing into one updates it.
+        """
+        state = {p.name: p.values for p in self.parameters()}
         for i, res in enumerate(self.residuals):
             for j, layer in enumerate(res.block.layers):
                 if isinstance(layer, BatchNorm):
-                    entries.append((f"res{i}.bn{j}.mean", "stat"))
-                    entries.append((f"res{i}.bn{j}.var", "stat"))
-        entries.append(("terminal.bn.mean", "stat"))
-        entries.append(("terminal.bn.var", "stat"))
-        return entries
-
-    def get_array(self, name: str) -> np.ndarray:
-        for p in self.parameters():
-            if p.name == name:
-                return p.values
-        if name.endswith((".mean", ".var")):
-            bn = self._stat_owner(name)
-            return bn.running_mean if name.endswith(".mean") else bn.running_var
-        raise KeyError(name)
-
-    def set_array(self, name: str, values: np.ndarray) -> None:
-        for p in self.parameters():
-            if p.name == name:
-                p.assign(values.reshape(p.values.shape))
-                return
-        if name.endswith((".mean", ".var")):
-            bn = self._stat_owner(name)
-            if name.endswith(".mean"):
-                bn.running_mean = values.reshape(bn.running_mean.shape).copy()
-            else:
-                bn.running_var = values.reshape(bn.running_var.shape).copy()
-            return
-        raise KeyError(name)
+                    state[f"res{i}.bn{j}.mean"] = layer.running_mean
+                    state[f"res{i}.bn{j}.var"] = layer.running_var
+        state["terminal.bn.mean"] = self.terminal_norm.running_mean
+        state["terminal.bn.var"] = self.terminal_norm.running_var
+        return state
 
     def bump_version(self) -> None:
         """Invalidate caches after any parameter update."""
@@ -531,7 +508,8 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write magic, u32 manifest length, JSON manifest, raw parameter blob."""
-    entries = model.named_arrays()
+    state = model.state()
+    params = {p.name for p in model.parameters()}
     manifest = {
         "format": "ARNN1",
         "ladder": [list(g.extents) for g in model.ladder.levels],
@@ -546,25 +524,22 @@ def save_checkpoint(
         "arrays": [
             {
                 "name": name,
-                "kind": kind,
-                "shape": list(model.get_array(name).shape),
+                "kind": "param" if name in params else "stat",
+                "shape": list(values.shape),
             }
-            for name, kind in entries
+            for name, values in state.items()
         ],
     }
     if extra:
         manifest["extra"] = extra
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     blob = b"".join(
-        np.ascontiguousarray(model.get_array(name), dtype=model.dtype)
+        np.ascontiguousarray(values, dtype=model.dtype)
         .astype(model.dtype.newbyteorder("<"))
         .tobytes()
-        for name, _ in entries
+        for values in state.values()
     )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(ARNN_MAGIC + struct.pack("<I", len(header)) + header + blob)
-    tmp.replace(path)
+    atomic_write(path, ARNN_MAGIC + struct.pack("<I", len(header)) + header + blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
@@ -580,10 +555,12 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
         off += header_len
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header") from exc
-    if manifest.get("format") != "ARNN1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "ARNN1":
         raise FormatError(f"{path}: unsupported checkpoint format")
     try:
-        dtype = np.float32 if manifest["dtype"] == "f32" else np.float64
+        dtype = _CHECKPOINT_DTYPES.get(manifest["dtype"])
+        if dtype is None:
+            raise FormatError(f"{path}: unknown dtype {manifest['dtype']!r}")
         blocks = [InnerBlockSpec.from_description(b) for b in manifest["blocks"]]
         model = ArrnModel(
             ladder=ResolutionLadder.from_extents(
@@ -599,18 +576,27 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
             head_dropout=float(manifest["head_dropout"]),
             dtype=dtype,
         )
-        itemsize = np.dtype(dtype).itemsize
+        stored = np.dtype(dtype).newbyteorder("<")
+        unread = model.state()
         for entry in manifest["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            blob = raw[off : off + count * itemsize]
-            if len(blob) != count * itemsize:
+            name = entry["name"]
+            target = unread.pop(name, None)
+            if target is None:
+                raise FormatError(f"{path}: unknown or repeated array {name!r}")
+            if tuple(entry["shape"]) != target.shape:
+                raise FormatError(
+                    f"{path}: array {name!r} has shape {entry['shape']}, "
+                    f"model expects {list(target.shape)}"
+                )
+            blob = raw[off : off + target.nbytes]
+            if len(blob) != target.nbytes:
                 raise FormatError(f"{path}: truncated parameter blob")
-            values = np.frombuffer(blob, dtype=np.dtype(dtype).newbyteorder("<"))
-            model.set_array(entry["name"], values.astype(dtype).reshape(shape))
-            off += count * itemsize
+            target[...] = np.frombuffer(blob, dtype=stored).reshape(target.shape)
+            off += target.nbytes
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint manifest: {exc}") from exc
+    if unread:
+        raise FormatError(f"{path}: missing arrays {sorted(unread)}")
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes after blob")
     model.bump_version()

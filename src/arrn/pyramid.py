@@ -32,7 +32,7 @@ from .errors import FormatError, GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
 from .resample import decimate, lowpass, upsample
-from .signal import DiscreteSignal, read_arsg, write_arsg
+from .signal import DiscreteSignal, atomic_write, read_arsg, write_arsg
 
 PYRAMID_MANIFEST = "manifest.json"
 
@@ -149,9 +149,10 @@ def save_pyramid(directory: str | Path, decomp: PyramidDecomposition) -> None:
         "diffs": diff_names,
         "low": "low.arsg",
     }
-    tmp = directory / (PYRAMID_MANIFEST + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(directory / PYRAMID_MANIFEST)
+    atomic_write(
+        directory / PYRAMID_MANIFEST,
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    )
 
 
 def load_pyramid(directory: str | Path) -> PyramidDecomposition:

@@ -16,6 +16,8 @@ with dtype code 0 for 32-bit IEEE floats and 1 for 64-bit.
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +97,30 @@ def mean_reject(signal: DiscreteSignal) -> DiscreteSignal:
     return signal.with_values(mean_reject_array(signal.values, signal.grid.dims))
 
 
+def atomic_write(path: str | Path, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (text is UTF-8 encoded) in one step.
+
+    The bytes go to a temp file beside the target, named uniquely per call
+    so concurrent writers never share one. It is opened with exclusive
+    create rather than ``mkstemp``, so it gets the usual umask permissions
+    instead of 0600. ``os.replace`` then publishes it; on any failure the
+    temp file is removed and the target is left as it was.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode()
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    # Opened outside the try: on a name clash the file is another writer's.
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_arsg(path: str | Path, signal: DiscreteSignal) -> None:
     """Write a signal in the ARSG container format (atomic: temp + rename)."""
     code = _CODE_FOR_KIND[np.dtype(signal.dtype)]
@@ -107,10 +133,7 @@ def write_arsg(path: str | Path, signal: DiscreteSignal) -> None:
         code,
     )
     payload = np.ascontiguousarray(signal.values, dtype=_DTYPE_CODES[code]).tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(ARSG_MAGIC + header + payload)
-    tmp.replace(path)
+    atomic_write(path, ARSG_MAGIC + header + payload)
 
 
 def read_arsg(path: str | Path) -> DiscreteSignal:

@@ -145,6 +145,12 @@ class TestTrainEval:
                    "--no-timing", "--plot", svg) == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_oversized_resolution_exits_3(self, tmp_path, trained):
+        _, ckpt, _ = trained
+        assert run("eval", "--checkpoint", ckpt, "--resolutions", "128",
+                   "--classes", "3", "--samples-per-class", "16",
+                   "--data-seed", "1", "--out", tmp_path / "s.csv") == 3
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.arnn"
         bad.write_bytes(b"NOTACKPT")
@@ -164,6 +170,24 @@ class TestBench:
         macs_by_key = {(r[0], r[1]): int(r[3]) for r in rows}
         assert macs_by_key[("16", "adapted")] < macs_by_key[("16", "full")]
         assert macs_by_key[("16", "adapted")] < macs_by_key[("32", "adapted")]
+
+
+    def test_oversized_resolution_exits_3(self, tmp_path):
+        assert run("bench", "--levels", "64,32,16", "--features", "4,8,8",
+                   "--resolutions", "128", "--out", tmp_path / "b.csv") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--levels", "64,abc,16", "--resolutions", "32"),
+    ("bench", "--features", "4,x,8", "--resolutions", "32"),
+    ("bench", "--resolutions", "abc"),
+    ("ablate", "--seeds", "0,z"),
+    ("bench", "--batch", "0", "--resolutions", "32"),
+])
+def test_bad_integer_argument_is_usage_error(tmp_path, capsys, argv):
+    out_flag = "--out-dir" if argv[0] == "ablate" else "--out"
+    assert run(*argv, out_flag, tmp_path / "out") == 64
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 class TestAblateSmoke:

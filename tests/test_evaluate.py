@@ -9,6 +9,7 @@ import pytest
 
 from arrn import macs
 from arrn.data import SynthDatasetSpec, generate_dataset
+from arrn.errors import GridError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
 from arrn.layers import FeatureMap
@@ -151,7 +152,7 @@ class TestSweep:
     def test_oversized_resolution_rejected(self):
         model = build_model("perfect")
         ds = self._dataset()
-        with pytest.raises(ValueError):
+        with pytest.raises(GridError):
             evaluate_sweep(model, ds.test.inputs, ds.test.labels, [128])
 
     def test_no_timing_rows_are_deterministic(self):

@@ -1,7 +1,12 @@
 """Residual-chain semantics: the skip theorem and its supporting contracts."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arrn.autodiff import Tensor
 from arrn.errors import FormatError, GridError, ShapeError
@@ -9,6 +14,7 @@ from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
 from arrn.layers import FeatureMap
 from arrn.model import (
+    ARNN_MAGIC,
     ArrnModel,
     DropoutConfig,
     DropoutMask,
@@ -340,6 +346,74 @@ class TestDeterminism:
             np.testing.assert_array_equal(pa.values, pb.values)
 
 
+def rewrite_manifest(raw: bytes, edit, trim: int = 0) -> bytes:
+    """Re-emit an ARNN1 file with ``edit(manifest)`` and ``trim`` blob bytes cut."""
+    start = len(ARNN_MAGIC) + 4
+    (length,) = struct.unpack_from("<I", raw, len(ARNN_MAGIC))
+    manifest = json.loads(raw[start : start + length])
+    header = json.dumps(edit(manifest)).encode()
+    blob = raw[start + length : len(raw) - trim]
+    return ARNN_MAGIC + struct.pack("<I", len(header)) + header + blob
+
+
+def edit_arrays(edit):
+    def apply(manifest):
+        edit(manifest["arrays"])
+        return manifest
+
+    return apply
+
+
+def rename_array(old, new):
+    def edit(arrays):
+        next(a for a in arrays if a["name"] == old)["name"] = new
+
+    return edit_arrays(edit)
+
+
+def transpose_input_projection(arrays):
+    entry = next(a for a in arrays if a["name"] == "input.proj")
+    entry["shape"] = entry["shape"][::-1]
+
+
+ARRAY_NAMES = st.one_of(
+    st.sampled_from(["input.proj", "terminal.bn.mean", "head.b"]),
+    st.builds(
+        "res{}.bn{}.{}".format,
+        st.integers(0, 9), st.integers(0, 9), st.sampled_from(["mean", "var"]),
+    ),
+    st.text(max_size=12),
+)
+ARRAY_EDITS = st.one_of(
+    st.tuples(st.just("rename"), st.integers(0, 99), ARRAY_NAMES),
+    st.tuples(st.just("drop"), st.integers(0, 99), st.none()),
+    st.tuples(st.just("duplicate"), st.integers(0, 99), st.none()),
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(
+        st.just("reshape"), st.integers(0, 99),
+        st.lists(st.integers(-2, 40), max_size=3),
+    ),
+)
+
+
+def apply_array_edit(arrays, edit):
+    op, i, arg = edit
+    if not arrays:
+        return
+    i %= len(arrays)
+    if op == "rename":
+        arrays[i]["name"] = arg
+    elif op == "drop":
+        del arrays[i]
+    elif op == "duplicate":
+        arrays.insert(i, dict(arrays[i]))
+    elif op == "swap":
+        j = arg % len(arrays)
+        arrays[i], arrays[j] = arrays[j], arrays[i]
+    else:
+        arrays[i]["shape"] = arg
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_logits_bitwise(self, tmp_path):
         for dtype in (np.float64, np.float32):
@@ -359,6 +433,18 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b.arnn", model)
         assert (tmp_path / "a.arnn").read_bytes() == (tmp_path / "b.arnn").read_bytes()
 
+    def test_state_keeps_arnn1_names(self):
+        model = build_model(seed=76)
+        params = [p.name for p in model.parameters()]
+        names = list(model.state())
+        assert names[: len(params)] == params
+        # Running statistics are keyed by the layer's index in its block.
+        assert names[len(params) :] == [
+            "res0.bn1.mean", "res0.bn1.var", "res0.bn4.mean", "res0.bn4.var",
+            "res1.bn1.mean", "res1.bn1.var", "res1.bn4.mean", "res1.bn4.var",
+            "terminal.bn.mean", "terminal.bn.var",
+        ]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.arnn"
         path.write_bytes(b"WRONG!\x00\x00\x00\x00")
@@ -372,3 +458,46 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, trim",
+        [
+            (lambda manifest: [manifest], 0),
+            (rename_array("res0.bn1.var", "res9.bn1.var"), 0),
+            # Layer 0 of every block is a PointwiseConv, not a BatchNorm.
+            (rename_array("res0.bn1.var", "res0.bn0.var"), 0),
+            (edit_arrays(lambda arrays: arrays.pop()), 8 * 8),
+            (edit_arrays(transpose_input_projection), 0),
+            (lambda manifest: {**manifest, "dtype": "f16"}, 0),
+        ],
+        ids=["list-manifest", "unknown-residual", "non-norm-layer",
+             "dropped-last-array", "transposed-shape", "unknown-dtype"],
+    )
+    def test_malformed_array_table(self, tmp_path, edit, trim):
+        model = build_model(seed=74)
+        assert model.state()["terminal.bn.var"].nbytes == 8 * 8
+        path = tmp_path / "model.arnn"
+        save_checkpoint(path, model)
+        path.write_bytes(rewrite_manifest(path.read_bytes(), edit, trim))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(edits=st.lists(ARRAY_EDITS, min_size=1, max_size=4))
+    def test_mutated_array_table_loads_or_fails_cleanly(self, tmp_path, edits):
+        path = tmp_path / "model.arnn"
+        save_checkpoint(path, build_model(seed=75))
+
+        def mutate(arrays):
+            for edit in edits:
+                apply_array_edit(arrays, edit)
+
+        path.write_bytes(rewrite_manifest(path.read_bytes(), edit_arrays(mutate)))
+        try:
+            load_checkpoint(path)
+        except (FormatError, GridError, ShapeError):
+            pass

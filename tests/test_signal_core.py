@@ -7,6 +7,7 @@ a double-loop circular convolution.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from arrn.resample import (
     resample_to,
     upsample,
 )
-from arrn.signal import DiscreteSignal, mean_reject, read_arsg, write_arsg
+from arrn.signal import (
+    DiscreteSignal,
+    atomic_write,
+    mean_reject,
+    read_arsg,
+    write_arsg,
+)
 
 PERFECT = SmoothingKernelSpec.perfect()
 SINC = SmoothingKernelSpec.windowed_sinc()
@@ -376,6 +383,30 @@ class TestMeanReject:
 
 
 # -- container format --------------------------------------------------------
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_directory_does_not_block_a_write(self, tmp_path):
+        path = tmp_path / "sig.arsg"
+        (tmp_path / "sig.arsg.tmp").mkdir()
+        sig = random_signal(GridSpec((8,)))
+        write_arsg(path, sig)
+        np.testing.assert_array_equal(read_arsg(path).values, sig.values)
+
+    def test_failed_publish_keeps_old_file_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "out.csv"
+        atomic_write(path, "old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            atomic_write(path, b"new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestArsgFormat:
