@@ -17,8 +17,6 @@ differentiable ops; their backward passes use closed-form adjoints:
 
 from __future__ import annotations
 
-from math import prod
-
 import numpy as np
 
 from . import macs
@@ -203,23 +201,31 @@ def decimate_op(x: Tensor, to_extents: tuple[int, ...], spatial_ndim: int) -> Te
     return Tensor(out, (x,), lambda g: (zero_insert_array(g, fine, spatial_ndim),))
 
 
-def project_channels(x: Tensor, weight: Tensor, channel_axis: int = 1) -> Tensor:
-    """Apply a (out, in) matrix along one channel axis of a batched map."""
+def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Apply an (out, in) matrix and an optional per-channel bias at every site.
+
+    ``x`` is ``(batch, in, *spatial)``; the spatial axes are flattened to
+    S sites so both passes are one batched ``np.matmul``. A map with no
+    spatial axes, such as the pooled head input, is the case S = 1.
+    """
     w = weight.values
-    sites = prod(s for i, s in enumerate(x.values.shape) if i != channel_axis)
-    macs.add_macs(sites * w.shape[0] * w.shape[1])
-    xv = np.moveaxis(x.values, channel_axis, -1)
-    out = np.moveaxis(xv @ w.T, -1, channel_axis)
+    batch, cin = x.values.shape[:2]
+    flat = x.values.reshape(batch, cin, -1)
+    macs.add_macs(macs.pointwise_macs(batch * flat.shape[2], cin, w.shape[0]))
+    out = np.matmul(w, flat)
+    if bias is not None:
+        out = out + bias.values[:, None]
 
     def vjp(g):
-        gm = np.moveaxis(g, channel_axis, -1)
-        gx = np.moveaxis(gm @ w, -1, channel_axis)
-        flat_g = gm.reshape(-1, gm.shape[-1])
-        flat_x = np.moveaxis(x.values, channel_axis, -1).reshape(-1, w.shape[1])
-        gw = flat_g.T @ flat_x
-        return gx, gw
+        gf = g.reshape(out.shape)
+        gx = np.matmul(w.T, gf).reshape(x.values.shape)
+        gw = np.matmul(gf, flat.transpose(0, 2, 1)).sum(axis=0)
+        if bias is None:
+            return gx, gw
+        return gx, gw, gf.sum(axis=(0, 2))
 
-    return Tensor(out, (x, weight), vjp)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out.reshape((batch, w.shape[0]) + x.values.shape[2:]), parents, vjp)
 
 
 def gradient_check(

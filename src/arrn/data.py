@@ -253,15 +253,13 @@ def load_dataset(directory: str | Path) -> SynthDataset:
         signatures = np.asarray(manifest["signatures"], dtype=np.float64)
         splits = {}
         for name in ("train", "test"):
-            packed = read_arsg(directory / f"{name}.arsg")
+            try:
+                packed = read_arsg(directory / f"{name}.arsg")
+                label_text = (directory / f"{name}_labels.txt").read_text()
+            except OSError as exc:
+                raise FormatError(f"{directory}: unreadable {name} split: {exc}") from exc
             labels = np.array(
-                [
-                    int(line)
-                    for line in (directory / f"{name}_labels.txt")
-                    .read_text()
-                    .splitlines()
-                    if line.strip()
-                ],
+                [int(line) for line in label_text.splitlines() if line.strip()],
                 dtype=np.int64,
             )
             n = labels.shape[0]

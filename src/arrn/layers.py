@@ -21,7 +21,7 @@ from math import prod
 import numpy as np
 
 from . import macs
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter, Tensor, project_channels
 from .errors import NumericError, ShapeError
 from .grids import GridSpec
 
@@ -76,26 +76,8 @@ def silu_op(x: Tensor) -> Tensor:
     return Tensor(out, (x,), lambda g: (g * (s * (1.0 + x.values * (1.0 - s))),))
 
 
-def pointwise_conv_op(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """1x1 convolution: a channel mixing matrix applied at every site."""
-    w = weight.values  # (out, in)
-    macs.add_macs(
-        x.values.shape[0] * prod(x.values.shape[2:]) * w.shape[0] * w.shape[1]
-    )
-    out = np.einsum("oc,bc...->bo...", w, x.values)
-    if bias is not None:
-        out = out + bias.values.reshape((1, -1) + (1,) * (x.values.ndim - 2))
-
-    def vjp(g):
-        sum_axes = (0,) + tuple(range(2, g.ndim))
-        gx = np.einsum("oc,bo...->bc...", w, g)
-        gw = np.tensordot(g, x.values, axes=(sum_axes, sum_axes))
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=sum_axes)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out, parents, vjp)
+# The same function object, kept because benchmarks/tracing.py binds this name.
+pointwise_conv_op = project_channels
 
 
 def _pad_spatial(values: np.ndarray, spatial_ndim: int, mode: str) -> np.ndarray:
@@ -209,17 +191,6 @@ def global_mean_pool_op(x: Tensor) -> Tensor:
     return Tensor(out, (x,), vjp)
 
 
-def linear_op(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    w = weight.values
-    macs.add_macs(x.values.shape[0] * w.shape[0] * w.shape[1])
-    out = x.values @ w.T + bias.values
-
-    def vjp(g):
-        return g @ w, g.T @ x.values, g.sum(axis=0)
-
-    return Tensor(out, (x, weight, bias), vjp)
-
-
 def dropout_op(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted elementwise dropout; call only in train mode with p > 0."""
     keep = (rng.random(x.values.shape) >= p).astype(x.values.dtype) / (1.0 - p)
@@ -260,7 +231,7 @@ class PointwiseConv:
         self.bias = Parameter(np.zeros(cout, dtype=dtype), f"{name}.b", decay=False)
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
-        return pointwise_conv_op(x, self.weight, self.bias)
+        return project_channels(x, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -443,13 +414,13 @@ class GlobalPoolHead:
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
         pooled = global_mean_pool_op(x)
         pooled = self.dropout.forward(pooled, mode=mode, rng=rng)
-        return linear_op(pooled, self.weight, self.bias)
+        return project_channels(pooled, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]
 
     def count_macs(self, sites: int) -> int:
-        return macs.linear_macs(self.weight.shape[1], self.weight.shape[0])
+        return macs.pointwise_macs(1, self.weight.shape[1], self.weight.shape[0])
 
 
 def zero_constancy_check(

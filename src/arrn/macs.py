@@ -13,7 +13,7 @@ Cost conventions (single sample, i.e. batch size 1):
 
 * pointwise convolution / channel projection over S sites: ``S*cin*cout``
 * depthwise convolution over S sites, C channels, K taps: ``S*C*K``
-* dense layer: ``cin*cout``
+* dense layer: the pointwise convention at S = 1, i.e. ``cin*cout``
 * separable spatial convolution with per-axis tap counts T_a over S
   sites and C channels: ``S*C*sum(T_a)``
 * one FFT (or inverse FFT) over a grid of S sites, per channel:
@@ -92,6 +92,3 @@ def pointwise_macs(sites: int, cin: int, cout: int) -> int:
 def depthwise_macs(sites: int, channels: int, kernel_taps: int) -> int:
     return sites * channels * kernel_taps
 
-
-def linear_macs(cin: int, cout: int) -> int:
-    return cin * cout

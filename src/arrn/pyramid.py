@@ -166,11 +166,19 @@ def load_pyramid(directory: str | Path) -> PyramidDecomposition:
             [tuple(e) for e in manifest["levels"]]
         )
         kernel = SmoothingKernelSpec.from_description(manifest["kernel"])
-        diffs = tuple(read_arsg(directory / name) for name in manifest["diffs"])
-        low = read_arsg(directory / manifest["low"])
-        start_level = int(manifest["start_level"])
+        try:
+            diffs = tuple(read_arsg(directory / name) for name in manifest["diffs"])
+            low = read_arsg(directory / manifest["low"])
+        except OSError as exc:
+            raise FormatError(f"{directory}: unreadable pyramid file: {exc}") from exc
+        start_level = manifest["start_level"]
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{directory}: malformed pyramid manifest: {exc}") from exc
+    if type(start_level) is not int or not 0 <= start_level <= ladder.top_level:
+        raise FormatError(
+            f"{directory}: start_level {start_level!r} is not an integer in "
+            f"[0, {ladder.top_level}]"
+        )
     return PyramidDecomposition(
         ladder=ladder, kernel=kernel, diffs=diffs, low=low, start_level=start_level
     )

@@ -331,15 +331,11 @@ def lowpass(
     approximate variants perform spatial circular convolution with the
     realized taps.
     """
-    factors = _require_coarser(signal, target_level_grid)
-    if kernel.is_perfect:
-        values = lowpass_perfect_array(
-            signal.values, target_level_grid.extents, signal.grid.dims
-        )
-    else:
-        values = lowpass_approx_array(
-            signal.values, factors, kernel, signal.grid.dims
-        )
+    _require_coarser(signal, target_level_grid)
+    values = lowpass_array(
+        signal.values, signal.grid.extents, target_level_grid.extents, kernel,
+        signal.grid.dims,
+    )
     return signal.with_values(values)
 
 

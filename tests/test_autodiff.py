@@ -5,9 +5,14 @@ operator adjoints are additionally verified through the inner-product
 identity <A x, y> = <x, A^T y> on random vectors.
 """
 
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrn import layers, macs
 from arrn.autodiff import (
     Parameter,
     Tensor,
@@ -166,4 +171,70 @@ class TestResampleOpGradients:
         out = project_channels(x, w)
         assert out.shape == (2, 4, 5)
         err = gradient_check(lambda: project_channels(x, w), [x, w])
+        assert err <= 1e-6
+
+
+# Tolerances for the merged channel-mix op against the einsum reference,
+# fixed per dtype: the two sum in different orders.
+CHANNEL_MIX_TOL = {np.float32: 1e-4, np.float64: 1e-10}
+
+
+class TestProjectChannels:
+    """The one channel-mix op: pointwise convs, level projections, the head."""
+
+    def test_pointwise_conv_op_is_the_same_function(self):
+        assert layers.pointwise_conv_op is project_channels
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        cin=st.integers(1, 5),
+        cout=st.integers(1, 5),
+        spatial=st.sampled_from([(), (7,), (4, 3)]),
+        with_bias=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_einsum_reference(
+        self, batch, cin, cout, spatial, with_bias, dtype, seed
+    ):
+        tol = CHANNEL_MIX_TOL[dtype]
+        rng = np.random.default_rng(seed)
+        x = Parameter(rng.standard_normal((batch, cin) + spatial).astype(dtype))
+        w = Parameter(rng.standard_normal((cout, cin)).astype(dtype))
+        b = Parameter(rng.standard_normal(cout).astype(dtype)) if with_bias else None
+        with macs.recording() as counter:
+            out = project_channels(x, w, b)
+        assert counter.total == batch * macs.pointwise_macs(prod(spatial), cin, cout)
+
+        expected = np.einsum("oc,bc...->bo...", w.values, x.values)
+        if with_bias:
+            expected = expected + b.values.reshape((1, -1) + (1,) * len(spatial))
+        assert out.dtype == dtype
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out.values, expected, rtol=tol, atol=tol)
+
+        g = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(g)
+        sum_axes = (0,) + tuple(range(2, g.ndim))
+        np.testing.assert_allclose(
+            x.grad, np.einsum("oc,bo...->bc...", w.values, g), rtol=tol, atol=tol
+        )
+        gw = np.einsum(
+            "bos,bcs->oc", g.reshape(batch, cout, -1), x.values.reshape(batch, cin, -1)
+        )
+        np.testing.assert_allclose(w.grad, gw, rtol=tol, atol=tol)
+        if with_bias:
+            np.testing.assert_allclose(b.grad, g.sum(axis=sum_axes), rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize(
+        "spatial, with_bias", [((), False), ((), True), ((5,), True), ((3, 2), True)]
+    )
+    def test_gradient_check(self, spatial, with_bias):
+        rng = np.random.default_rng(12)
+        x = Parameter(rng.standard_normal((3, 4) + spatial))
+        w = Parameter(rng.standard_normal((2, 4)))
+        bias = Parameter(rng.standard_normal(2)) if with_bias else None
+        params = [x, w] + ([bias] if with_bias else [])
+        err = gradient_check(lambda: project_channels(x, w, bias), params)
         assert err <= 1e-6

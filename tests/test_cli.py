@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and the stable exit-code contract."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,26 @@ class TestDecomposeReconstruct:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert run("decompose", "--input", bad, "--levels", "64,32",
                    "--out", tmp_path / "x") == 2
+
+    def test_missing_diff_file_exits_2(self, tmp_path, noise_signal):
+        out_dir = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+                   "--out", out_dir) == 0
+        (out_dir / "diff_2.arsg").unlink()
+        assert run("reconstruct", "--pyramid", out_dir, "--level", "1",
+                   "--out", tmp_path / "recon.arsg") == 2
+
+    @pytest.mark.parametrize("start_level", [7, 3, -1, "1", 1.5, True])
+    def test_bad_start_level_exits_2(self, tmp_path, noise_signal, start_level):
+        out_dir = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+                   "--out", out_dir) == 0
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["start_level"] = start_level
+        manifest_path.write_text(json.dumps(manifest))
+        assert run("reconstruct", "--pyramid", out_dir, "--level", "2",
+                   "--out", tmp_path / "recon.arsg") == 2
 
     def test_incomparable_grid_exits_3(self, tmp_path):
         sig = DiscreteSignal(GridSpec((48,)), np.zeros((1, 48)))
@@ -150,6 +172,16 @@ class TestTrainEval:
         assert run("eval", "--checkpoint", ckpt, "--resolutions", "128",
                    "--classes", "3", "--samples-per-class", "16",
                    "--data-seed", "1", "--out", tmp_path / "s.csv") == 3
+
+    def test_missing_cache_labels_exits_2(self, tmp_path, trained):
+        _, ckpt, _ = trained
+        cache = tmp_path / "cache"
+        argv = ("eval", "--checkpoint", ckpt, "--resolutions", "32",
+                "--classes", "3", "--samples-per-class", "16", "--data-seed", "1",
+                "--data-cache", cache, "--out", tmp_path / "s.csv", "--no-timing")
+        assert run(*argv) == 0
+        (cache / "test_labels.txt").unlink()
+        assert run(*argv) == 2
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.arnn"
