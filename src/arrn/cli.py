@@ -5,9 +5,8 @@ Subcommands: ``decompose``, ``reconstruct``, ``verify-adaptation``,
 
 Exit codes are stable API: 0 success, 1 verification failure, 2 malformed
 container/checkpoint, 3 grid or shape mismatch, 4 numeric failure
-(non-finite values), 64 usage error. The environment variable
-``ARRN_THREADS`` sets the worker count for independent ablation cells.
-All output files are written atomically (temp file + rename).
+(non-finite values), 64 usage error. Independent ablation cells run on
+one worker thread per CPU. All output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .evaluate import (
     ADAPTED,
     FULL,
     ablation_grid,
-    default_thread_count,
     evaluate_sweep,
     write_ablation_csv,
     write_sweep_csv,
@@ -436,7 +434,6 @@ def cmd_ablate(args) -> int:
         resolutions=resolutions,
         dropout_p=dropout,
         policy=args.policy,
-        threads=default_thread_count(),
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,6 @@ from .model import (
     ArrnModel,
     entry_level,
     forward_adapted,
-    forward_full,
 )
 from .resample import resample_perfect_array
 from .signal import atomic_write
@@ -164,17 +163,15 @@ def _resolution_grid(resolution, dims: int) -> GridSpec:
     return GridSpec(tuple(resolution))
 
 
-def _batched_logits(model, values, grid, adapted_entry, batch_size):
+def _batched_logits(model, values, grid, batch_size):
+    """Logits in batches; the input grid picks the entry level."""
     out = []
     elapsed = 0.0
     for start in range(0, values.shape[0], batch_size):
         chunk = values[start : start + batch_size]
         fmap = FeatureMap(grid, chunk)
         t0 = time.perf_counter()
-        if adapted_entry is None:
-            logits = forward_full(model, fmap)
-        else:
-            logits = forward_adapted(model, fmap)
+        logits = forward_adapted(model, fmap)
         elapsed += time.perf_counter() - t0
         out.append(logits)
     return np.concatenate(out), elapsed
@@ -208,18 +205,14 @@ def evaluate_sweep(
                 values = resample_perfect_array(low, base.extents, dims).astype(
                     model.dtype
                 )
-                logits, elapsed = _batched_logits(
-                    model, values, base, None, batch_size
-                )
+                logits, elapsed = _batched_logits(model, values, base, batch_size)
                 macs_total = count_macs(model, 0, FULL)
             elif mode == ADAPTED:
                 level, target = entry_level(model.ladder, grid, policy)
                 values = resample_perfect_array(
                     low, target.extents, dims
                 ).astype(model.dtype)
-                logits, elapsed = _batched_logits(
-                    model, values, target, level, batch_size
-                )
+                logits, elapsed = _batched_logits(model, values, target, batch_size)
                 macs_total = count_macs(model, level, ADAPTED)
             else:
                 raise ValueError(f"unknown mode {mode!r}")
@@ -306,13 +299,6 @@ def _train_one_cell(
     return kernel_name, dropout_on, sweep
 
 
-def default_thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ARRN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def ablation_grid(
     dataset_spec: SynthDatasetSpec,
     ladder: ResolutionLadder,
@@ -330,7 +316,8 @@ def ablation_grid(
     Returns the 12-cell table (kernel x dropout x mode, accuracy averaged
     over seeds and resolutions) and the decision-tree ratio rows: each
     node's mean accuracy and its multiplicative change relative to its
-    parent node.
+    parent node. Cells train on ``threads`` worker threads, by default one
+    per CPU; the results do not depend on the count.
     """
     if resolutions is None:
         resolutions = [g.extents if g.dims > 1 else g.extents[0] for g in ladder.levels]
@@ -342,7 +329,7 @@ def ablation_grid(
         for kernel_name in kernels:
             for dropout_on in (True, False):
                 jobs.append((kernel_name, dropout_on, seed, dataset))
-    workers = threads if threads is not None else default_thread_count()
+    workers = threads if threads is not None else min(len(jobs), os.cpu_count() or 1)
     results = []
 
     def run(job):

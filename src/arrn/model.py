@@ -348,31 +348,28 @@ class ArrnModel:
         mask: DropoutMask,
         mode: str = EVAL,
         rng: np.random.Generator | None = None,
+        entry: int = 0,
     ) -> Tensor:
-        """Full-chain graph from finest-grid input values to logits."""
-        dims = self.ladder[0].dims
+        """Graph from input values on ladder level ``entry`` to logits.
+
+        Entry 0 runs the base low-pass and the input projection; a coarser
+        entry replaces them and the skipped residuals with
+        :meth:`composed_projection`. Gates of skipped residuals are unused.
+        """
         x = Tensor(values)
-        x = lowpass_op(x, self.ladder[0].extents, self.kernel, dims)
-        r = project_channels(x, self.input_projection)
-        for res, gate in zip(self.residuals, mask.chain):
+        if entry == 0:
+            grid = self.ladder[0]
+            x = lowpass_op(x, grid.extents, self.kernel, grid.dims)
+            r = project_channels(x, self.input_projection)
+        else:
+            r = project_channels(x, Tensor(self.composed_projection(entry)))
+        for res, gate in zip(self.residuals[entry:], mask.chain[entry:]):
             r = res.forward(r, gate, mode=mode, rng=rng)
         return self._terminal_and_head(r, mode, rng)
 
-    def forward_adapted_graph(self, values: np.ndarray, entry_level: int) -> Tensor:
-        """Eval-mode graph entering the chain at a coarse ladder level."""
-        composed = Tensor(self.composed_projection(entry_level))
-        r = project_channels(Tensor(values), composed)
-        for res in self.residuals[entry_level:]:
-            r = res.forward(r, gate=1, mode=EVAL)
-        return self._terminal_and_head(r, EVAL, None)
-
 
 def forward_full(
-    model: ArrnModel,
-    fmap: FeatureMap,
-    mask: DropoutMask | None = None,
-    mode: str = EVAL,
-    rng: np.random.Generator | None = None,
+    model: ArrnModel, fmap: FeatureMap, mask: DropoutMask | None = None
 ) -> np.ndarray:
     """Evaluate every residual; dropout gates apply only when supplied."""
     values = model._check_input(fmap, model.ladder[0])
@@ -380,7 +377,7 @@ def forward_full(
         mask = DropoutMask.all_on(len(model.residuals))
     if len(mask.chain) != len(model.residuals):
         raise ShapeError("mask length does not match residual count")
-    return model.forward_graph(values, mask, mode=mode, rng=rng).values
+    return model.forward_graph(values, mask).values
 
 
 def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
@@ -391,10 +388,9 @@ def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
     definitionally the full evaluation.
     """
     entry = model.ladder.index_of(fmap.grid)
-    if entry == 0:
-        return forward_full(model, fmap)
     values = model._check_input(fmap, model.ladder[entry])
-    return model.forward_adapted_graph(values, entry).values
+    mask = DropoutMask.all_on(len(model.residuals))
+    return model.forward_graph(values, mask, entry=entry).values
 
 
 def entry_level(
@@ -544,7 +540,10 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
     """Rebuild a model from an ARNN1 file; returns (model, manifest)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: unreadable checkpoint file: {exc}") from exc
     if not raw.startswith(ARNN_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARNN1 checkpoint)")
     off = len(ARNN_MAGIC)

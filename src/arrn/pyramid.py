@@ -166,11 +166,8 @@ def load_pyramid(directory: str | Path) -> PyramidDecomposition:
             [tuple(e) for e in manifest["levels"]]
         )
         kernel = SmoothingKernelSpec.from_description(manifest["kernel"])
-        try:
-            diffs = tuple(read_arsg(directory / name) for name in manifest["diffs"])
-            low = read_arsg(directory / manifest["low"])
-        except OSError as exc:
-            raise FormatError(f"{directory}: unreadable pyramid file: {exc}") from exc
+        diffs = tuple(read_arsg(directory / name) for name in manifest["diffs"])
+        low = read_arsg(directory / manifest["low"])
         start_level = manifest["start_level"]
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{directory}: malformed pyramid manifest: {exc}") from exc
@@ -178,6 +175,11 @@ def load_pyramid(directory: str | Path) -> PyramidDecomposition:
         raise FormatError(
             f"{directory}: start_level {start_level!r} is not an integer in "
             f"[0, {ladder.top_level}]"
+        )
+    if len(diffs) != ladder.top_level - start_level:
+        raise FormatError(
+            f"{directory}: {len(diffs)} difference signals listed, ladder and "
+            f"start_level {start_level} need {ladder.top_level - start_level}"
         )
     return PyramidDecomposition(
         ladder=ladder, kernel=kernel, diffs=diffs, low=low, start_level=start_level

@@ -1,14 +1,23 @@
 """Band reduction and resampling on the periodic unit domain.
 
-The perfect low-pass for a coarse extent ``M`` keeps the discrete Fourier
-coefficients with per-axis integer frequency ``-floor(M/2) < k <= floor(M/2)``
-and zeroes the rest. For even ``M`` the two Nyquist-rate coefficients
-``+M/2`` and ``-M/2`` alias onto a single coarse-grid bin, which can carry
-only the cosine component; the projector therefore symmetrizes that pair
-(equivalently: of the two Nyquist degrees of freedom, the cosine survives
-and the sine is rejected). This keeps real inputs real, makes the
-low-pass an orthogonal projector, and makes decimation and interpolation
-exact inverses on the retained band.
+The perfect kernel follows one band rule, applied per axis to the
+discrete Fourier coefficients. The band of extent ``M`` holds the integer
+frequencies ``-floor(M/2) < k <= floor(M/2)``. Truncating a spectrum to
+that band keeps those bins; for even ``M`` the two Nyquist-rate
+coefficients ``+M/2`` and ``-M/2`` alias onto a single coarse bin, which
+takes their sum. Embedding a band at a larger extent zero-pads it and
+splits the Nyquist bin evenly over the pair again. Every perfect-kernel
+operation is truncate-then-embed on one FFT pair:
+
+* resampling truncates or embeds each axis to its target extent;
+* the low-pass truncates to the band and embeds back at the input
+  extent, so an even band's Nyquist pair becomes its average (of the two
+  Nyquist degrees of freedom, the cosine survives and the sine is
+  rejected). This keeps real inputs real, makes the low-pass an
+  orthogonal projector, and makes decimation and interpolation exact
+  inverses on the retained band;
+* the adjoint of downsampling embeds with unit scale and full Nyquist
+  copies.
 
 Approximate kernels instead perform separable spatial circular
 convolution with the realized taps (see :mod:`arrn.kernels`), followed by
@@ -43,36 +52,9 @@ def _slice_axis(ndim: int, axis: int, sl) -> tuple:
     return tuple(out)
 
 
-def _band_mask(n: int, m: int) -> np.ndarray:
-    """Boolean keep-mask over FFT bins of length n for a band of extent m."""
-    freqs = np.arange(n)
-    k = np.where(freqs <= n // 2, freqs, freqs - n)
-    return np.abs(k) <= (m - 1) // 2
-
-
-def _symmetrize_axis(spectrum: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Restrict one axis of a full FFT spectrum to the band of extent m."""
-    n = spectrum.shape[axis]
-    if m >= n:
-        return spectrum
-    mask = _band_mask(n, m)
-    shape = [1] * spectrum.ndim
-    shape[axis] = n
-    out = spectrum * mask.reshape(shape)
-    if m % 2 == 0:
-        pos = _slice_axis(spectrum.ndim, axis, m // 2)
-        neg = _slice_axis(spectrum.ndim, axis, n - m // 2)
-        avg = 0.5 * (spectrum[pos] + spectrum[neg])
-        out[pos] = avg
-        out[neg] = avg
-    return out
-
-
 def _truncate_axis(spectrum: np.ndarray, axis: int, m: int) -> np.ndarray:
     """Resample one spectrum axis from extent n down to m (n arbitrary > m)."""
     n = spectrum.shape[axis]
-    if m == n:
-        return spectrum
     kpos = (m - 1) // 2
     parts = [spectrum[_slice_axis(spectrum.ndim, axis, slice(0, kpos + 1))]]
     if m % 2 == 0:
@@ -100,8 +82,6 @@ def _embed_axis(
     uses unit scale with full Nyquist copies.
     """
     m = spectrum.shape[axis]
-    if n == m:
-        return spectrum
     kpos = (m - 1) // 2
     shape = list(spectrum.shape)
     shape[axis] = n
@@ -132,6 +112,32 @@ def _leading(x: np.ndarray, spatial_ndim: int) -> int:
     return prod(x.shape[: x.ndim - spatial_ndim]) if x.ndim > spatial_ndim else 1
 
 
+def _spectral(
+    x: np.ndarray,
+    band_extents: tuple[int, ...],
+    out_extents: tuple[int, ...],
+    spatial_ndim: int,
+    scale: float | None = None,
+    split_nyquist: bool = True,
+) -> np.ndarray:
+    """Truncate each spatial axis to its band, then embed it at the output extent.
+
+    An axis is truncated only where the band is smaller than its current
+    extent and embedded only where the output is larger; ``scale`` and
+    ``split_nyquist`` are passed to :func:`_embed_axis`.
+    """
+    axes = _spatial_axes(x, spatial_ndim)
+    spectrum = np.fft.fftn(x, axes=axes)
+    for a, (m, n) in enumerate(zip(band_extents, out_extents)):
+        axis = _axis_index(x.ndim, spatial_ndim, a)
+        if m < spectrum.shape[axis]:
+            spectrum = _truncate_axis(spectrum, axis, m)
+        if n > spectrum.shape[axis]:
+            spectrum = _embed_axis(spectrum, axis, n, scale, split_nyquist)
+    out = np.fft.ifftn(spectrum, axes=axes).real
+    return np.ascontiguousarray(out, dtype=x.dtype)
+
+
 def resample_perfect_array(
     x: np.ndarray, to_extents: tuple[int, ...], spatial_ndim: int
 ) -> np.ndarray:
@@ -149,16 +155,7 @@ def resample_perfect_array(
             tuple(from_extents), tuple(to_extents), _leading(x, spatial_ndim)
         )
     )
-    axes = _spatial_axes(x, spatial_ndim)
-    spectrum = np.fft.fftn(x, axes=axes)
-    for a, (n_from, n_to) in enumerate(zip(from_extents, to_extents)):
-        axis = _axis_index(x.ndim, spatial_ndim, a)
-        if n_to < n_from:
-            spectrum = _truncate_axis(spectrum, axis, n_to)
-        elif n_to > n_from:
-            spectrum = _embed_axis(spectrum, axis, n_to)
-    out = np.fft.ifftn(spectrum, axes=axes).real
-    return np.ascontiguousarray(out, dtype=x.dtype)
+    return _spectral(x, tuple(to_extents), tuple(to_extents), spatial_ndim)
 
 
 def lowpass_perfect_array(
@@ -171,13 +168,7 @@ def lowpass_perfect_array(
     macs.add_macs(
         2 * macs.fft_macs(tuple(from_extents)) * _leading(x, spatial_ndim)
     )
-    axes = _spatial_axes(x, spatial_ndim)
-    spectrum = np.fft.fftn(x, axes=axes)
-    for a, (n, m) in enumerate(zip(from_extents, band_extents)):
-        axis = _axis_index(x.ndim, spatial_ndim, a)
-        spectrum = _symmetrize_axis(spectrum, axis, m)
-    out = np.fft.ifftn(spectrum, axes=axes).real
-    return np.ascontiguousarray(out, dtype=x.dtype)
+    return _spectral(x, tuple(band_extents), tuple(from_extents), spatial_ndim)
 
 
 def convolve_taps_array(
@@ -293,15 +284,10 @@ def downsample_adjoint_array(
     if kernel.is_perfect:
         if tuple(coarse) == tuple(fine_extents):
             return g.copy()
-        axes = _spatial_axes(g, spatial_ndim)
-        spectrum = np.fft.fftn(g, axes=axes)
-        for a, n_to in enumerate(fine_extents):
-            axis = _axis_index(g.ndim, spatial_ndim, a)
-            spectrum = _embed_axis(
-                spectrum, axis, n_to, scale=1.0, split_nyquist=False
-            )
-        out = np.fft.ifftn(spectrum, axes=axes).real
-        return np.ascontiguousarray(out, dtype=g.dtype)
+        return _spectral(
+            g, tuple(coarse), tuple(fine_extents), spatial_ndim,
+            scale=1.0, split_nyquist=False,
+        )
     stuffed = zero_insert_array(g, tuple(fine_extents), spatial_ndim)
     factors = tuple(n // m for n, m in zip(fine_extents, coarse))
     return lowpass_approx_array(stuffed, factors, kernel, spatial_ndim)

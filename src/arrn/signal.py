@@ -138,7 +138,10 @@ def write_arsg(path: str | Path, signal: DiscreteSignal) -> None:
 
 def read_arsg(path: str | Path) -> DiscreteSignal:
     """Read an ARSG container, raising FormatError on any malformation."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: unreadable signal file: {exc}") from exc
     if not raw.startswith(ARSG_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARSG file)")
     off = len(ARSG_MAGIC)

@@ -277,6 +277,7 @@ def _train_cell(kernel, dropout, seed, dataset):
     return model
 
 
+@pytest.mark.slow
 class TestCriterion7RobustnessDirection:
     def test_dropout_gains_at_coarse_resolution(self):
         start = time.perf_counter()
@@ -306,6 +307,7 @@ class TestCriterion7RobustnessDirection:
         )
 
 
+@pytest.mark.slow
 class TestCriterion8DualRegularizationDirection:
     def test_matched_error_regimes_win_with_gaussian_kernel(self):
         start = time.perf_counter()

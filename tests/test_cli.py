@@ -73,6 +73,35 @@ class TestDecomposeReconstruct:
         assert run("reconstruct", "--pyramid", out_dir, "--level", "2",
                    "--out", tmp_path / "recon.arsg") == 2
 
+    @pytest.mark.parametrize("edit", ["start_level", "drop_diff"])
+    def test_diff_count_disagreeing_with_ladder_exits_2(
+        self, tmp_path, noise_signal, edit
+    ):
+        out_dir = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+                   "--out", out_dir) == 0
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if edit == "start_level":
+            manifest["start_level"] = 1
+        else:
+            manifest["diffs"] = manifest["diffs"][:-1]
+        manifest_path.write_text(json.dumps(manifest))
+        assert run("reconstruct", "--pyramid", out_dir, "--level", "2",
+                   "--out", tmp_path / "recon.arsg") == 2
+
+    def test_missing_input_exits_2(self, tmp_path):
+        assert run("decompose", "--input", tmp_path / "absent.arsg",
+                   "--levels", "64,32", "--out", tmp_path / "x") == 2
+
+    def test_missing_reference_exits_2(self, tmp_path, noise_signal):
+        out_dir = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+                   "--out", out_dir) == 0
+        assert run("reconstruct", "--pyramid", out_dir, "--level", "1",
+                   "--out", tmp_path / "recon.arsg",
+                   "--reference", tmp_path / "absent.arsg") == 2
+
     def test_incomparable_grid_exits_3(self, tmp_path):
         sig = DiscreteSignal(GridSpec((48,)), np.zeros((1, 48)))
         path = tmp_path / "sig.arsg"
@@ -189,6 +218,10 @@ class TestTrainEval:
         assert run("eval", "--checkpoint", bad, "--resolutions", "64",
                    "--out", tmp_path / "s.csv") == 2
 
+    def test_missing_checkpoint_exits_2(self, tmp_path):
+        assert run("eval", "--checkpoint", tmp_path / "absent.arnn",
+                   "--resolutions", "64", "--out", tmp_path / "s.csv") == 2
+
 
 class TestBench:
     def test_bench_without_checkpoint(self, tmp_path):
@@ -203,6 +236,9 @@ class TestBench:
         assert macs_by_key[("16", "adapted")] < macs_by_key[("16", "full")]
         assert macs_by_key[("16", "adapted")] < macs_by_key[("32", "adapted")]
 
+    def test_missing_checkpoint_exits_2(self, tmp_path):
+        assert run("bench", "--checkpoint", tmp_path / "absent.arnn",
+                   "--resolutions", "64", "--out", tmp_path / "b.csv") == 2
 
     def test_oversized_resolution_exits_3(self, tmp_path):
         assert run("bench", "--levels", "64,32,16", "--features", "4,8,8",

@@ -1,9 +1,9 @@
 """Grid, kernel, container, and resampling contracts.
 
 Derived expected values are computed against independent oracles defined
-in this file: a direct DFT implemented with explicit complex-exponential
-sums, a closed-form periodic-sinc (Dirichlet) interpolation formula, and
-a double-loop circular convolution.
+in this file: a separable band projector built from explicit
+complex-exponential DFT matrices, a closed-form periodic-sinc (Dirichlet)
+interpolation formula, and a double-loop circular convolution.
 """
 
 import math
@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrn.errors import FormatError, GridError, NumericError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
@@ -19,7 +21,10 @@ from arrn.resample import (
     check_bandlimited,
     decimate,
     downsample,
+    downsample_adjoint_array,
+    downsample_array,
     lowpass,
+    lowpass_perfect_array,
     resample_to,
     upsample,
 )
@@ -54,27 +59,32 @@ def random_signal(grid, features=1, seed=0):
 # -- oracles ---------------------------------------------------------------
 
 
-def dft_oracle_lowpass(values, band_extent):
-    """Band projection via an explicit O(n^2) DFT sum (1-D, one channel)."""
-    n = values.shape[-1]
-    x = values[0]
-    coeffs = np.array(
-        [sum(x[j] * np.exp(-2j * np.pi * k * j / n) for j in range(n)) for k in range(n)]
-    )
-    kpos = (band_extent - 1) // 2
-    kept = np.zeros(n, dtype=complex)
-    for idx in range(n):
-        k = idx if idx <= n // 2 else idx - n
-        if abs(k) <= kpos:
-            kept[idx] = coeffs[idx]
-    if band_extent % 2 == 0 and band_extent < n:
-        avg = 0.5 * (coeffs[band_extent // 2] + coeffs[n - band_extent // 2])
-        kept[band_extent // 2] = avg
-        kept[n - band_extent // 2] = avg
-    out = np.array(
-        [sum(kept[k] * np.exp(2j * np.pi * k * j / n) for k in range(n)) / n for j in range(n)]
-    )
-    return out.real[None, :]
+def band_projector(n, m):
+    """The n x n perfect low-pass for band extent m, as DFT-matrix products.
+
+    Bins with signed frequency ``|k| <= (m - 1) // 2`` are kept; for even
+    ``m < n`` the Nyquist pair ``+m/2``, ``-m/2`` is replaced by its average.
+    """
+    if m >= n:
+        return np.eye(n)
+    j = np.arange(n)
+    dft = np.exp(-2j * np.pi * np.outer(j, j) / n)
+    signed = np.where(j <= n // 2, j, j - n)
+    select = np.diag((np.abs(signed) <= (m - 1) // 2).astype(complex))
+    if m % 2 == 0:
+        pair = [m // 2, n - m // 2]
+        select[np.ix_(pair, pair)] = 0.5
+    return (dft.conj() @ select @ dft / n).real
+
+
+def dft_oracle_lowpass(values, band_extents):
+    """Separable band projection of the trailing ``len(band_extents)`` axes."""
+    out = np.asarray(values, dtype=np.float64)
+    for a, m in enumerate(band_extents):
+        axis = out.ndim - len(band_extents) + a
+        proj = band_projector(out.shape[axis], m)
+        out = np.moveaxis(np.tensordot(proj, out, axes=([1], [axis])), 0, axis)
+    return out
 
 
 def dirichlet_interp(coarse_values, m, n):
@@ -194,7 +204,7 @@ class TestLowpass:
         sig = random_signal(GridSpec((16,)), seed=3)
         out = lowpass(sig, GridSpec((4,)), PERFECT)
         np.testing.assert_allclose(
-            out.values, dft_oracle_lowpass(sig.values, 4), atol=1e-12
+            out.values, dft_oracle_lowpass(sig.values, (4,)), atol=1e-12
         )
 
     def test_nyquist_cosine_survives_sine_rejected(self):
@@ -321,6 +331,66 @@ class TestDownsample:
         sig = random_signal(GridSpec((16,)))
         with pytest.raises(GridError):
             downsample(sig, GridSpec((6,)), PERFECT)
+
+
+# -- spectral core on drawn ladders -----------------------------------------
+
+# Per-dtype tolerances, fixed beforehand: a few hundred ulps of unit-scale
+# values, which FFT round-off at these extents stays well inside.
+SPECTRAL_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+# (fine extents, band extents): odd, non-power-of-two and unequal 2-D steps.
+LISTED_STEPS = [((27,), (9,)), ((9,), (3,)), ((36,), (12,)), ((12,), (4,)),
+                ((24, 16), (12, 8)), ((12, 8), (6, 4))]
+
+
+@st.composite
+def drawn_step(draw):
+    dims = draw(st.integers(1, 2))
+    band = tuple(draw(st.integers(1, 12)) for _ in range(dims))
+    fine = tuple(m * draw(st.integers(1, 4)) for m in band)
+    return fine, band
+
+
+SPECTRAL_CASE = dict(
+    step=st.one_of(st.sampled_from(LISTED_STEPS), drawn_step()),
+    lead=st.sampled_from([(), (2,), (2, 3)]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestSpectralCoreProperties:
+    """Perfect-kernel low-pass and adjoint on randomly drawn ladder steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SPECTRAL_CASE)
+    def test_lowpass_matches_dft_matrix_oracle(self, step, lead, dtype, seed):
+        fine, band = step
+        x = np.random.default_rng(seed).standard_normal(lead + fine).astype(dtype)
+        out = lowpass_perfect_array(x, band, len(fine))
+        assert out.dtype == dtype and out.shape == x.shape
+        tol = SPECTRAL_TOL[dtype]
+        np.testing.assert_allclose(
+            out, dft_oracle_lowpass(x, band), rtol=tol, atol=tol
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SPECTRAL_CASE)
+    def test_downsample_adjoint_inner_products(self, step, lead, dtype, seed):
+        fine, band = step
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + fine).astype(dtype)
+        y = rng.standard_normal(lead + band).astype(dtype)
+        down = downsample_array(x, band, PERFECT, len(fine))
+        adj = downsample_adjoint_array(y, fine, PERFECT, len(fine))
+        assert down.dtype == adj.dtype == dtype
+        lhs = np.vdot(down.astype(np.float64), y.astype(np.float64))
+        rhs = np.vdot(x.astype(np.float64), adj.astype(np.float64))
+        scale = np.linalg.norm(x) * np.linalg.norm(adj) + np.linalg.norm(
+            down
+        ) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= SPECTRAL_TOL[dtype] * scale
 
 
 # -- bandlimited membership -------------------------------------------------
