@@ -75,6 +75,14 @@ def _parse_ints(tokens, text: str) -> tuple[int, ...]:
         raise UsageError(f"expected integers, got {text!r}") from exc
 
 
+def _build(factory, **kwargs):
+    """Build a spec, config or model from flags; a ValueError is a usage error."""
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_extents(token: str) -> tuple[int, ...]:
     return _parse_ints(token.lower().split("x"), token)
 
@@ -94,16 +102,21 @@ def _parse_resolutions(text: str) -> list[tuple[int, ...]]:
 
 
 def _parse_features(text: str) -> tuple[int, ...]:
-    return _parse_ints((p for p in text.split(",") if p.strip()), text)
+    features = _parse_ints((p for p in text.split(",") if p.strip()), text)
+    if any(f < 1 for f in features):
+        raise UsageError(f"--features widths must be positive, got {text!r}")
+    return features
 
 
 def _kernel_from_args(args) -> SmoothingKernelSpec:
     if args.kernel == "perfect":
         return SmoothingKernelSpec.perfect()
     if args.kernel == "windowed_sinc":
-        return SmoothingKernelSpec.windowed_sinc(taps_per_axis=args.taps)
-    return SmoothingKernelSpec.truncated_gaussian(
-        sigma_factor=args.sigma_factor, radius_factor=args.radius_factor
+        return _build(SmoothingKernelSpec.windowed_sinc, taps_per_axis=args.taps)
+    return _build(
+        SmoothingKernelSpec.truncated_gaussian,
+        sigma_factor=args.sigma_factor,
+        radius_factor=args.radius_factor,
     )
 
 
@@ -158,7 +171,8 @@ def _add_train_flags(parser):
 def _dataset_from_args(args, ladder: ResolutionLadder):
     if args.data_cache is not None and (args.data_cache / "dataset.json").exists():
         return load_dataset(args.data_cache)
-    spec = SynthDatasetSpec(
+    spec = _build(
+        SynthDatasetSpec,
         classes=args.classes,
         level_extents=tuple(g.extents for g in ladder.levels),
         samples_per_class=args.samples_per_class,
@@ -184,7 +198,8 @@ def _dropout_from_args(args) -> float | None:
 
 
 def _train_config_from_args(args, dropout) -> TrainConfig:
-    return TrainConfig(
+    return _build(
+        TrainConfig,
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.lr,
@@ -202,7 +217,8 @@ def _model_from_args(args, ladder, kernel, classes, dtype, seed) -> ArrnModel:
         raise UsageError(
             f"--features needs {len(ladder)} entries for this ladder"
         )
-    return ArrnModel(
+    return _build(
+        ArrnModel,
         ladder=ladder,
         input_features=args.input_features,
         features=features,
@@ -261,7 +277,8 @@ def cmd_verify_adaptation(args) -> int:
     failures = 0
     for trial in range(args.trials):
         rng = np.random.default_rng(args.seed + 1000 * trial)
-        model = ArrnModel(
+        model = _build(
+            ArrnModel,
             ladder=ladder,
             input_features=args.input_features,
             features=features,
@@ -414,7 +431,8 @@ def cmd_ablate(args) -> int:
     if dropout is None:
         raise UsageError("ablation needs a nonzero --dropout probability")
     config = _train_config_from_args(args, dropout)
-    spec = SynthDatasetSpec(
+    spec = _build(
+        SynthDatasetSpec,
         classes=args.classes,
         level_extents=tuple(g.extents for g in ladder.levels),
         samples_per_class=args.samples_per_class,

@@ -44,6 +44,8 @@ class SynthDatasetSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least two classes")
+        if self.samples_per_class < 1:
+            raise ValueError("samples_per_class must be positive")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.signatures is not None:

@@ -16,8 +16,18 @@ operation is truncate-then-embed on one FFT pair:
   rejected). This keeps real inputs real, makes the low-pass an
   orthogonal projector, and makes decimation and interpolation exact
   inverses on the retained band;
-* the adjoint of downsampling embeds with unit scale and full Nyquist
-  copies.
+* the adjoint of downsampling embeds with full Nyquist copies.
+
+The transform pair is ``scipy.fft.rfftn``/``irfftn``: the inputs are
+real, so every axis but the last keeps the full layout, and the last
+axis holds only bins ``0..n//2``. There the ``-m/2`` member of an even
+band's Nyquist pair is not stored; by Hermitian symmetry
+``X[k, -m/2] = conj(X[-k, m/2])``, with k negated on every other spatial
+axis, so truncation folds the pair as ``X[k, m/2] + conj(X[-k, m/2])``
+(``2 Re X[m/2]`` in 1-D only), embedding with a split halves the bin and
+the adjoint copies it whole, the inverse real transform supplying the
+mirror. The band scales ``m/n`` and ``n/m`` are carried by the
+transforms' normalisation, so no in-band bin is rescaled.
 
 Approximate kernels instead perform separable spatial circular
 convolution with the realized taps (see :mod:`arrn.kernels`), followed by
@@ -33,6 +43,7 @@ from __future__ import annotations
 from math import prod
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import ndimage
 
 from . import macs
@@ -53,7 +64,7 @@ def _slice_axis(ndim: int, axis: int, sl) -> tuple:
 
 
 def _truncate_axis(spectrum: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Resample one spectrum axis from extent n down to m (n arbitrary > m)."""
+    """Keep the band of extent m on one full-layout axis of any extent n > m."""
     n = spectrum.shape[axis]
     kpos = (m - 1) // 2
     parts = [spectrum[_slice_axis(spectrum.ndim, axis, slice(0, kpos + 1))]]
@@ -65,42 +76,73 @@ def _truncate_axis(spectrum: np.ndarray, axis: int, m: int) -> np.ndarray:
         parts.append(pos + neg)
     if kpos >= 1:
         parts.append(spectrum[_slice_axis(spectrum.ndim, axis, slice(n - kpos, n))])
-    return np.concatenate(parts, axis=axis) * (m / n)
+    return np.concatenate(parts, axis=axis)
 
 
 def _embed_axis(
-    spectrum: np.ndarray,
-    axis: int,
-    n: int,
-    scale: float | None = None,
-    split_nyquist: bool = True,
+    spectrum: np.ndarray, axis: int, n: int, split_nyquist: bool
 ) -> np.ndarray:
-    """Resample one spectrum axis from extent m up to n by zero padding.
+    """Zero-pad one full-layout axis from extent m up to n.
 
-    The default scale ``n/m`` with a halved Nyquist pair preserves sample
-    values (interpolation); the adjoint of spectral truncation instead
-    uses unit scale with full Nyquist copies.
+    An even band's Nyquist bin goes to both ``+m/2`` and ``-m/2``, halved
+    when ``split_nyquist`` (interpolation) and in full for the adjoint of
+    truncation.
     """
     m = spectrum.shape[axis]
     kpos = (m - 1) // 2
     shape = list(spectrum.shape)
     shape[axis] = n
     out = np.zeros(shape, dtype=spectrum.dtype)
-    if scale is None:
-        scale = n / m
-    out[_slice_axis(out.ndim, axis, slice(0, kpos + 1))] = (
-        spectrum[_slice_axis(spectrum.ndim, axis, slice(0, kpos + 1))] * scale
-    )
+    out[_slice_axis(out.ndim, axis, slice(0, kpos + 1))] = spectrum[
+        _slice_axis(spectrum.ndim, axis, slice(0, kpos + 1))
+    ]
     if kpos >= 1:
-        out[_slice_axis(out.ndim, axis, slice(n - kpos, n))] = (
-            spectrum[_slice_axis(spectrum.ndim, axis, slice(m - kpos, m))] * scale
-        )
+        out[_slice_axis(out.ndim, axis, slice(n - kpos, n))] = spectrum[
+            _slice_axis(spectrum.ndim, axis, slice(m - kpos, m))
+        ]
     if m % 2 == 0:
-        nyq = spectrum[_slice_axis(spectrum.ndim, axis, m // 2)] * (
-            scale / 2 if split_nyquist else scale
-        )
+        nyq = spectrum[_slice_axis(spectrum.ndim, axis, m // 2)]
+        if split_nyquist:
+            nyq = nyq / 2
         out[_slice_axis(out.ndim, axis, m // 2)] = nyq
         out[_slice_axis(out.ndim, axis, n - m // 2)] = nyq
+    return out
+
+
+def _negate_frequencies(spectrum: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The spectrum at index ``-k`` (modulo the extent) on each of ``axes``."""
+    return np.roll(np.flip(spectrum, axis=axes), 1, axis=axes)
+
+
+def _truncate_half(
+    spectrum: np.ndarray, m: int, other_axes: tuple[int, ...]
+) -> np.ndarray:
+    """Keep the band of extent m on the last axis, held as bins ``0..n//2``.
+
+    For even m the coarse Nyquist bin is ``X[k, m/2] + X[k, -m/2]``; the
+    half layout holds the second term as ``conj(X[-k, m/2])``, with k
+    negated on every other spatial axis.
+    """
+    kept = spectrum[..., : (m + 1) // 2]
+    if m % 2:
+        return kept
+    nyq = spectrum[..., m // 2 : m // 2 + 1]
+    folded = nyq + np.conj(_negate_frequencies(nyq, other_axes))
+    return np.concatenate([kept, folded], axis=-1)
+
+
+def _embed_half(
+    spectrum: np.ndarray, m: int, n: int, split_nyquist: bool
+) -> np.ndarray:
+    """Zero-pad the last axis, held as bins ``0..m//2``, from extent m to n.
+
+    Only the ``+m/2`` copy of an even band's Nyquist bin is stored; the
+    inverse real transform supplies its ``-m/2`` mirror.
+    """
+    out = np.zeros(spectrum.shape[:-1] + (n // 2 + 1,), dtype=spectrum.dtype)
+    out[..., : m // 2 + 1] = spectrum
+    if m % 2 == 0 and split_nyquist:
+        out[..., m // 2] /= 2
     return out
 
 
@@ -117,24 +159,30 @@ def _spectral(
     band_extents: tuple[int, ...],
     out_extents: tuple[int, ...],
     spatial_ndim: int,
-    scale: float | None = None,
-    split_nyquist: bool = True,
+    adjoint: bool = False,
 ) -> np.ndarray:
     """Truncate each spatial axis to its band, then embed it at the output extent.
 
     An axis is truncated only where the band is smaller than its current
-    extent and embedded only where the output is larger; ``scale`` and
-    ``split_nyquist`` are passed to :func:`_embed_axis`.
+    extent and embedded only where the output is larger. The band scales
+    live in the transforms' normalisation: ``norm="forward"`` divides by
+    the input sites once, so samples are preserved; the ``adjoint`` of
+    downsampling uses ``norm="backward"`` with full Nyquist copies.
     """
     axes = _spatial_axes(x, spatial_ndim)
-    spectrum = np.fft.fftn(x, axes=axes)
-    for a, (m, n) in enumerate(zip(band_extents, out_extents)):
-        axis = _axis_index(x.ndim, spatial_ndim, a)
+    norm = "backward" if adjoint else "forward"
+    spectrum = sfft.rfftn(x, axes=axes, norm=norm)
+    for axis, m, n in zip(axes[:-1], band_extents, out_extents):
         if m < spectrum.shape[axis]:
             spectrum = _truncate_axis(spectrum, axis, m)
         if n > spectrum.shape[axis]:
-            spectrum = _embed_axis(spectrum, axis, n, scale, split_nyquist)
-    out = np.fft.ifftn(spectrum, axes=axes).real
+            spectrum = _embed_axis(spectrum, axis, n, not adjoint)
+    extent, m, n = x.shape[-1], band_extents[-1], out_extents[-1]
+    if m < extent:
+        spectrum, extent = _truncate_half(spectrum, m, axes[:-1]), m
+    if n > extent:
+        spectrum = _embed_half(spectrum, extent, n, not adjoint)
+    out = sfft.irfftn(spectrum, s=out_extents, axes=axes, norm=norm)
     return np.ascontiguousarray(out, dtype=x.dtype)
 
 
@@ -285,8 +333,7 @@ def downsample_adjoint_array(
         if tuple(coarse) == tuple(fine_extents):
             return g.copy()
         return _spectral(
-            g, tuple(coarse), tuple(fine_extents), spatial_ndim,
-            scale=1.0, split_nyquist=False,
+            g, tuple(coarse), tuple(fine_extents), spatial_ndim, adjoint=True
         )
     stuffed = zero_insert_array(g, tuple(fine_extents), spatial_ndim)
     factors = tuple(n // m for n, m in zip(fine_extents, coarse))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter
-from .errors import NumericError
+from .errors import NumericError, ShapeError
 from .layers import TRAIN, softmax_cross_entropy
 from .model import ArrnModel, DropoutConfig, DropoutMask, sample_mask
 
@@ -34,6 +34,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        for name in ("learning_rate", "min_learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.dropout is not None and not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout probability must lie in [0, 1]")
         if self.dtype not in ("f32", "f64"):
@@ -126,7 +130,8 @@ def train(
 ) -> TrainResult:
     """Optimize the model in place on ``(inputs, labels)``.
 
-    ``inputs`` is ``(n, channels, *finest_extents)``. One gate mask is
+    ``inputs`` is ``(n, channels, *finest_extents)``; any other per-sample
+    shape raises :class:`~arrn.errors.ShapeError`. One gate mask is
     drawn per minibatch. A non-finite loss aborts immediately with
     :class:`~arrn.errors.NumericError` rather than training through it.
     """
@@ -135,6 +140,12 @@ def train(
             f"model dtype {model.dtype} does not match config {config.dtype}"
         )
     inputs = np.asarray(inputs, dtype=model.dtype)
+    expected = (model.input_features,) + model.ladder[0].extents
+    if inputs.shape[1:] != expected:
+        raise ShapeError(
+            f"inputs have per-sample shape {inputs.shape[1:]}, the model "
+            f"expects {expected}"
+        )
     labels = np.asarray(labels, dtype=np.int64)
     streams = np.random.SeedSequence(config.seed).spawn(3)
     shuffle_rng = np.random.default_rng(streams[0])

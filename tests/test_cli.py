@@ -250,12 +250,46 @@ class TestBench:
     ("bench", "--features", "4,x,8", "--resolutions", "32"),
     ("bench", "--resolutions", "abc"),
     ("ablate", "--seeds", "0,z"),
+    ("ablate", "--features", "0,8,8"),
     ("bench", "--batch", "0", "--resolutions", "32"),
 ])
 def test_bad_integer_argument_is_usage_error(tmp_path, capsys, argv):
     out_flag = "--out-dir" if argv[0] == "ablate" else "--out"
     assert run(*argv, out_flag, tmp_path / "out") == 64
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+TINY_TRAIN = ("train", "--levels", "16,8", "--features", "2,2",
+              "--samples-per-class", "4", "--epochs", "1")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--epochs", "0"),
+    ("--batch-size", "0"),
+    ("--expansion", "0"),
+    ("--features", "0,2"),
+    ("--kernel", "windowed_sinc", "--taps", "4"),
+    ("--kernel", "truncated_gaussian", "--sigma-factor", "-1"),
+    ("--classes", "1"),
+    ("--samples-per-class", "0"),
+    ("--head-dropout", "1.5"),
+    ("--lr", "nan"),
+    ("--lr", "-1"),
+    ("--min-lr", "inf"),
+    ("--weight-decay", "-1"),
+])
+def test_rejected_train_value_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "model.arnn"
+    assert run(*TINY_TRAIN, *flags, "--out", out) == 64
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_input_features_unlike_the_data_exits_3(tmp_path, capsys):
+    out = tmp_path / "model.arnn"
+    assert run(*TINY_TRAIN, "--input-features", "2", "--out", out) == 3
+    assert capsys.readouterr().err.startswith("shape error:")
+    assert not out.exists()
 
 
 class TestAblateSmoke:

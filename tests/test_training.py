@@ -5,7 +5,7 @@ import pytest
 
 from arrn.autodiff import Parameter
 from arrn.data import SynthDatasetSpec, generate_dataset
-from arrn.errors import NumericError
+from arrn.errors import NumericError, ShapeError
 from arrn.grids import ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
 from arrn.model import ArrnModel, save_checkpoint
@@ -104,17 +104,37 @@ class TestTrain:
         assert result.final_train_accuracy >= 0.95
 
     def test_divergence_raises_numeric_error(self):
-        # Saturate the head so the first forward overflows float32; the
+        # Saturate the head so the first loss overflows float32: the class
+        # logits sit near +3e38 and -3e38, and their gap is infinite. The
         # non-finite loss must be reported, not trained through.
         model = build_model(seed=4)
         model.head.weight.assign(
             np.full(model.head.weight.shape, 1e38, dtype=np.float32)
         )
+        model.head.bias.assign(np.array([3e38, -3e38], dtype=np.float32))
         ds = toy_dataset(seed=4, samples=16)
         cfg = TrainConfig(epochs=2, batch_size=16, seed=4, dropout=None)
         with pytest.raises(NumericError):
             with np.errstate(all="ignore"):
                 train(model, ds.train.inputs, ds.train.labels, cfg)
+
+    @pytest.mark.parametrize("field", [
+        "learning_rate", "min_learning_rate", "weight_decay",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+    def test_bad_optimiser_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_optimiser_settings_allowed(self):
+        TrainConfig(learning_rate=0.0, min_learning_rate=0.0, weight_decay=0.0)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 64), (4, 1, 32), (4, 64)])
+    def test_inputs_unlike_the_model_rejected(self, shape):
+        model = build_model()
+        with pytest.raises(ShapeError):
+            train(model, np.zeros(shape, dtype=np.float32),
+                  np.zeros(4, dtype=np.int64), TrainConfig(epochs=1))
 
     def test_dtype_mismatch_rejected(self):
         model = build_model(dtype=np.float64)
