@@ -144,12 +144,16 @@ def _add_dataset_flags(parser):
                         help="directory to load the dataset from (or save to)")
 
 
-def _add_model_flags(parser):
+def _add_ladder_flags(parser):
     parser.add_argument("--levels", default="64,32,16",
                         help="ladder extents, finest first, e.g. 64,32,16 or "
                              "32x32,16x16,8x8")
     parser.add_argument("--features", default="8,16,32",
                         help="channel widths per ladder level")
+
+
+def _add_model_flags(parser):
+    _add_ladder_flags(parser)
     parser.add_argument("--input-features", type=int, default=1)
     parser.add_argument("--expansion", type=int, default=2)
     parser.add_argument("--depth", type=int, default=1)
@@ -183,6 +187,15 @@ def _dataset_from_args(args, ladder: ResolutionLadder):
     if args.data_cache is not None:
         save_dataset(args.data_cache, dataset)
     return dataset
+
+
+def _require_test_split(spec: SynthDatasetSpec) -> None:
+    """``eval`` and ``ablate`` score the test split, so it must not be empty."""
+    if spec.train_per_class >= spec.samples_per_class:
+        raise UsageError(
+            f"--samples-per-class {spec.samples_per_class} leaves no test "
+            f"samples at train fraction {spec.train_fraction}"
+        )
 
 
 def _dropout_from_args(args) -> float | None:
@@ -359,6 +372,7 @@ def _modes_from_args(args):
 def cmd_eval(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
     dataset = _dataset_from_args(args, model.ladder)
+    _require_test_split(dataset.spec)
     resolutions = _parse_resolutions(args.resolutions)
     dropout_label = "on" if manifest.get("dropout") else "off"
     result = evaluate_sweep(
@@ -439,6 +453,7 @@ def cmd_ablate(args) -> int:
         noise=args.noise,
         seed=args.data_seed,
     )
+    _require_test_split(spec)
     seeds = _parse_ints(args.seeds.split(","), args.seeds)
     resolutions = (
         _parse_resolutions(args.resolutions) if args.resolutions else None
@@ -604,7 +619,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "ablate", help="kernel x dropout x adaptation grid with ratio tree"
     )
-    _add_model_flags(p)
+    _add_ladder_flags(p)
     _add_dataset_flags(p)
     _add_train_flags(p)
     p.add_argument("--seeds", default="0,1,2")

@@ -65,6 +65,11 @@ class SynthDatasetSpec:
     def bands(self) -> int:
         return len(self.level_extents)
 
+    @property
+    def train_per_class(self) -> int:
+        """Samples of each class in the train split; the rest are test."""
+        return int(round(self.train_fraction * self.samples_per_class))
+
     def describe(self) -> dict:
         return {
             "classes": self.classes,
@@ -182,7 +187,7 @@ def generate_dataset(spec: SynthDatasetSpec) -> SynthDataset:
     # Per-class split so both halves keep the class balance.
     train_idx, test_idx = [], []
     per_class = spec.samples_per_class
-    cut = int(round(spec.train_fraction * per_class))
+    cut = spec.train_per_class
     for cls in range(spec.classes):
         start = cls * per_class
         train_idx.extend(range(start, start + cut))

@@ -18,9 +18,9 @@ Cost conventions (single sample, i.e. batch size 1):
   sites and C channels: ``S*C*sum(T_a)``
 * one FFT (or inverse FFT) over a grid of S sites, per channel:
   ``S*ceil(log2(S))``; spectral resampling costs one transform at the
-  input grid plus one at the output grid. The real transforms
-  (``rfftn``/``irfftn``) the perfect kernel runs on are counted by the
-  same convention, so the counts stay independent of the FFT layout
+  input grid plus one at the output grid. The perfect kernel runs one
+  real ``rfft``/``irfft`` pair per axis; it is counted by this whole-grid
+  convention, so the counts stay independent of the transform layout
 * stride decimation, sample-preserving reshapes, normalization,
   activations, additions, and mean subtraction: 0
 """

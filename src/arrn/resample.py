@@ -7,7 +7,7 @@ that band keeps those bins; for even ``M`` the two Nyquist-rate
 coefficients ``+M/2`` and ``-M/2`` alias onto a single coarse bin, which
 takes their sum. Embedding a band at a larger extent zero-pads it and
 splits the Nyquist bin evenly over the pair again. Every perfect-kernel
-operation is truncate-then-embed on one FFT pair:
+operation is truncate-then-embed:
 
 * resampling truncates or embeds each axis to its target extent;
 * the low-pass truncates to the band and embeds back at the input
@@ -18,16 +18,15 @@ operation is truncate-then-embed on one FFT pair:
   inverses on the retained band;
 * the adjoint of downsampling embeds with full Nyquist copies.
 
-The transform pair is ``scipy.fft.rfftn``/``irfftn``: the inputs are
-real, so every axis but the last keeps the full layout, and the last
-axis holds only bins ``0..n//2``. There the ``-m/2`` member of an even
-band's Nyquist pair is not stored; by Hermitian symmetry
-``X[k, -m/2] = conj(X[-k, m/2])``, with k negated on every other spatial
-axis, so truncation folds the pair as ``X[k, m/2] + conj(X[-k, m/2])``
-(``2 Re X[m/2]`` in 1-D only), embedding with a split halves the bin and
-the adjoint copies it whole, the inverse real transform supplying the
-mirror. The band scales ``m/n`` and ``n/m`` are carried by the
-transforms' normalisation, so no in-band bin is rescaled.
+The band projector is a tensor product of 1-D projectors, so every
+operation runs as one ``scipy.fft.rfft``/``irfft`` pass per spatial
+axis, each mapping real samples to real samples. A pass holds only bins
+``0..n//2``, where the ``-m/2`` member of an even band's Nyquist pair is
+``conj(X[m/2])``: truncation folds the pair to ``2 Re X[m/2]``,
+embedding with a split halves the bin and the adjoint keeps it whole,
+the inverse real transform supplying the mirror. The band scales
+``m/n`` and ``n/m`` are carried by the transforms' normalisation, so no
+in-band bin is rescaled.
 
 Approximate kernels instead perform separable spatial circular
 convolution with the realized taps (see :mod:`arrn.kernels`), followed by
@@ -57,101 +56,36 @@ def _axis_index(ndim: int, spatial_ndim: int, spatial_axis: int) -> int:
     return ndim - spatial_ndim + spatial_axis
 
 
-def _slice_axis(ndim: int, axis: int, sl) -> tuple:
-    out = [slice(None)] * ndim
-    out[axis] = sl
-    return tuple(out)
-
-
-def _truncate_axis(spectrum: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Keep the band of extent m on one full-layout axis of any extent n > m."""
-    n = spectrum.shape[axis]
-    kpos = (m - 1) // 2
-    parts = [spectrum[_slice_axis(spectrum.ndim, axis, slice(0, kpos + 1))]]
-    if m % 2 == 0:
-        pos = spectrum[_slice_axis(spectrum.ndim, axis, slice(m // 2, m // 2 + 1))]
-        neg = spectrum[
-            _slice_axis(spectrum.ndim, axis, slice(n - m // 2, n - m // 2 + 1))
-        ]
-        parts.append(pos + neg)
-    if kpos >= 1:
-        parts.append(spectrum[_slice_axis(spectrum.ndim, axis, slice(n - kpos, n))])
-    return np.concatenate(parts, axis=axis)
-
-
-def _embed_axis(
-    spectrum: np.ndarray, axis: int, n: int, split_nyquist: bool
-) -> np.ndarray:
-    """Zero-pad one full-layout axis from extent m up to n.
-
-    An even band's Nyquist bin goes to both ``+m/2`` and ``-m/2``, halved
-    when ``split_nyquist`` (interpolation) and in full for the adjoint of
-    truncation.
-    """
-    m = spectrum.shape[axis]
-    kpos = (m - 1) // 2
-    shape = list(spectrum.shape)
-    shape[axis] = n
-    out = np.zeros(shape, dtype=spectrum.dtype)
-    out[_slice_axis(out.ndim, axis, slice(0, kpos + 1))] = spectrum[
-        _slice_axis(spectrum.ndim, axis, slice(0, kpos + 1))
-    ]
-    if kpos >= 1:
-        out[_slice_axis(out.ndim, axis, slice(n - kpos, n))] = spectrum[
-            _slice_axis(spectrum.ndim, axis, slice(m - kpos, m))
-        ]
-    if m % 2 == 0:
-        nyq = spectrum[_slice_axis(spectrum.ndim, axis, m // 2)]
-        if split_nyquist:
-            nyq = nyq / 2
-        out[_slice_axis(out.ndim, axis, m // 2)] = nyq
-        out[_slice_axis(out.ndim, axis, n - m // 2)] = nyq
-    return out
-
-
-def _negate_frequencies(spectrum: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """The spectrum at index ``-k`` (modulo the extent) on each of ``axes``."""
-    return np.roll(np.flip(spectrum, axis=axes), 1, axis=axes)
-
-
-def _truncate_half(
-    spectrum: np.ndarray, m: int, other_axes: tuple[int, ...]
-) -> np.ndarray:
-    """Keep the band of extent m on the last axis, held as bins ``0..n//2``.
-
-    For even m the coarse Nyquist bin is ``X[k, m/2] + X[k, -m/2]``; the
-    half layout holds the second term as ``conj(X[-k, m/2])``, with k
-    negated on every other spatial axis.
-    """
-    kept = spectrum[..., : (m + 1) // 2]
-    if m % 2:
-        return kept
-    nyq = spectrum[..., m // 2 : m // 2 + 1]
-    folded = nyq + np.conj(_negate_frequencies(nyq, other_axes))
-    return np.concatenate([kept, folded], axis=-1)
-
-
-def _embed_half(
-    spectrum: np.ndarray, m: int, n: int, split_nyquist: bool
-) -> np.ndarray:
-    """Zero-pad the last axis, held as bins ``0..m//2``, from extent m to n.
-
-    Only the ``+m/2`` copy of an even band's Nyquist bin is stored; the
-    inverse real transform supplies its ``-m/2`` mirror.
-    """
-    out = np.zeros(spectrum.shape[:-1] + (n // 2 + 1,), dtype=spectrum.dtype)
-    out[..., : m // 2 + 1] = spectrum
-    if m % 2 == 0 and split_nyquist:
-        out[..., m // 2] /= 2
-    return out
-
-
-def _spatial_axes(x: np.ndarray, spatial_ndim: int) -> tuple[int, ...]:
-    return tuple(range(x.ndim - spatial_ndim, x.ndim))
-
-
 def _leading(x: np.ndarray, spatial_ndim: int) -> int:
     return prod(x.shape[: x.ndim - spatial_ndim]) if x.ndim > spatial_ndim else 1
+
+
+def _spectral_axis(
+    x: np.ndarray, axis: int, m: int, n: int, adjoint: bool
+) -> np.ndarray:
+    """Keep the band of extent m on one axis, then resample it to extent n.
+
+    The spectrum is edited in place where the axis shrinks or keeps its
+    extent, and zero-padded explicitly where it grows.
+    """
+    extent = x.shape[axis]
+    if m >= extent and n == extent:
+        return x
+    norm = "backward" if adjoint else "forward"
+    spectrum = sfft.rfft(np.moveaxis(x, axis, -1), norm=norm)
+    band = min(m, extent)
+    nyq = band // 2
+    if band < extent:
+        spectrum[..., nyq + 1 : n // 2 + 1] = 0
+        if band % 2 == 0:
+            spectrum[..., nyq] = 2 * spectrum[..., nyq].real
+    if n > extent:
+        padded = np.zeros(spectrum.shape[:-1] + (n // 2 + 1,), spectrum.dtype)
+        padded[..., : extent // 2 + 1] = spectrum
+        spectrum = padded
+    if band % 2 == 0 and band < n and not adjoint:
+        spectrum[..., nyq] /= 2
+    return np.moveaxis(sfft.irfft(spectrum, n=n, norm=norm), -1, axis)
 
 
 def _spectral(
@@ -163,26 +97,15 @@ def _spectral(
 ) -> np.ndarray:
     """Truncate each spatial axis to its band, then embed it at the output extent.
 
-    An axis is truncated only where the band is smaller than its current
-    extent and embedded only where the output is larger. The band scales
-    live in the transforms' normalisation: ``norm="forward"`` divides by
-    the input sites once, so samples are preserved; the ``adjoint`` of
-    downsampling uses ``norm="backward"`` with full Nyquist copies.
+    One real transform pair per axis. The band scales live in the
+    transforms' normalisation: ``norm="forward"`` divides by the input
+    extent, so samples are preserved; the ``adjoint`` of downsampling uses
+    ``norm="backward"`` with whole Nyquist bins.
     """
-    axes = _spatial_axes(x, spatial_ndim)
-    norm = "backward" if adjoint else "forward"
-    spectrum = sfft.rfftn(x, axes=axes, norm=norm)
-    for axis, m, n in zip(axes[:-1], band_extents, out_extents):
-        if m < spectrum.shape[axis]:
-            spectrum = _truncate_axis(spectrum, axis, m)
-        if n > spectrum.shape[axis]:
-            spectrum = _embed_axis(spectrum, axis, n, not adjoint)
-    extent, m, n = x.shape[-1], band_extents[-1], out_extents[-1]
-    if m < extent:
-        spectrum, extent = _truncate_half(spectrum, m, axes[:-1]), m
-    if n > extent:
-        spectrum = _embed_half(spectrum, extent, n, not adjoint)
-    out = sfft.irfftn(spectrum, s=out_extents, axes=axes, norm=norm)
+    out = x
+    for a, (m, n) in enumerate(zip(band_extents, out_extents)):
+        axis = _axis_index(x.ndim, spatial_ndim, a)
+        out = _spectral_axis(out, axis, m, n, adjoint)
     return np.ascontiguousarray(out, dtype=x.dtype)
 
 
@@ -220,9 +143,13 @@ def lowpass_perfect_array(
 
 
 def convolve_taps_array(
-    x: np.ndarray, taps_per_axis: list[np.ndarray], spatial_ndim: int
+    x: np.ndarray,
+    factors: tuple[int, ...],
+    kernel: SmoothingKernelSpec,
+    spatial_ndim: int,
 ) -> np.ndarray:
-    """Separable circular convolution with per-axis symmetric taps."""
+    """Separable circular convolution with the kernel's taps for each factor."""
+    taps_per_axis = [kernel.realize(f) for f in factors]
     counted = tuple(len(t) for t in taps_per_axis if len(t) > 1)
     if counted:
         from_extents = x.shape[x.ndim - spatial_ndim :]
@@ -240,16 +167,6 @@ def convolve_taps_array(
     return np.ascontiguousarray(out, dtype=x.dtype)
 
 
-def lowpass_approx_array(
-    x: np.ndarray,
-    factors: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
-) -> np.ndarray:
-    taps = [kernel.realize(f) for f in factors]
-    return convolve_taps_array(x, taps, spatial_ndim)
-
-
 def lowpass_array(
     x: np.ndarray,
     from_extents: tuple[int, ...],
@@ -260,7 +177,7 @@ def lowpass_array(
     if kernel.is_perfect:
         return lowpass_perfect_array(x, band_extents, spatial_ndim)
     factors = tuple(n // m for n, m in zip(from_extents, band_extents))
-    return lowpass_approx_array(x, factors, kernel, spatial_ndim)
+    return convolve_taps_array(x, factors, kernel, spatial_ndim)
 
 
 def decimate_array(
@@ -303,7 +220,7 @@ def downsample_array(
     if kernel.is_perfect:
         return resample_perfect_array(x, tuple(to_extents), spatial_ndim)
     factors = tuple(n // m for n, m in zip(from_extents, to_extents))
-    smoothed = lowpass_approx_array(x, factors, kernel, spatial_ndim)
+    smoothed = convolve_taps_array(x, factors, kernel, spatial_ndim)
     return decimate_array(smoothed, factors, spatial_ndim)
 
 
@@ -337,7 +254,7 @@ def downsample_adjoint_array(
         )
     stuffed = zero_insert_array(g, tuple(fine_extents), spatial_ndim)
     factors = tuple(n // m for n, m in zip(fine_extents, coarse))
-    return lowpass_approx_array(stuffed, factors, kernel, spatial_ndim)
+    return convolve_taps_array(stuffed, factors, kernel, spatial_ndim)
 
 
 # ---------------------------------------------------------------------------

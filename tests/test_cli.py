@@ -212,6 +212,19 @@ class TestTrainEval:
         (cache / "test_labels.txt").unlink()
         assert run(*argv) == 2
 
+    @pytest.mark.parametrize("per_class", ["1", "2"])
+    def test_empty_test_split_is_usage_error(
+        self, tmp_path, capsys, trained, per_class
+    ):
+        _, ckpt, _ = trained
+        out = tmp_path / "s.csv"
+        assert run("eval", "--checkpoint", ckpt, "--resolutions", "64",
+                   "--classes", "3", "--samples-per-class", per_class,
+                   "--data-seed", "1", "--out", out, "--no-timing") == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--samples-per-class" in err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.arnn"
         bad.write_bytes(b"NOTACKPT")
@@ -290,6 +303,26 @@ def test_input_features_unlike_the_data_exits_3(tmp_path, capsys):
     assert run(*TINY_TRAIN, "--input-features", "2", "--out", out) == 3
     assert capsys.readouterr().err.startswith("shape error:")
     assert not out.exists()
+
+
+TINY_ABLATE = ("ablate", "--levels", "16,8", "--features", "2,2",
+               "--classes", "2", "--samples-per-class", "4", "--epochs", "1",
+               "--seeds", "0")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--input-features", "2"),
+    ("--expansion", "3"),
+    ("--depth", "2"),
+    ("--head-dropout", "0.5"),
+    ("--samples-per-class", "1"),
+])
+def test_ablate_usage_error_before_any_cell_trains(tmp_path, capsys, flags):
+    out_dir = tmp_path / "ablation"
+    assert run(*TINY_ABLATE, *flags, "--out-dir", out_dir) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flags[0] in err
+    assert not out_dir.exists()
 
 
 class TestAblateSmoke:

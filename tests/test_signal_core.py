@@ -440,6 +440,7 @@ class TestSpectralCoreProperties:
         x = np.random.default_rng(seed).standard_normal(lead + fine).astype(dtype)
         out = lowpass_perfect_array(x, band, len(fine))
         assert out.dtype == dtype and out.shape == x.shape
+        assert out.flags.c_contiguous
         tol = SPECTRAL_TOL[dtype]
         np.testing.assert_allclose(
             out, dft_oracle_lowpass(x, band), rtol=tol, atol=tol
@@ -455,6 +456,8 @@ class TestSpectralCoreProperties:
         down = downsample_array(x, band, PERFECT, len(fine))
         adj = downsample_adjoint_array(y, fine, PERFECT, len(fine))
         assert down.dtype == adj.dtype == dtype
+        assert down.shape == lead + band and adj.shape == lead + fine
+        assert down.flags.c_contiguous and adj.flags.c_contiguous
         lhs = np.vdot(down.astype(np.float64), y.astype(np.float64))
         rhs = np.vdot(x.astype(np.float64), adj.astype(np.float64))
         scale = np.linalg.norm(x) * np.linalg.norm(adj) + np.linalg.norm(
