@@ -5,8 +5,10 @@ Subcommands: ``decompose``, ``reconstruct``, ``verify-adaptation``,
 
 Exit codes are stable API: 0 success, 1 verification failure, 2 malformed
 container/checkpoint, 3 grid or shape mismatch, 4 numeric failure
-(non-finite values), 64 usage error. Independent ablation cells run on
-one worker thread per CPU. All output files are written atomically (temp file + rename).
+(non-finite values), 64 usage error. Flags must be spelled out in full;
+abbreviations are usage errors. Independent ablation cells run on one
+worker thread per CPU. All output files are written atomically (temp file
++ rename).
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises usage errors and, for every subcommand, refuses abbreviated flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -135,13 +142,19 @@ def _add_kernel_flags(parser):
                         help="gaussian truncation radius in sigmas")
 
 
-def _add_dataset_flags(parser):
+def _add_task_flags(parser):
     parser.add_argument("--classes", type=int, default=4)
     parser.add_argument("--samples-per-class", type=int, default=256)
     parser.add_argument("--noise", type=float, default=0.1)
+
+
+def _add_dataset_flags(parser):
+    _add_task_flags(parser)
     parser.add_argument("--data-seed", type=int, default=0)
     parser.add_argument("--data-cache", type=Path, default=None,
-                        help="directory to load the dataset from (or save to)")
+                        help="dataset directory: an existing cache is loaded "
+                             "as is and the dataset flags are ignored; "
+                             "otherwise the generated dataset is saved there")
 
 
 def _add_ladder_flags(parser):
@@ -168,33 +181,48 @@ def _add_train_flags(parser):
     parser.add_argument("--weight-decay", type=float, default=1e-3)
     parser.add_argument("--dropout", default="0.3",
                         help="per-level gate drop probability, or 'none'")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dtype", choices=("f32", "f64"), default="f32")
 
 
-def _dataset_from_args(args, ladder: ResolutionLadder):
-    if args.data_cache is not None and (args.data_cache / "dataset.json").exists():
-        return load_dataset(args.data_cache)
-    spec = _build(
+def _dataset_spec_from_args(args, ladder: ResolutionLadder, seed: int):
+    return _build(
         SynthDatasetSpec,
         classes=args.classes,
         level_extents=tuple(g.extents for g in ladder.levels),
         samples_per_class=args.samples_per_class,
         noise=args.noise,
-        seed=args.data_seed,
+        seed=seed,
     )
+
+
+def _dataset_from_args(args, ladder: ResolutionLadder, need_test: bool = False):
+    """The ``--data-cache`` dataset as is if one exists, else a generated one.
+
+    With ``need_test`` an empty test split is refused before anything is
+    generated or written.
+    """
+    cache = args.data_cache
+    if cache is not None and (cache / "dataset.json").exists():
+        dataset = load_dataset(cache)
+        if need_test:
+            _require_test_split(dataset.spec, f"dataset cache {cache}")
+        return dataset
+    spec = _dataset_spec_from_args(args, ladder, args.data_seed)
+    if need_test:
+        _require_test_split(spec)
     dataset = generate_dataset(spec)
-    if args.data_cache is not None:
-        save_dataset(args.data_cache, dataset)
+    if cache is not None:
+        save_dataset(cache, dataset)
     return dataset
 
 
-def _require_test_split(spec: SynthDatasetSpec) -> None:
+def _require_test_split(spec: SynthDatasetSpec, source: str | None = None) -> None:
     """``eval`` and ``ablate`` score the test split, so it must not be empty."""
     if spec.train_per_class >= spec.samples_per_class:
+        source = source or f"--samples-per-class {spec.samples_per_class}"
         raise UsageError(
-            f"--samples-per-class {spec.samples_per_class} leaves no test "
-            f"samples at train fraction {spec.train_fraction}"
+            f"{source} leaves no test samples at train fraction "
+            f"{spec.train_fraction}"
         )
 
 
@@ -210,7 +238,7 @@ def _dropout_from_args(args) -> float | None:
     return value
 
 
-def _train_config_from_args(args, dropout) -> TrainConfig:
+def _train_config_from_args(args, dropout, seed: int) -> TrainConfig:
     return _build(
         TrainConfig,
         epochs=args.epochs,
@@ -219,7 +247,7 @@ def _train_config_from_args(args, dropout) -> TrainConfig:
         min_learning_rate=args.min_lr,
         weight_decay=args.weight_decay,
         dropout=dropout,
-        seed=args.seed,
+        seed=seed,
         dtype=args.dtype,
     )
 
@@ -332,7 +360,7 @@ def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
     dataset = _dataset_from_args(args, ladder)
     dropout = _dropout_from_args(args)
-    config = _train_config_from_args(args, dropout)
+    config = _train_config_from_args(args, dropout, args.seed)
     model = _model_from_args(
         args, ladder, kernel, dataset.spec.classes, config.numpy_dtype, args.seed
     )
@@ -371,8 +399,7 @@ def _modes_from_args(args):
 
 def cmd_eval(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
-    dataset = _dataset_from_args(args, model.ladder)
-    _require_test_split(dataset.spec)
+    dataset = _dataset_from_args(args, model.ladder, need_test=True)
     resolutions = _parse_resolutions(args.resolutions)
     dropout_label = "on" if manifest.get("dropout") else "off"
     result = evaluate_sweep(
@@ -444,15 +471,9 @@ def cmd_ablate(args) -> int:
     dropout = _dropout_from_args(args)
     if dropout is None:
         raise UsageError("ablation needs a nonzero --dropout probability")
-    config = _train_config_from_args(args, dropout)
-    spec = _build(
-        SynthDatasetSpec,
-        classes=args.classes,
-        level_extents=tuple(g.extents for g in ladder.levels),
-        samples_per_class=args.samples_per_class,
-        noise=args.noise,
-        seed=args.data_seed,
-    )
+    # ablation_grid sets each run's training and dataset seed from --seeds.
+    config = _train_config_from_args(args, dropout, seed=0)
+    spec = _dataset_spec_from_args(args, ladder, seed=0)
     _require_test_split(spec)
     seeds = _parse_ints(args.seeds.split(","), args.seeds)
     resolutions = (
@@ -583,6 +604,7 @@ def build_parser() -> _Parser:
     _add_kernel_flags(p)
     _add_dataset_flags(p)
     _add_train_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--loss-csv", type=Path, default=None)
     p.set_defaults(func=cmd_train)
@@ -620,9 +642,10 @@ def build_parser() -> _Parser:
         "ablate", help="kernel x dropout x adaptation grid with ratio tree"
     )
     _add_ladder_flags(p)
-    _add_dataset_flags(p)
+    _add_task_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", default="0,1,2",
+                   help="each seed draws one dataset and seeds its training runs")
     p.add_argument("--resolutions", default=None)
     p.add_argument("--policy", choices=(PREFER_FINER, PREFER_COARSER),
                    default=PREFER_FINER)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import macs
-from .data import SynthDataset, SynthDatasetSpec, generate_dataset
+from .data import SynthDatasetSpec, generate_dataset
 from .errors import GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
@@ -202,20 +202,13 @@ def evaluate_sweep(
         low = resample_perfect_array(inputs, grid.extents, dims).astype(model.dtype)
         for mode in modes:
             if mode == FULL:
-                values = resample_perfect_array(low, base.extents, dims).astype(
-                    model.dtype
-                )
-                logits, elapsed = _batched_logits(model, values, base, batch_size)
-                macs_total = count_macs(model, 0, FULL)
+                level, target = 0, base
             elif mode == ADAPTED:
                 level, target = entry_level(model.ladder, grid, policy)
-                values = resample_perfect_array(
-                    low, target.extents, dims
-                ).astype(model.dtype)
-                logits, elapsed = _batched_logits(model, values, target, batch_size)
-                macs_total = count_macs(model, level, ADAPTED)
             else:
                 raise ValueError(f"unknown mode {mode!r}")
+            values = resample_perfect_array(low, target.extents, dims)
+            logits, elapsed = _batched_logits(model, values, target, batch_size)
             accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
             rows.append(
                 SweepRow(
@@ -224,7 +217,7 @@ def evaluate_sweep(
                     kernel=model.kernel.variant,
                     dropout=dropout_label,
                     accuracy=accuracy,
-                    macs=macs_total,
+                    macs=count_macs(model, level, mode),
                     wall_ms=elapsed * 1000.0 if measure_time else 0.0,
                 )
             )
@@ -260,43 +253,23 @@ class AblationCell:
     accuracy: float  # mean over seeds and resolutions
 
 
-def _train_one_cell(
-    kernel_name: str,
-    dropout_on: bool,
-    seed: int,
-    dataset: SynthDataset,
-    ladder: ResolutionLadder,
-    features: tuple[int, ...],
-    base_config: TrainConfig,
-    resolutions,
-    dropout_p: float,
-    policy: str,
-):
-    kernel = KERNEL_CHOICES[kernel_name]()
-    model = ArrnModel(
-        ladder=ladder,
-        input_features=dataset.spec.features,
-        features=features,
-        classes=dataset.spec.classes,
-        kernel=kernel,
-        rng=np.random.default_rng(seed),
-        dtype=base_config.numpy_dtype,
-    )
-    config = replace(
-        base_config, dropout=dropout_p if dropout_on else None, seed=seed
-    )
-    train(model, dataset.train.inputs, dataset.train.labels, config)
-    sweep = evaluate_sweep(
-        model,
-        dataset.test.inputs,
-        dataset.test.labels,
-        resolutions,
-        modes=(FULL, ADAPTED),
-        policy=policy,
-        dropout_label="on" if dropout_on else "off",
-        measure_time=False,
-    )
-    return kernel_name, dropout_on, sweep
+def _ratio_tree(means: dict, prefix: tuple = (), parent_mean=None) -> list[dict]:
+    """Depth-first rows for the node ``prefix`` of (kernel, dropout, mode).
+
+    A node's mean is that of the cells under its prefix, its ratio that
+    mean over its parent's: 1.0 at the root, and under a zero parent, whose
+    children are all zero too since accuracies are non-negative.
+    """
+    depth = len(prefix)
+    under = {key: acc for key, acc in means.items() if key[:depth] == prefix}
+    mean = float(np.mean(list(under.values())))
+    node = "/".join(f"{f}={v}" for f, v in zip(("kernel", "dropout", "mode"), prefix))
+    ratio = mean / parent_mean if parent_mean else 1.0
+    rows = [{"node": node or "root", "mean_accuracy": mean, "ratio": ratio}]
+    if depth < 3:
+        for value in dict.fromkeys(key[depth] for key in under):
+            rows += _ratio_tree(under, prefix + (value,), mean)
+    return rows
 
 
 def ablation_grid(
@@ -321,77 +294,48 @@ def ablation_grid(
     """
     if resolutions is None:
         resolutions = [g.extents if g.dims > 1 else g.extents[0] for g in ladder.levels]
+    dropouts = {"on": dropout_p, "off": None}
+    modes = (FULL, ADAPTED)
+
+    def run(job) -> dict[tuple[str, str, str], float]:
+        kernel_name, dropout, seed, dataset = job
+        model = ArrnModel(
+            ladder=ladder,
+            input_features=dataset.spec.features,
+            features=features,
+            classes=dataset.spec.classes,
+            kernel=KERNEL_CHOICES[kernel_name](),
+            rng=np.random.default_rng(seed),
+            dtype=base_config.numpy_dtype,
+        )
+        config = replace(base_config, dropout=dropouts[dropout], seed=seed)
+        train(model, dataset.train.inputs, dataset.train.labels, config)
+        sweep = evaluate_sweep(
+            model,
+            dataset.test.inputs,
+            dataset.test.labels,
+            resolutions,
+            modes=modes,
+            policy=policy,
+            dropout_label=dropout,
+            measure_time=False,
+        )
+        return {(kernel_name, dropout, m): sweep.mean_accuracy(m) for m in modes}
+
     jobs = []
     for seed in seeds:
-        desc = dataset_spec.describe()
-        desc["seed"] = seed
-        dataset = generate_dataset(SynthDatasetSpec.from_description(desc))
-        for kernel_name in kernels:
-            for dropout_on in (True, False):
-                jobs.append((kernel_name, dropout_on, seed, dataset))
+        dataset = generate_dataset(replace(dataset_spec, seed=seed))
+        jobs += [(k, d, seed, dataset) for k in kernels for d in dropouts]
     workers = threads if threads is not None else min(len(jobs), os.cpu_count() or 1)
-    results = []
-
-    def run(job):
-        kernel_name, dropout_on, seed, dataset = job
-        return _train_one_cell(
-            kernel_name, dropout_on, seed, dataset, ladder, features,
-            base_config, resolutions, dropout_p, policy,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    # Aggregate into 12 cells.
-    buckets: dict[tuple[str, str, str], list[float]] = {}
-    for kernel_name, dropout_on, sweep in results:
-        for mode in (FULL, ADAPTED):
-            key = (kernel_name, "on" if dropout_on else "off", mode)
-            buckets.setdefault(key, []).append(sweep.mean_accuracy(mode))
-    cells = [
-        AblationCell(k, d, m, float(np.mean(buckets[(k, d, m)])))
-        for k in kernels
-        for d in ("on", "off")
-        for m in (FULL, ADAPTED)
-    ]
-
-    # Decision-tree ratios: filter choice, then dropout, then adaptation.
-    def mean_of(predicate):
-        return float(np.mean([c.accuracy for c in cells if predicate(c)]))
-
-    tree: list[dict] = []
-    root = mean_of(lambda c: True)
-    tree.append({"node": "root", "mean_accuracy": root, "ratio": 1.0})
-    for k in kernels:
-        k_mean = mean_of(lambda c: c.kernel == k)
-        tree.append(
-            {"node": f"kernel={k}", "mean_accuracy": k_mean, "ratio": k_mean / root}
-        )
-        for d in ("on", "off"):
-            d_mean = mean_of(lambda c: c.kernel == k and c.dropout == d)
-            tree.append(
-                {
-                    "node": f"kernel={k}/dropout={d}",
-                    "mean_accuracy": d_mean,
-                    "ratio": d_mean / k_mean,
-                }
-            )
-            for m in (FULL, ADAPTED):
-                cell = next(
-                    c for c in cells
-                    if c.kernel == k and c.dropout == d and c.mode == m
-                )
-                tree.append(
-                    {
-                        "node": f"kernel={k}/dropout={d}/mode={m}",
-                        "mean_accuracy": cell.accuracy,
-                        "ratio": cell.accuracy / d_mean,
-                    }
-                )
-    return cells, tree
+    # Jobs are seed-major, so keys first appear in kernel, dropout, mode order.
+    accuracies: dict[tuple[str, str, str], list[float]] = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for result in pool.map(run, jobs):
+            for key, accuracy in result.items():
+                accuracies.setdefault(key, []).append(accuracy)
+    means = {key: float(np.mean(values)) for key, values in accuracies.items()}
+    cells = [AblationCell(*key, accuracy) for key, accuracy in means.items()]
+    return cells, _ratio_tree(means)
 
 
 def write_ablation_csv(path: str | Path, cells: list[AblationCell]) -> None:

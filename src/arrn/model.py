@@ -575,6 +575,11 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
             head_dropout=float(manifest["head_dropout"]),
             dtype=dtype,
         )
+        if manifest["blocks"] != [res.block.spec.describe() for res in model.residuals]:
+            raise FormatError(
+                f"{path}: block specs {manifest['blocks']} do not describe the "
+                f"model's {len(model.residuals)} residual blocks"
+            )
         stored = np.dtype(dtype).newbyteorder("<")
         unread = model.state()
         for entry in manifest["arrays"]:

@@ -217,12 +217,26 @@ class TestTrainEval:
         self, tmp_path, capsys, trained, per_class
     ):
         _, ckpt, _ = trained
-        out = tmp_path / "s.csv"
+        out, cache = tmp_path / "s.csv", tmp_path / "cache"
         assert run("eval", "--checkpoint", ckpt, "--resolutions", "64",
                    "--classes", "3", "--samples-per-class", per_class,
-                   "--data-seed", "1", "--out", out, "--no-timing") == 64
+                   "--data-seed", "1", "--data-cache", cache,
+                   "--out", out, "--no-timing") == 64
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--samples-per-class" in err
+        assert not out.exists() and not cache.exists()
+
+    def test_cached_empty_test_split_names_the_cache(self, tmp_path, capsys):
+        cache, ckpt = tmp_path / "cache", tmp_path / "model.arnn"
+        assert run(*TINY_TRAIN, "--samples-per-class", "1",
+                   "--data-cache", cache, "--out", ckpt) == 0
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert run("eval", "--checkpoint", ckpt, "--resolutions", "16",
+                   "--data-cache", cache, "--out", out) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(cache) in err
+        assert "--samples-per-class" not in err
         assert not out.exists()
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
@@ -316,6 +330,10 @@ TINY_ABLATE = ("ablate", "--levels", "16,8", "--features", "2,2",
     ("--depth", "2"),
     ("--head-dropout", "0.5"),
     ("--samples-per-class", "1"),
+    # Flags ablate does not take; --seed must not pass for --seeds.
+    ("--seed", "5"),
+    ("--data-seed", "15"),
+    ("--data-cache", "cache"),
 ])
 def test_ablate_usage_error_before_any_cell_trains(tmp_path, capsys, flags):
     out_dir = tmp_path / "ablation"

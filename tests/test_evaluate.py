@@ -180,6 +180,56 @@ class TestSweep:
         threaded, _ = ablation_grid(threads=2, **kwargs)
         assert sequential == threaded
 
+    def test_ratio_tree_walks_kernel_dropout_mode_prefixes(self):
+        from arrn.evaluate import ablation_grid
+        from arrn.training import TrainConfig
+
+        kernels = ("perfect", "truncated_gaussian")
+        spec = SynthDatasetSpec(classes=3, samples_per_class=24, seed=0,
+                                level_extents=((32,), (16,), (8,)))
+        config = TrainConfig(epochs=10, batch_size=16, learning_rate=1e-2, seed=0)
+        cells, tree = ablation_grid(
+            dataset_spec=spec, ladder=ResolutionLadder.from_extents([32, 16, 8]),
+            features=(4, 8, 8), base_config=config, seeds=(0,),
+            resolutions=[32, 24, 16], kernels=kernels,
+        )
+        accuracy = {(c.kernel, c.dropout, c.mode): c.accuracy for c in cells}
+        # Depth-first: each kernel, then its dropouts, then their modes.
+        prefixes = [()]
+        for k in kernels:
+            prefixes.append((k,))
+            for d in ("on", "off"):
+                prefixes += [(k, d), (k, d, FULL), (k, d, ADAPTED)]
+        names = [
+            "/".join(f"{f}={v}" for f, v in zip(("kernel", "dropout", "mode"), p))
+            or "root"
+            for p in prefixes
+        ]
+        assert [row["node"] for row in tree] == names
+        mean_of = {}
+        for prefix, row in zip(prefixes, tree):
+            under = [a for key, a in accuracy.items() if key[: len(prefix)] == prefix]
+            assert row["mean_accuracy"] == pytest.approx(np.mean(under), rel=1e-12)
+            mean_of[prefix] = row["mean_accuracy"]
+            if prefix:
+                expected = row["mean_accuracy"] / mean_of[prefix[:-1]]
+                assert row["ratio"] == pytest.approx(expected, rel=1e-12)
+        assert tree[0]["ratio"] == 1.0
+        # The grid must tell the levels apart for the walk order to matter.
+        assert len(set(accuracy.values())) > 2
+
+    def test_ratio_under_a_zero_parent_is_one(self):
+        from arrn.evaluate import _ratio_tree
+
+        tree = _ratio_tree({
+            ("perfect", "on", FULL): 0.0, ("perfect", "on", ADAPTED): 0.0,
+            ("perfect", "off", FULL): 0.5, ("perfect", "off", ADAPTED): 0.25,
+        })
+        ratio = {row["node"]: row["ratio"] for row in tree}
+        assert ratio["kernel=perfect/dropout=on"] == 0.0
+        assert ratio["kernel=perfect/dropout=on/mode=full"] == 1.0
+        assert ratio["kernel=perfect/dropout=off/mode=adapted"] == 0.25 / 0.375
+
     def test_label_permutation_sanity(self):
         # Accuracy against shuffled labels must not beat accuracy against
         # the true labels on a model with real signal.

@@ -371,6 +371,14 @@ def rename_array(old, new):
     return edit_arrays(edit)
 
 
+def edit_blocks(edit):
+    def apply(manifest):
+        edit(manifest["blocks"])
+        return manifest
+
+    return apply
+
+
 def transpose_input_projection(arrays):
     entry = next(a for a in arrays if a["name"] == "input.proj")
     entry["shape"] = entry["shape"][::-1]
@@ -469,9 +477,14 @@ class TestCheckpoint:
             (edit_arrays(lambda arrays: arrays.pop()), 8 * 8),
             (edit_arrays(transpose_input_projection), 0),
             (lambda manifest: {**manifest, "dtype": "f16"}, 0),
+            # The loader builds its blocks from block 0; the others must agree.
+            (edit_blocks(lambda blocks: blocks[1].update(padding="zero")), 0),
+            (edit_blocks(lambda blocks: blocks.append(dict(blocks[0]))), 0),
+            (lambda manifest: {**manifest, "blocks": []}, 0),
         ],
         ids=["list-manifest", "unknown-residual", "non-norm-layer",
-             "dropped-last-array", "transposed-shape", "unknown-dtype"],
+             "dropped-last-array", "transposed-shape", "unknown-dtype",
+             "zero-padded-block-1", "extra-block", "no-blocks"],
     )
     def test_malformed_array_table(self, tmp_path, edit, trim):
         model = build_model(seed=74)
