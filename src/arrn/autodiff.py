@@ -50,9 +50,6 @@ class Tensor:
     def dtype(self):
         return self.values.dtype
 
-    def detach(self) -> np.ndarray:
-        return self.values
-
     def zero_grad(self):
         self.grad = None
 
@@ -148,31 +145,22 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.values * c, (a,), lambda g: (g * c,))
 
 
-def mul_const(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Elementwise product with a constant array (dropout masks, gates)."""
-    return Tensor(a.values * mask, (a,), lambda g: (g * mask,))
-
-
 # ---------------------------------------------------------------------------
 # Differentiable resampling operators.
 # ---------------------------------------------------------------------------
 
 
-def mean_reject_op(x: Tensor, spatial_ndim: int) -> Tensor:
-    out = mean_reject_array(x.values, spatial_ndim)
-    return Tensor(out, (x,), lambda g: (mean_reject_array(g, spatial_ndim),))
+def mean_reject_op(x: Tensor) -> Tensor:
+    rank = x.values.ndim - 2
+    out = mean_reject_array(x.values, rank)
+    return Tensor(out, (x,), lambda g: (mean_reject_array(g, rank),))
 
 
 def lowpass_op(
-    x: Tensor,
-    band_extents: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
+    x: Tensor, band_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> Tensor:
-    from_extents = x.values.shape[x.values.ndim - spatial_ndim :]
-
     def run(v):
-        return lowpass_array(v, from_extents, band_extents, kernel, spatial_ndim)
+        return lowpass_array(v, band_extents, kernel)
 
     # Both realizations are self-adjoint: the perfect variant is an
     # orthogonal projector and the spatial taps are symmetric.
@@ -180,25 +168,17 @@ def lowpass_op(
 
 
 def downsample_op(
-    x: Tensor,
-    to_extents: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
+    x: Tensor, to_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> Tensor:
-    fine = x.values.shape[x.values.ndim - spatial_ndim :]
-    out = downsample_array(x.values, to_extents, kernel, spatial_ndim)
-
-    def vjp(g):
-        return (downsample_adjoint_array(g, fine, kernel, spatial_ndim),)
-
-    return Tensor(out, (x,), vjp)
+    fine = x.values.shape[x.values.ndim - len(to_extents) :]
+    out = downsample_array(x.values, to_extents, kernel)
+    return Tensor(out, (x,), lambda g: (downsample_adjoint_array(g, fine, kernel),))
 
 
-def decimate_op(x: Tensor, to_extents: tuple[int, ...], spatial_ndim: int) -> Tensor:
-    fine = x.values.shape[x.values.ndim - spatial_ndim :]
-    factors = tuple(n // m for n, m in zip(fine, to_extents))
-    out = decimate_array(x.values, factors, spatial_ndim)
-    return Tensor(out, (x,), lambda g: (zero_insert_array(g, fine, spatial_ndim),))
+def decimate_op(x: Tensor, to_extents: tuple[int, ...]) -> Tensor:
+    fine = x.values.shape[x.values.ndim - len(to_extents) :]
+    out = decimate_array(x.values, to_extents)
+    return Tensor(out, (x,), lambda g: (zero_insert_array(g, fine),))
 
 
 def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

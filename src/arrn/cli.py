@@ -37,7 +37,7 @@ from .evaluate import (
     write_tree_csv,
 )
 from .grids import ResolutionLadder
-from .kernels import SmoothingKernelSpec
+from .kernels import VARIANTS, SmoothingKernelSpec
 from .model import (
     PREFER_COARSER,
     PREFER_FINER,
@@ -115,6 +115,12 @@ def _parse_features(text: str) -> tuple[int, ...]:
     return features
 
 
+def _require_tolerance(tol: float | None) -> None:
+    """A comparison against a NaN, infinite or negative ``--tol`` checks nothing."""
+    if tol is not None and not 0.0 <= tol < float("inf"):
+        raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
+
+
 def _kernel_from_args(args) -> SmoothingKernelSpec:
     if args.kernel == "perfect":
         return SmoothingKernelSpec.perfect()
@@ -130,7 +136,7 @@ def _kernel_from_args(args) -> SmoothingKernelSpec:
 def _add_kernel_flags(parser):
     parser.add_argument(
         "--kernel",
-        choices=("perfect", "windowed_sinc", "truncated_gaussian"),
+        choices=VARIANTS,
         default="perfect",
         help="smoothing kernel realization",
     )
@@ -289,6 +295,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _require_tolerance(args.tol)
     decomp = load_pyramid(args.pyramid)
     out = reconstruct(decomp, args.level)
     write_arsg(args.out, out)
@@ -308,6 +315,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify_adaptation(args) -> int:
+    _require_tolerance(args.tol)
+    for flag, count in (("--trials", args.trials), ("--repetitions", args.repetitions)):
+        if count < 1:
+            raise UsageError(f"{flag} must be >= 1, got {count}")
     ladder = _parse_ladder(args.levels)
     kernel = _kernel_from_args(args)
     dtype = np.float32 if args.dtype == "f32" else np.float64
@@ -335,14 +346,13 @@ def cmd_verify_adaptation(args) -> int:
             )
             metric = report["max_rel" if args.metric == "rel" else "max_abs"]
             worst = max(worst, metric)
-            status = "ok" if metric <= args.tol else "FAIL"
+            ok = metric <= args.tol
+            failures += not ok
             print(
                 f"trial {trial:3d} level {level}: max_abs={report['max_abs']:.3e} "
                 f"mean_abs={report['mean_abs']:.3e} "
-                f"max_rel={report['max_rel']:.3e} [{status}]"
+                f"max_rel={report['max_rel']:.3e} [{'ok' if ok else 'FAIL'}]"
             )
-            if metric > args.tol:
-                failures += 1
     print(
         f"worst {args.metric} discrepancy over {args.trials} trials: {worst:.3e} "
         f"(tolerance {args.tol:.3e})"

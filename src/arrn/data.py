@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, GridError
 from .grids import GridSpec
 from .resample import lowpass_perfect_array
 from .signal import DiscreteSignal, atomic_write, read_arsg, write_arsg
@@ -110,30 +110,28 @@ class SynthDataset:
     test: LabeledSignals
 
 
-def band_shells(
-    values: np.ndarray, level_extents, spatial_ndim: int
-) -> list[np.ndarray]:
+def band_shells(values: np.ndarray, level_extents) -> list[np.ndarray]:
     """Split into nested frequency shells: shell 0 is the coarsest band,
     shell j adds the detail between level j and level j-1 (finest last)."""
     extents = list(level_extents)
     shells: list[np.ndarray] = []
     current = values
     for coarse in extents[1:]:
-        smoothed = lowpass_perfect_array(current, tuple(coarse), spatial_ndim)
+        smoothed = lowpass_perfect_array(current, tuple(coarse))
         shells.append(current - smoothed)
         current = smoothed
     shells.append(current)
     return shells[::-1]
 
 
-def band_rms(values: np.ndarray, level_extents, spatial_ndim: int) -> np.ndarray:
+def band_rms(values: np.ndarray, level_extents) -> np.ndarray:
     """Per-shell root-mean-square energies, coarsest shell first.
 
     ``values`` may carry any leading (sample, channel) axes; the result
     collapses the spatial axes only.
     """
-    shells = band_shells(values, level_extents, spatial_ndim)
-    axes = tuple(range(values.ndim - spatial_ndim, values.ndim))
+    shells = band_shells(values, level_extents)
+    axes = tuple(range(-len(level_extents[0]), 0))
     return np.stack(
         [np.sqrt(np.mean(shell**2, axis=axes)) for shell in shells], axis=-1
     )
@@ -164,7 +162,6 @@ def generate_dataset(spec: SynthDatasetSpec) -> SynthDataset:
     else:
         signatures = _default_signatures(spec, sig_rng)
 
-    dims = len(spec.base_extents)
     total = spec.classes * spec.samples_per_class
     inputs = np.zeros((total, spec.features) + spec.base_extents)
     labels = np.zeros(total, dtype=np.int64)
@@ -172,7 +169,7 @@ def generate_dataset(spec: SynthDatasetSpec) -> SynthDataset:
     for cls in range(spec.classes):
         for _ in range(spec.samples_per_class):
             white = data_rng.standard_normal((spec.features,) + spec.base_extents)
-            shells = band_shells(white, spec.level_extents, dims)
+            shells = band_shells(white, spec.level_extents)
             sample = np.zeros_like(white)
             for b, shell in enumerate(shells):
                 rms = np.sqrt(np.mean(shell**2))
@@ -211,13 +208,14 @@ def oracle_predict(
     generating one: shells finer than the input's grid are simply absent
     and are excluded from the distance.
     """
-    spatial_ndim = len(level_extents[0])
-    in_extents = inputs.shape[inputs.ndim - spatial_ndim :]
+    in_extents = inputs.shape[inputs.ndim - len(level_extents[0]) :]
     usable = [
         e for e in level_extents if all(a <= b for a, b in zip(e, in_extents))
     ]
+    if not usable:
+        raise GridError(f"input {in_extents} is coarser than every ladder level")
     bands = len(usable)
-    energies = band_rms(inputs, usable, spatial_ndim)  # (n, f, bands)
+    energies = band_rms(inputs, usable)  # (n, f, bands)
     energies = energies.mean(axis=1)  # collapse channels
     ref = signatures[:, :bands]
     dist = ((energies[:, None, :] - ref[None, :, :]) ** 2).sum(axis=-1)

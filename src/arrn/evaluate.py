@@ -28,7 +28,7 @@ from . import macs
 from .data import SynthDatasetSpec, generate_dataset
 from .errors import GridError
 from .grids import GridSpec, ResolutionLadder
-from .kernels import SmoothingKernelSpec
+from .kernels import VARIANTS, SmoothingKernelSpec
 from .layers import FeatureMap
 from .model import (
     PREFER_FINER,
@@ -192,14 +192,18 @@ def evaluate_sweep(
 
     ``inputs`` are base-resolution test signals ``(n, channels, *extents)``.
     """
-    dims = model.ladder[0].dims
     base = model.ladder[0]
-    rows = []
-    for resolution in resolutions:
-        grid = _resolution_grid(resolution, dims)
+    grids = [_resolution_grid(resolution, base.dims) for resolution in resolutions]
+    for grid in grids:
+        if grid.dims != base.dims:
+            raise GridError(
+                f"resolution {grid} is {grid.dims}-D but the ladder is {base.dims}-D"
+            )
         if any(g > b for g, b in zip(grid.extents, base.extents)):
             raise GridError(f"resolution {grid} exceeds the base grid {base}")
-        low = resample_perfect_array(inputs, grid.extents, dims).astype(model.dtype)
+    rows = []
+    for grid in grids:
+        low = resample_perfect_array(inputs, grid.extents).astype(model.dtype)
         for mode in modes:
             if mode == FULL:
                 level, target = 0, base
@@ -207,7 +211,7 @@ def evaluate_sweep(
                 level, target = entry_level(model.ladder, grid, policy)
             else:
                 raise ValueError(f"unknown mode {mode!r}")
-            values = resample_perfect_array(low, target.extents, dims)
+            values = resample_perfect_array(low, target.extents)
             logits, elapsed = _batched_logits(model, values, target, batch_size)
             accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
             rows.append(
@@ -237,13 +241,6 @@ def write_sweep_csv(path: str | Path, rows) -> None:
 # ---------------------------------------------------------------------------
 # Kernel x dropout x adaptation ablation.
 # ---------------------------------------------------------------------------
-
-KERNEL_CHOICES = {
-    "perfect": SmoothingKernelSpec.perfect,
-    "windowed_sinc": SmoothingKernelSpec.windowed_sinc,
-    "truncated_gaussian": SmoothingKernelSpec.truncated_gaussian,
-}
-
 
 @dataclass(frozen=True)
 class AblationCell:
@@ -280,7 +277,7 @@ def ablation_grid(
     seeds=(0, 1, 2),
     resolutions=None,
     dropout_p: float = 0.3,
-    kernels=("perfect", "windowed_sinc", "truncated_gaussian"),
+    kernels=VARIANTS,
     policy: str = PREFER_FINER,
     threads: int | None = None,
 ) -> tuple[list[AblationCell], list[dict]]:
@@ -304,7 +301,7 @@ def ablation_grid(
             input_features=dataset.spec.features,
             features=features,
             classes=dataset.spec.classes,
-            kernel=KERNEL_CHOICES[kernel_name](),
+            kernel=SmoothingKernelSpec(variant=kernel_name),
             rng=np.random.default_rng(seed),
             dtype=base_config.numpy_dtype,
         )

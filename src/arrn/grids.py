@@ -48,9 +48,6 @@ class GridSpec:
             o % s == 0 and s <= o for s, o in zip(self.extents, other.extents)
         )
 
-    def is_finer_equal(self, other: "GridSpec") -> bool:
-        return other.is_coarser_equal(self)
-
     def stride_factors(self, coarse: "GridSpec") -> tuple[int, ...]:
         """Per-axis decimation factors from this grid down to ``coarse``."""
         if not coarse.is_coarser_equal(self):

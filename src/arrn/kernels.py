@@ -26,7 +26,7 @@ PERFECT = "perfect"
 WINDOWED_SINC = "windowed_sinc"
 TRUNCATED_GAUSSIAN = "truncated_gaussian"
 
-_VARIANTS = (PERFECT, WINDOWED_SINC, TRUNCATED_GAUSSIAN)
+VARIANTS = (PERFECT, WINDOWED_SINC, TRUNCATED_GAUSSIAN)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class SmoothingKernelSpec:
     radius_factor: float = 2.0
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.taps_per_axis < 3 or self.taps_per_axis % 2 == 0:
             raise ValueError("taps_per_axis must be odd and >= 3")

@@ -53,7 +53,7 @@ from .layers import (
     InnerBlockSpec,
     silu_op,
 )
-from .resample import upsample_array
+from .resample import resample_perfect_array
 from .signal import atomic_write
 
 ARNN_MAGIC = b"ARNN1\n"
@@ -170,14 +170,14 @@ class LaplacianResidual:
         band reduction and the projection, and its output carries no
         dependence on the block parameters.
         """
-        dims = self.in_grid.dims
-        r_low = lowpass_op(r_prev, self.out_grid.extents, self.kernel, dims)
-        low_coarse = decimate_op(r_low, self.out_grid.extents, dims)
+        coarse = self.out_grid.extents
+        r_low = lowpass_op(r_prev, coarse, self.kernel)
+        low_coarse = decimate_op(r_low, coarse)
         if gate:
             r_diff = sub(r_prev, r_low)
             y = self.block.forward(r_diff, mode=mode, rng=rng)
-            y = mean_reject_op(y, dims)
-            y = downsample_op(y, self.out_grid.extents, self.kernel, dims)
+            y = mean_reject_op(y)
+            y = downsample_op(y, coarse, self.kernel)
             folded = y + low_coarse
         else:
             folded = low_coarse
@@ -358,8 +358,7 @@ class ArrnModel:
         """
         x = Tensor(values)
         if entry == 0:
-            grid = self.ladder[0]
-            x = lowpass_op(x, grid.extents, self.kernel, grid.dims)
+            x = lowpass_op(x, self.ladder[0].extents, self.kernel)
             r = project_channels(x, self.input_projection)
         else:
             r = project_channels(x, Tensor(self.composed_projection(entry)))
@@ -466,8 +465,10 @@ def equivalence_report(
     """
     if not 0 <= level <= model.ladder.top_level:
         raise GridError(f"entry level {level} outside the ladder")
+    for name, count in (("repetitions", repetitions), ("batch", batch)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     grid = model.ladder[level]
-    dims = grid.dims
     max_abs = 0.0
     mean_abs = 0.0
     max_rel = 0.0
@@ -475,7 +476,7 @@ def equivalence_report(
         coarse = rng.standard_normal(
             (batch, model.input_features) + grid.extents
         ).astype(model.dtype)
-        fine = upsample_array(coarse, model.ladder[0].extents, dims)
+        fine = resample_perfect_array(coarse, model.ladder[0].extents)
         full = forward_full(model, FeatureMap(model.ladder[0], fine))
         adapted = forward_adapted(model, FeatureMap(grid, coarse))
         diff = np.abs(full - adapted)

@@ -32,9 +32,10 @@ Approximate kernels instead perform separable spatial circular
 convolution with the realized taps (see :mod:`arrn.kernels`), followed by
 stride decimation where a resolution change is requested.
 
-Array-level functions operate on the trailing ``spatial_ndim`` axes and
-broadcast over any leading (batch, channel) axes. Signal-level wrappers
-enforce the grid-comparability contracts.
+Array-level functions take the extents of the grid they map to, act on
+the trailing ``len(extents)`` axes of their array, read the source grid
+from those axes' extents, and broadcast over any leading (batch, channel)
+axes. Signal-level wrappers enforce the grid-comparability contracts.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ from .kernels import SmoothingKernelSpec
 from .signal import DiscreteSignal
 
 
-def _axis_index(ndim: int, spatial_ndim: int, spatial_axis: int) -> int:
-    return ndim - spatial_ndim + spatial_axis
+def _spatial(x: np.ndarray, extents: tuple[int, ...]) -> tuple[int, ...]:
+    """The extents of the trailing ``len(extents)`` axes of ``x``."""
+    return x.shape[x.ndim - len(extents) :]
 
 
-def _leading(x: np.ndarray, spatial_ndim: int) -> int:
-    return prod(x.shape[: x.ndim - spatial_ndim]) if x.ndim > spatial_ndim else 1
+def _leading(x: np.ndarray, extents: tuple[int, ...]) -> int:
+    return prod(x.shape[: x.ndim - len(extents)])
 
 
 def _spectral_axis(
@@ -90,125 +92,99 @@ def _spectral_axis(
 
 def _spectral(
     x: np.ndarray,
-    band_extents: tuple[int, ...],
-    out_extents: tuple[int, ...],
-    spatial_ndim: int,
+    band: tuple[int, ...],
+    out: tuple[int, ...],
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Truncate each spatial axis to its band, then embed it at the output extent.
+    """Truncate each trailing axis to its band, then embed it at the output extent.
 
     One real transform pair per axis. The band scales live in the
     transforms' normalisation: ``norm="forward"`` divides by the input
     extent, so samples are preserved; the ``adjoint`` of downsampling uses
     ``norm="backward"`` with whole Nyquist bins.
     """
-    out = x
-    for a, (m, n) in enumerate(zip(band_extents, out_extents)):
-        axis = _axis_index(x.ndim, spatial_ndim, a)
-        out = _spectral_axis(out, axis, m, n, adjoint)
-    return np.ascontiguousarray(out, dtype=x.dtype)
+    y = x
+    for axis, m, n in zip(range(-len(out), 0), band, out):
+        y = _spectral_axis(y, axis, m, n, adjoint)
+    return np.ascontiguousarray(y, dtype=x.dtype)
 
 
-def resample_perfect_array(
-    x: np.ndarray, to_extents: tuple[int, ...], spatial_ndim: int
-) -> np.ndarray:
+def resample_perfect_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.ndarray:
     """Spectral resampling of the trailing axes to arbitrary new extents.
 
     Axes may grow (Fourier zero padding, sample-value preserving) or
     shrink (band truncation with Nyquist-pair aliasing) independently; no
     divisibility between old and new extents is required.
     """
-    from_extents = x.shape[x.ndim - spatial_ndim :]
-    if tuple(from_extents) == tuple(to_extents):
+    to_extents = tuple(to_extents)
+    from_extents = _spatial(x, to_extents)
+    if from_extents == to_extents:
         return x.copy()
-    macs.add_macs(
-        macs.spectral_resample_macs(
-            tuple(from_extents), tuple(to_extents), _leading(x, spatial_ndim)
-        )
-    )
-    return _spectral(x, tuple(to_extents), tuple(to_extents), spatial_ndim)
+    lead = _leading(x, to_extents)
+    macs.add_macs(macs.spectral_resample_macs(from_extents, to_extents, lead))
+    return _spectral(x, to_extents, to_extents)
 
 
-def lowpass_perfect_array(
-    x: np.ndarray, band_extents: tuple[int, ...], spatial_ndim: int
-) -> np.ndarray:
+def lowpass_perfect_array(x: np.ndarray, band_extents: tuple[int, ...]) -> np.ndarray:
     """Orthogonal projection onto the band of ``band_extents``, same grid."""
-    from_extents = x.shape[x.ndim - spatial_ndim :]
+    from_extents = _spatial(x, band_extents)
     if all(m >= n for m, n in zip(band_extents, from_extents)):
         return x.copy()
-    macs.add_macs(
-        2 * macs.fft_macs(tuple(from_extents)) * _leading(x, spatial_ndim)
-    )
-    return _spectral(x, tuple(band_extents), tuple(from_extents), spatial_ndim)
+    macs.add_macs(2 * macs.fft_macs(from_extents) * _leading(x, band_extents))
+    return _spectral(x, tuple(band_extents), from_extents)
 
 
 def convolve_taps_array(
-    x: np.ndarray,
-    factors: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
+    x: np.ndarray, band_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> np.ndarray:
-    """Separable circular convolution with the kernel's taps for each factor."""
-    taps_per_axis = [kernel.realize(f) for f in factors]
+    """Separable circular convolution with the kernel's taps for each band.
+
+    Each trailing axis of extent ``n`` gets the taps of the decimation
+    factor ``n // m`` down to its band extent ``m``.
+    """
+    from_extents = _spatial(x, band_extents)
+    taps_per_axis = [
+        kernel.realize(n // m) for n, m in zip(from_extents, band_extents)
+    ]
     counted = tuple(len(t) for t in taps_per_axis if len(t) > 1)
     if counted:
-        from_extents = x.shape[x.ndim - spatial_ndim :]
-        macs.add_macs(
-            macs.separable_conv_macs(
-                tuple(from_extents), counted, _leading(x, spatial_ndim)
-            )
-        )
+        lead = _leading(x, band_extents)
+        macs.add_macs(macs.separable_conv_macs(from_extents, counted, lead))
     out = x
-    for a, taps in enumerate(taps_per_axis):
-        if len(taps) == 1:
-            continue
-        axis = _axis_index(x.ndim, spatial_ndim, a)
-        out = ndimage.convolve1d(out, taps, axis=axis, mode="wrap")
+    for axis, taps in zip(range(-len(band_extents), 0), taps_per_axis):
+        if len(taps) > 1:
+            out = ndimage.convolve1d(out, taps, axis=axis, mode="wrap")
     return np.ascontiguousarray(out, dtype=x.dtype)
 
 
 def lowpass_array(
-    x: np.ndarray,
-    from_extents: tuple[int, ...],
-    band_extents: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
+    x: np.ndarray, band_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> np.ndarray:
     if kernel.is_perfect:
-        return lowpass_perfect_array(x, band_extents, spatial_ndim)
-    factors = tuple(n // m for n, m in zip(from_extents, band_extents))
-    return convolve_taps_array(x, factors, kernel, spatial_ndim)
+        return lowpass_perfect_array(x, band_extents)
+    return convolve_taps_array(x, band_extents, kernel)
 
 
-def decimate_array(
-    x: np.ndarray, factors: tuple[int, ...], spatial_ndim: int
-) -> np.ndarray:
+def decimate_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.ndarray:
     """Stride subsampling anchored at index 0 on every axis."""
+    factors = [n // m for n, m in zip(_spatial(x, to_extents), to_extents)]
     if all(f == 1 for f in factors):
         return x.copy()
-    index = [slice(None)] * (x.ndim - spatial_ndim)
-    index += [slice(None, None, f) for f in factors]
-    return np.ascontiguousarray(x[tuple(index)])
+    strides = tuple(slice(None, None, f) for f in factors)
+    return np.ascontiguousarray(x[(...,) + strides])
 
 
-def zero_insert_array(
-    x: np.ndarray, fine_extents: tuple[int, ...], spatial_ndim: int
-) -> np.ndarray:
+def zero_insert_array(x: np.ndarray, fine_extents: tuple[int, ...]) -> np.ndarray:
     """Adjoint of stride decimation: place samples at stride sites, zeros between."""
-    lead = x.shape[: x.ndim - spatial_ndim]
-    coarse = x.shape[x.ndim - spatial_ndim :]
-    out = np.zeros(lead + tuple(fine_extents), dtype=x.dtype)
-    index = [slice(None)] * len(lead)
-    index += [slice(None, None, n // m) for n, m in zip(fine_extents, coarse)]
-    out[tuple(index)] = x
+    coarse = _spatial(x, fine_extents)
+    out = np.zeros(x.shape[: x.ndim - len(coarse)] + tuple(fine_extents), x.dtype)
+    strides = tuple(slice(None, None, n // m) for n, m in zip(fine_extents, coarse))
+    out[(...,) + strides] = x
     return out
 
 
 def downsample_array(
-    x: np.ndarray,
-    to_extents: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
+    x: np.ndarray, to_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> np.ndarray:
     """Fused band reduction plus decimation as one linear operator.
 
@@ -216,26 +192,13 @@ def downsample_array(
     the spectral domain (one transform per grid); approximate kernels
     convolve spatially and then take the stride subset.
     """
-    from_extents = x.shape[x.ndim - spatial_ndim :]
     if kernel.is_perfect:
-        return resample_perfect_array(x, tuple(to_extents), spatial_ndim)
-    factors = tuple(n // m for n, m in zip(from_extents, to_extents))
-    smoothed = convolve_taps_array(x, factors, kernel, spatial_ndim)
-    return decimate_array(smoothed, factors, spatial_ndim)
-
-
-def upsample_array(
-    x: np.ndarray, to_extents: tuple[int, ...], spatial_ndim: int
-) -> np.ndarray:
-    """Whittaker-Shannon interpolation on the torus (spectral zero padding)."""
-    return resample_perfect_array(x, tuple(to_extents), spatial_ndim)
+        return resample_perfect_array(x, to_extents)
+    return decimate_array(convolve_taps_array(x, to_extents, kernel), to_extents)
 
 
 def downsample_adjoint_array(
-    g: np.ndarray,
-    fine_extents: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-    spatial_ndim: int,
+    g: np.ndarray, fine_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> np.ndarray:
     """Adjoint of :func:`downsample_array` (for reverse-mode gradients).
 
@@ -245,16 +208,13 @@ def downsample_adjoint_array(
     path (symmetric convolution then stride) has adjoint zero-insertion
     followed by the same convolution.
     """
-    coarse = g.shape[g.ndim - spatial_ndim :]
-    if kernel.is_perfect:
-        if tuple(coarse) == tuple(fine_extents):
-            return g.copy()
-        return _spectral(
-            g, tuple(coarse), tuple(fine_extents), spatial_ndim, adjoint=True
-        )
-    stuffed = zero_insert_array(g, tuple(fine_extents), spatial_ndim)
-    factors = tuple(n // m for n, m in zip(fine_extents, coarse))
-    return convolve_taps_array(stuffed, factors, kernel, spatial_ndim)
+    fine_extents = tuple(fine_extents)
+    coarse = _spatial(g, fine_extents)
+    if not kernel.is_perfect:
+        return convolve_taps_array(zero_insert_array(g, fine_extents), coarse, kernel)
+    if coarse == fine_extents:
+        return g.copy()
+    return _spectral(g, coarse, fine_extents, adjoint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +222,12 @@ def downsample_adjoint_array(
 # ---------------------------------------------------------------------------
 
 
-def _require_coarser(signal: DiscreteSignal, to_grid: GridSpec) -> tuple[int, ...]:
+def _require_coarser(signal: DiscreteSignal, to_grid: GridSpec) -> None:
     if not to_grid.is_coarser_equal(signal.grid):
         raise GridError(
             f"target grid {to_grid.extents} is not a per-axis divisor of "
             f"{signal.grid.extents}"
         )
-    return signal.grid.stride_factors(to_grid)
 
 
 def lowpass(
@@ -282,19 +241,15 @@ def lowpass(
     realized taps.
     """
     _require_coarser(signal, target_level_grid)
-    values = lowpass_array(
-        signal.values, signal.grid.extents, target_level_grid.extents, kernel,
-        signal.grid.dims,
+    return signal.with_values(
+        lowpass_array(signal.values, target_level_grid.extents, kernel)
     )
-    return signal.with_values(values)
 
 
 def decimate(signal: DiscreteSignal, to_grid: GridSpec) -> DiscreteSignal:
     """Keep the stride subset of samples coinciding with the coarse sites."""
-    factors = _require_coarser(signal, to_grid)
-    return DiscreteSignal(
-        to_grid, decimate_array(signal.values, factors, signal.grid.dims)
-    )
+    _require_coarser(signal, to_grid)
+    return DiscreteSignal(to_grid, decimate_array(signal.values, to_grid.extents))
 
 
 def downsample(
@@ -303,8 +258,7 @@ def downsample(
     """Low-pass to the target band, then decimate; fused as one operator."""
     _require_coarser(signal, to_grid)
     return DiscreteSignal(
-        to_grid,
-        downsample_array(signal.values, to_grid.extents, kernel, signal.grid.dims),
+        to_grid, downsample_array(signal.values, to_grid.extents, kernel)
     )
 
 
@@ -321,19 +275,16 @@ def upsample(signal: DiscreteSignal, to_grid: GridSpec) -> DiscreteSignal:
             f"target grid {to_grid.extents} is not finer-or-equal to "
             f"{signal.grid.extents}"
         )
-    return DiscreteSignal(
-        to_grid, upsample_array(signal.values, to_grid.extents, signal.grid.dims)
-    )
+    values = resample_perfect_array(signal.values, to_grid.extents)
+    return DiscreteSignal(to_grid, values)
 
 
 def resample_to(signal: DiscreteSignal, to_grid: GridSpec) -> DiscreteSignal:
     """Perfect-kernel resampling to an arbitrary grid (up or down per axis)."""
     if to_grid.dims != signal.grid.dims:
         raise GridError("grids must share dimensionality")
-    return DiscreteSignal(
-        to_grid,
-        resample_perfect_array(signal.values, to_grid.extents, signal.grid.dims),
-    )
+    values = resample_perfect_array(signal.values, to_grid.extents)
+    return DiscreteSignal(to_grid, values)
 
 
 def check_bandlimited(

@@ -129,7 +129,7 @@ class TestCriterion3DropoutDownsamplingIdentity:
                 values = x
                 for level in range(1, k + 1):
                     values = downsample_array(
-                        values, LADDER[level].extents, PERFECT, 1
+                        values, LADDER[level].extents, PERFECT
                     )
                 adapted = forward_adapted(model, FeatureMap(LADDER[k], values))
                 worst = max(worst, float(np.max(np.abs(gated - adapted))))
@@ -161,7 +161,7 @@ class TestCriterion4ConstancyAndCancellation:
             expected = np.einsum(
                 "oc,bcs->bos",
                 res.projection.values,
-                downsample_array(x, (32,), PERFECT, 1),
+                downsample_array(x, (32,), PERFECT),
             )
             worst_gap = max(worst_gap, float(np.max(np.abs(out - expected))))
         report(

@@ -129,6 +129,37 @@ class TestVerifyAdaptation:
     def test_unknown_flag_is_usage_error(self):
         assert run("verify-adaptation", "--levels", "32,16", "--bogus") == 64
 
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1e-9"),
+        ("--trials", "0"),
+        ("--trials", "-2"),
+        ("--repetitions", "0"),
+        ("--repetitions", "-1"),
+    ])
+    def test_check_that_compares_nothing_is_usage_error(self, capsys, flags):
+        flag, value = flags
+        assert run("verify-adaptation", "--levels", "16,8", "--features", "2,2",
+                   f"{flag}={value}") == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {flag} must be")
+        assert "holds" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_reconstruct_tolerance_that_compares_nothing_is_usage_error(
+    tmp_path, noise_signal, capsys, tol
+):
+    out_dir = tmp_path / "pyr"
+    assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+               "--kernel", "truncated_gaussian", "--out", out_dir) == 0
+    recon = tmp_path / "recon.arsg"
+    assert run("reconstruct", "--pyramid", out_dir, "--level", "1",
+               "--out", recon, "--reference", noise_signal, f"--tol={tol}") == 64
+    assert capsys.readouterr().err.startswith("usage error: --tol must be")
+    assert not recon.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -270,6 +301,31 @@ class TestBench:
     def test_oversized_resolution_exits_3(self, tmp_path):
         assert run("bench", "--levels", "64,32,16", "--features", "4,8,8",
                    "--resolutions", "128", "--out", tmp_path / "b.csv") == 3
+
+    def test_resolution_rank_unlike_the_ladder_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run("bench", "--levels", "64,32,16", "--features", "4,8,8",
+                   "--resolutions", "32x32", "--batch", "2", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "32x32 is 2-D but the ladder is 1-D" in err
+        assert not out.exists()
+
+
+def test_eval_resolution_rank_unlike_the_ladder_exits_3(tmp_path, capsys):
+    """Both directions: 2-D resolutions on a 1-D model and 1-D on a 2-D one."""
+    task = ("--classes", "2", "--samples-per-class", "4")
+    for levels, resolutions, message in (
+        ("16,8", "16,8x8", "8x8 is 2-D but the ladder is 1-D"),
+        ("16x16,8x8", "16,8", "16 is 1-D but the ladder is 2-D"),
+    ):
+        ckpt, out = tmp_path / "model.arnn", tmp_path / "s.csv"
+        assert run("train", "--levels", levels, "--features", "2,2", *task,
+                   "--epochs", "1", "--batch-size", "4", "--out", ckpt) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--resolutions", resolutions,
+                   "--mode", "full", *task, "--out", out, "--no-timing") == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from arrn.data import (
     oracle_predict,
     save_dataset,
 )
+from arrn.errors import GridError
 from arrn.resample import resample_perfect_array
 
 
@@ -48,7 +49,7 @@ class TestGeneration:
             signatures=((0.5, 1.0, 0.25), (1.5, 0.1, 0.9)),
         )
         ds = generate_dataset(spec)
-        rms = band_rms(ds.train.inputs, spec.level_extents, 1).mean(axis=1)
+        rms = band_rms(ds.train.inputs, spec.level_extents).mean(axis=1)
         for i, label in enumerate(ds.train.labels):
             np.testing.assert_allclose(rms[i], ds.signatures[label], atol=1e-10)
 
@@ -70,7 +71,7 @@ class TestOracle:
     def test_oracle_stays_above_chance_at_quarter_resolution(self):
         spec = SynthDatasetSpec(classes=4, samples_per_class=16, noise=0.1, seed=8)
         ds = generate_dataset(spec)
-        low = resample_perfect_array(ds.test.inputs, (16,), 1)
+        low = resample_perfect_array(ds.test.inputs, (16,))
         pred = oracle_predict(low, ds.signatures, spec.level_extents)
         assert np.mean(pred == ds.test.labels) > 0.5  # chance is 0.25
 
@@ -78,9 +79,16 @@ class TestOracle:
         spec = SynthDatasetSpec(classes=2, samples_per_class=8, noise=0.0, seed=9,
                                 signatures=((0.4, 1.0, 1.0), (1.2, 1.0, 1.0)))
         ds = generate_dataset(spec)
-        low = resample_perfect_array(ds.test.inputs, (16,), 1)
+        low = resample_perfect_array(ds.test.inputs, (16,))
         pred = oracle_predict(low, ds.signatures, spec.level_extents)
         assert np.mean(pred == ds.test.labels) == 1.0
+
+    def test_input_coarser_than_every_level_is_rejected(self):
+        spec = SynthDatasetSpec(classes=2, samples_per_class=4, seed=10)
+        ds = generate_dataset(spec)
+        low = resample_perfect_array(ds.test.inputs, (8,))
+        with pytest.raises(GridError, match="coarser than every ladder level"):
+            oracle_predict(low, ds.signatures, spec.level_extents)
 
 
 class TestCache:

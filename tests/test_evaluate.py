@@ -155,6 +155,29 @@ class TestSweep:
         with pytest.raises(GridError):
             evaluate_sweep(model, ds.test.inputs, ds.test.labels, [128])
 
+    def test_resolution_rank_unlike_the_ladder_rejected_before_resampling(self):
+        model = build_model("perfect")
+        ds = self._dataset()
+        with macs.recording() as counter:
+            with pytest.raises(GridError, match="16x16 is 2-D but the ladder is 1-D"):
+                evaluate_sweep(
+                    model, ds.test.inputs, ds.test.labels, [32, (16, 16)],
+                    measure_time=False,
+                )
+        assert counter.total == 0
+
+    def test_integer_resolution_broadcasts_to_every_axis(self):
+        model = ArrnModel(
+            ResolutionLadder.from_extents([(8, 8), (4, 4)]), 1, (2, 2), 2,
+            KERNELS["perfect"], np.random.default_rng(0), dtype=np.float64,
+        )
+        inputs = np.random.default_rng(1).standard_normal((3, 1, 8, 8))
+        labels = np.zeros(3, dtype=np.int64)
+        result = evaluate_sweep(model, inputs, labels, [4], measure_time=False)
+        assert [r.resolution for r in result.rows] == ["4x4", "4x4"]
+        with pytest.raises(GridError, match="resolution 4 is 1-D but the ladder"):
+            evaluate_sweep(model, inputs, labels, [(4,)])
+
     def test_no_timing_rows_are_deterministic(self):
         model = build_model("perfect")
         ds = self._dataset()

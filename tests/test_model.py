@@ -31,7 +31,7 @@ from arrn.resample import (
     decimate_array,
     downsample_array,
     lowpass_array,
-    upsample_array,
+    resample_perfect_array,
 )
 from arrn.signal import mean_reject_array
 
@@ -168,9 +168,9 @@ class TestResidualLevel:
         res = model.residuals[0]
         x = np.random.default_rng(6).standard_normal((2, 4, 32))
         out1 = res.forward(Tensor(x), gate=0).values
-        low = lowpass_array(x, (32,), (16,), PERFECT, 1)
+        low = lowpass_array(x, (16,), PERFECT)
         expected = project_channels(
-            Tensor(decimate_array(low, (2,), 1)), res.projection
+            Tensor(decimate_array(low, (16,))), res.projection
         ).values
         np.testing.assert_array_equal(out1, expected)
         for p in res.block.parameters():
@@ -188,7 +188,7 @@ class TestResidualLevel:
         expected = np.einsum(
             "oc,bcs->bos",
             res.projection.values,
-            downsample_array(x, (16,), PERFECT, 1),
+            downsample_array(x, (16,), PERFECT),
         )
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -196,12 +196,12 @@ class TestResidualLevel:
         model = build_model(seed=8)
         res = model.residuals[0]
         rng = np.random.default_rng(9)
-        x = lowpass_array(rng.standard_normal((1, 4, 32)), (32,), (16,), PERFECT, 1)
+        x = lowpass_array(rng.standard_normal((1, 4, 32)), (16,), PERFECT)
         out = res.forward(Tensor(x), gate=1).values
         expected = np.einsum(
             "oc,bcs->bos",
             res.projection.values,
-            downsample_array(x, (16,), PERFECT, 1),
+            downsample_array(x, (16,), PERFECT),
         )
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -212,11 +212,11 @@ class TestResidualLevel:
             x = np.random.default_rng(11).standard_normal((2, 4, 32))
             out = res.forward(Tensor(x), gate=1).values
             # Reference: every operator applied separately at full rate.
-            r_low = lowpass_array(x, (32,), (16,), kernel, 1)
+            r_low = lowpass_array(x, (16,), kernel)
             y = res.block.forward(Tensor(x - r_low), mode="eval").values
             y = mean_reject_array(y, 1)
-            y = lowpass_array(y, (32,), (16,), kernel, 1)
-            summed = decimate_array(y + r_low, (2,), 1)
+            y = lowpass_array(y, (16,), kernel)
+            summed = decimate_array(y + r_low, (16,))
             expected = np.einsum("oc,bcs->bos", res.projection.values, summed)
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -233,7 +233,7 @@ class TestDropoutDownsamplingIdentity:
         values = fmap.values
         for level in range(1, k + 1):
             values = downsample_array(
-                values, model.ladder[level].extents, PERFECT, 1
+                values, model.ladder[level].extents, PERFECT
             )
         adapted = forward_adapted(model, FeatureMap(model.ladder[k], values))
         np.testing.assert_allclose(gated, adapted, atol=1e-9)
@@ -257,11 +257,22 @@ class TestDropoutDownsamplingIdentity:
             values = fmap.values
             for level in range(1, k + 1):
                 values = downsample_array(
-                    values, model.ladder[level].extents, PERFECT, 1
+                    values, model.ladder[level].extents, PERFECT
                 )
-            values = upsample_array(values, model.ladder[0].extents, 1)
+            values = resample_perfect_array(values, model.ladder[0].extents)
             full = forward_full(model, FeatureMap(model.ladder[0], values))
             np.testing.assert_allclose(gated, full, atol=1e-9)
+
+
+class TestEquivalenceReport:
+    @pytest.mark.parametrize("name", ["repetitions", "batch"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_report_that_compares_nothing_is_rejected(self, name, count):
+        model = build_model(seed=50)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {count}"):
+            equivalence_report(
+                model, 1, np.random.default_rng(0), **{name: count}
+            )
 
 
 class TestEntryLevel:
