@@ -13,9 +13,19 @@ differentiable ops; their backward passes use closed-form adjoints:
 * stride decimation's adjoint is zero insertion,
 * the fused spectral downsample's adjoint embeds the coarse spectrum back
   into the fine layout (see :func:`arrn.resample.downsample_adjoint_array`).
+
+Inside a :func:`no_grad` context every op returns a bare tensor with no
+parents and no closure, so evaluation (:func:`arrn.model.forward_full`,
+:func:`arrn.model.forward_adapted` and everything built on them) builds
+no graph and keeps no array alive for a backward pass that never runs.
+Every op has one implementation; it hands its result, parents and closure
+to :func:`node`, which drops the last two under ``no_grad``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -120,29 +130,49 @@ class Parameter(Tensor):
         self.values = np.asarray(values, dtype=self.values.dtype)
 
 
+_graph_off: ContextVar[bool] = ContextVar("arrn_no_grad", default=False)
+
+
+@contextmanager
+def no_grad():
+    """Build no graph for the duration of the context (this thread only)."""
+    token = _graph_off.set(True)
+    try:
+        yield
+    finally:
+        _graph_off.reset(token)
+
+
+def node(values, parents, vjp) -> Tensor:
+    """An op's result: a graph node, or a bare tensor under :func:`no_grad`."""
+    if _graph_off.get():
+        return Tensor(values)
+    return Tensor(values, parents, vjp)
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.values + b.values, (a, b), lambda g: (g, g))
+    return node(a.values + b.values, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.values - b.values, (a, b), lambda g: (g, -g))
+    return node(a.values - b.values, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
+    return node(
         a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values)
     )
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return Tensor(a.values * c, (a,), lambda g: (g * c,))
+    return node(a.values * c, (a,), lambda g: (g * c,))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +183,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def mean_reject_op(x: Tensor) -> Tensor:
     rank = x.values.ndim - 2
     out = mean_reject_array(x.values, rank)
-    return Tensor(out, (x,), lambda g: (mean_reject_array(g, rank),))
+    return node(out, (x,), lambda g: (mean_reject_array(g, rank),))
 
 
 def lowpass_op(
@@ -164,7 +194,7 @@ def lowpass_op(
 
     # Both realizations are self-adjoint: the perfect variant is an
     # orthogonal projector and the spatial taps are symmetric.
-    return Tensor(run(x.values), (x,), lambda g: (run(g),))
+    return node(run(x.values), (x,), lambda g: (run(g),))
 
 
 def downsample_op(
@@ -172,13 +202,13 @@ def downsample_op(
 ) -> Tensor:
     fine = x.values.shape[x.values.ndim - len(to_extents) :]
     out = downsample_array(x.values, to_extents, kernel)
-    return Tensor(out, (x,), lambda g: (downsample_adjoint_array(g, fine, kernel),))
+    return node(out, (x,), lambda g: (downsample_adjoint_array(g, fine, kernel),))
 
 
 def decimate_op(x: Tensor, to_extents: tuple[int, ...]) -> Tensor:
     fine = x.values.shape[x.values.ndim - len(to_extents) :]
     out = decimate_array(x.values, to_extents)
-    return Tensor(out, (x,), lambda g: (zero_insert_array(g, fine),))
+    return node(out, (x,), lambda g: (zero_insert_array(g, fine),))
 
 
 def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -205,7 +235,7 @@ def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
         return gx, gw, gf.sum(axis=(0, 2))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out.reshape((batch, w.shape[0]) + x.values.shape[2:]), parents, vjp)
+    return node(out.reshape((batch, w.shape[0]) + x.values.shape[2:]), parents, vjp)
 
 
 def gradient_check(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,12 @@ def _require_tolerance(tol: float | None) -> None:
     """A comparison against a NaN, infinite or negative ``--tol`` checks nothing."""
     if tol is not None and not 0.0 <= tol < float("inf"):
         raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
+
+
+def _require_seed(seed: int) -> None:
+    """For a ``--seed`` that only seeds numpy generators, which need it >= 0."""
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def _kernel_from_args(args) -> SmoothingKernelSpec:
@@ -296,6 +304,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     _require_tolerance(args.tol)
+    if args.tol is not None and args.reference is None:
+        raise UsageError("--tol needs --reference: without it nothing is compared")
     decomp = load_pyramid(args.pyramid)
     out = reconstruct(decomp, args.level)
     write_arsg(args.out, out)
@@ -319,6 +329,7 @@ def cmd_verify_adaptation(args) -> int:
     for flag, count in (("--trials", args.trials), ("--repetitions", args.repetitions)):
         if count < 1:
             raise UsageError(f"{flag} must be >= 1, got {count}")
+    _require_seed(args.seed)
     ladder = _parse_ladder(args.levels)
     kernel = _kernel_from_args(args)
     dtype = np.float32 if args.dtype == "f32" else np.float64
@@ -368,9 +379,9 @@ def cmd_verify_adaptation(args) -> int:
 def cmd_train(args) -> int:
     ladder = _parse_ladder(args.levels)
     kernel = _kernel_from_args(args)
-    dataset = _dataset_from_args(args, ladder)
     dropout = _dropout_from_args(args)
     config = _train_config_from_args(args, dropout, args.seed)
+    dataset = _dataset_from_args(args, ladder)
     model = _model_from_args(
         args, ladder, kernel, dataset.spec.classes, config.numpy_dtype, args.seed
     )
@@ -438,6 +449,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     if args.batch < 1:
         raise UsageError("--batch must be positive")
+    _require_seed(args.seed)
     if args.checkpoint:
         model, _ = load_checkpoint(args.checkpoint)
     else:
@@ -486,6 +498,9 @@ def cmd_ablate(args) -> int:
     spec = _dataset_spec_from_args(args, ladder, seed=0)
     _require_test_split(spec)
     seeds = _parse_ints(args.seeds.split(","), args.seeds)
+    for seed in seeds:
+        _build(partial(replace, spec), seed=seed)
+        _build(partial(replace, config), seed=seed)
     resolutions = (
         _parse_resolutions(args.resolutions) if args.resolutions else None
     )

@@ -46,6 +46,8 @@ class SynthDatasetSpec:
             raise ValueError("need at least two classes")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.signatures is not None:

@@ -21,7 +21,7 @@ from math import prod
 import numpy as np
 
 from . import macs
-from .autodiff import Parameter, Tensor, project_channels
+from .autodiff import Parameter, Tensor, no_grad, node, project_channels
 from .errors import NumericError, ShapeError
 from .grids import GridSpec
 
@@ -71,9 +71,13 @@ def _slice_at(ndim: int, axis: int, index) -> tuple:
 
 
 def silu_op(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.values))
+    # s = 1 / (1 + exp(-x)), built in one buffer.
+    s = np.negative(x.values)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
     out = x.values * s
-    return Tensor(out, (x,), lambda g: (g * (s * (1.0 + x.values * (1.0 - s))),))
+    return node(out, (x,), lambda g: (g * (s * (1.0 + x.values * (1.0 - s))),))
 
 
 # The same function object, kept because benchmarks/tracing.py binds this name.
@@ -140,7 +144,7 @@ def depthwise_conv_op(
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out, parents, vjp)
+    return node(out, parents, vjp)
 
 
 def batchnorm_op(
@@ -155,28 +159,38 @@ def batchnorm_op(
 
     With ``batch_stats`` the statistics are functions of ``x`` and the
     backward pass includes their dependence; otherwise they are frozen
-    constants (eval mode with running statistics).
+    constants (eval mode with running statistics) and the op is one
+    per-channel affine map ``x * scale + shift``.
     """
     ndim = x.values.ndim
     axes = (0,) + tuple(range(2, ndim))
     shape = (1, -1) + (1,) * (ndim - 2)
+    if not batch_stats:
+        std = np.sqrt(var + BN_EPS)
+        scale = gamma.values / std
+        shift = (beta.values - mean * scale).reshape(shape)
+        scale = scale.reshape(shape)
+        out = x.values * scale
+        out += shift
+
+        def affine_vjp(g):
+            xhat = (x.values - mean.reshape(shape)) / std.reshape(shape)
+            return g * scale, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+        return node(out, (x, gamma, beta), affine_vjp)
+
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.values - mean.reshape(shape)) * inv.reshape(shape)
     out = gamma.values.reshape(shape) * xhat + beta.values.reshape(shape)
 
     def vjp(g):
-        ggamma = (g * xhat).sum(axis=axes)
-        gbeta = g.sum(axis=axes)
         gxhat = g * gamma.values.reshape(shape)
-        if batch_stats:
-            m = gxhat.mean(axis=axes, keepdims=True)
-            mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
-            gx = inv.reshape(shape) * (gxhat - m - xhat * mx)
-        else:
-            gx = gxhat * inv.reshape(shape)
-        return gx, ggamma, gbeta
+        m = gxhat.mean(axis=axes, keepdims=True)
+        mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
+        gx = inv.reshape(shape) * (gxhat - m - xhat * mx)
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return Tensor(out, (x, gamma, beta), vjp)
+    return node(out, (x, gamma, beta), vjp)
 
 
 def global_mean_pool_op(x: Tensor) -> Tensor:
@@ -188,13 +202,13 @@ def global_mean_pool_op(x: Tensor) -> Tensor:
         expanded = g.reshape(g.shape + (1,) * len(axes))
         return (np.broadcast_to(expanded / sites, x.values.shape).astype(g.dtype),)
 
-    return Tensor(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def dropout_op(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted elementwise dropout; call only in train mode with p > 0."""
     keep = (rng.random(x.values.shape) >= p).astype(x.values.dtype) / (1.0 - p)
-    return Tensor(x.values * keep, (x,), lambda g: (g * keep,))
+    return node(x.values * keep, (x,), lambda g: (g * keep,))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -212,7 +226,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         soft[np.arange(batch), labels] -= 1.0
         return (soft * (g / batch),)
 
-    return Tensor(np.asarray(loss, dtype=z.dtype), (logits,), vjp)
+    return node(np.asarray(loss, dtype=z.dtype), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +446,8 @@ def zero_constancy_check(
     ``(ok, max_spatial_std)`` over the (batch, channel) slices.
     """
     zero = Tensor(np.zeros((1, channels) + grid.extents, dtype=dtype))
-    out = block.forward(zero, mode=EVAL).values
+    with no_grad():
+        out = block.forward(zero, mode=EVAL).values
     spatial_axes = tuple(range(2, out.ndim))
     deviation = float(np.max(out.std(axis=spatial_axes)))
     return deviation <= tol, deviation

@@ -37,6 +37,7 @@ from .autodiff import (
     decimate_op,
     lowpass_op,
     mean_reject_op,
+    no_grad,
     project_channels,
     downsample_op,
     sub,
@@ -216,6 +217,11 @@ class ArrnModel:
     ):
         if len(features) != len(ladder):
             raise ShapeError("need one feature width per ladder level")
+        if input_features < 1 or classes < 1:
+            raise ValueError(
+                f"input_features and classes must be >= 1, got "
+                f"{input_features} and {classes}"
+            )
         self.ladder = ladder
         self.kernel = kernel
         self.input_features = input_features
@@ -370,13 +376,17 @@ class ArrnModel:
 def forward_full(
     model: ArrnModel, fmap: FeatureMap, mask: DropoutMask | None = None
 ) -> np.ndarray:
-    """Evaluate every residual; dropout gates apply only when supplied."""
+    """Evaluate every residual; dropout gates apply only when supplied.
+
+    Like :func:`forward_adapted`, this is eval mode and builds no graph.
+    """
     values = model._check_input(fmap, model.ladder[0])
     if mask is None:
         mask = DropoutMask.all_on(len(model.residuals))
     if len(mask.chain) != len(model.residuals):
         raise ShapeError("mask length does not match residual count")
-    return model.forward_graph(values, mask).values
+    with no_grad():
+        return model.forward_graph(values, mask).values
 
 
 def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
@@ -389,7 +399,8 @@ def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
     entry = model.ladder.index_of(fmap.grid)
     values = model._check_input(fmap, model.ladder[entry])
     mask = DropoutMask.all_on(len(model.residuals))
-    return model.forward_graph(values, mask, entry=entry).values
+    with no_grad():
+        return model.forward_graph(values, mask, entry=entry).values
 
 
 def entry_level(

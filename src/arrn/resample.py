@@ -165,20 +165,29 @@ def lowpass_array(
     return convolve_taps_array(x, band_extents, kernel)
 
 
+def _strides(fine: tuple[int, ...], coarse: tuple[int, ...]) -> tuple[slice, ...]:
+    """Per-axis stride slices from ``fine`` down to ``coarse``."""
+    if any(m < 1 or n % m for n, m in zip(fine, coarse)):
+        raise GridError(
+            f"grid {tuple(coarse)} is not a per-axis divisor of {tuple(fine)}"
+        )
+    return tuple(slice(None, None, n // m) for n, m in zip(fine, coarse))
+
+
 def decimate_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.ndarray:
     """Stride subsampling anchored at index 0 on every axis."""
-    factors = [n // m for n, m in zip(_spatial(x, to_extents), to_extents)]
-    if all(f == 1 for f in factors):
+    fine = _spatial(x, to_extents)
+    strides = _strides(fine, to_extents)
+    if tuple(fine) == tuple(to_extents):
         return x.copy()
-    strides = tuple(slice(None, None, f) for f in factors)
     return np.ascontiguousarray(x[(...,) + strides])
 
 
 def zero_insert_array(x: np.ndarray, fine_extents: tuple[int, ...]) -> np.ndarray:
     """Adjoint of stride decimation: place samples at stride sites, zeros between."""
     coarse = _spatial(x, fine_extents)
+    strides = _strides(fine_extents, coarse)
     out = np.zeros(x.shape[: x.ndim - len(coarse)] + tuple(fine_extents), x.dtype)
-    strides = tuple(slice(None, None, n // m) for n, m in zip(fine_extents, coarse))
     out[(...,) + strides] = x
     return out
 

@@ -34,6 +34,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("learning_rate", "min_learning_rate", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):

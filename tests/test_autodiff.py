@@ -5,6 +5,8 @@ operator adjoints are additionally verified through the inner-product
 identity <A x, y> = <x, A^T y> on random vectors.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
 import numpy as np
@@ -19,10 +21,14 @@ from arrn.autodiff import (
     decimate_op,
     downsample_op,
     gradient_check,
+    add,
     lowpass_op,
     mean_reject_op,
+    mul,
+    no_grad,
     project_channels,
     scale,
+    sub,
 )
 from arrn.kernels import SmoothingKernelSpec
 from arrn.resample import (
@@ -230,3 +236,80 @@ class TestProjectChannels:
         params = [x, w] + ([bias] if with_bias else [])
         err = gradient_check(lambda: project_channels(x, w, bias), params)
         assert err <= 1e-6
+
+
+def _ops():
+    """One call of every differentiable op, keyed by name."""
+    rng = np.random.default_rng(21)
+    x = Parameter(rng.standard_normal((2, 3, 8)))
+    y = Parameter(rng.standard_normal((2, 3, 8)))
+    w = Parameter(rng.standard_normal((4, 3)))
+    b = Parameter(rng.standard_normal(4))
+    dw = Parameter(rng.standard_normal((3, 3)))
+    gamma, beta = Parameter(np.ones(3) * 1.1), Parameter(np.full(3, 0.2))
+    stats = (np.full(3, 0.1), np.full(3, 0.9))
+    logits = Parameter(rng.standard_normal((2, 4)))
+    return {
+        "add": lambda: add(x, y),
+        "sub": lambda: sub(x, y),
+        "mul": lambda: mul(x, y),
+        "scale": lambda: scale(x, 2.5),
+        "mean_reject": lambda: mean_reject_op(x),
+        "lowpass": lambda: lowpass_op(x, (4,), GAUSS),
+        "downsample": lambda: downsample_op(x, (4,), PERFECT),
+        "decimate": lambda: decimate_op(x, (4,)),
+        "project_channels": lambda: project_channels(x, w),
+        "project_channels_bias": lambda: project_channels(x, w, b),
+        "silu": lambda: layers.silu_op(x),
+        "depthwise_conv": lambda: layers.depthwise_conv_op(x, dw, None),
+        "batchnorm_eval": lambda: layers.batchnorm_op(x, gamma, beta, *stats, False),
+        "batchnorm_train": lambda: layers.batchnorm_op(
+            x, gamma, beta, x.values.mean(axis=(0, 2)), x.values.var(axis=(0, 2)),
+            True,
+        ),
+        "global_mean_pool": lambda: layers.global_mean_pool_op(x),
+        "dropout": lambda: layers.dropout_op(x, 0.5, np.random.default_rng(0)),
+        "cross_entropy": lambda: layers.softmax_cross_entropy(logits, np.array([1, 3])),
+    }
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("name", list(_ops()))
+    def test_every_op_builds_no_node(self, name):
+        op = _ops()[name]
+        with_graph = op()
+        with no_grad():
+            bare = op()
+        assert with_graph._vjp is not None and with_graph._parents
+        assert bare._parents == () and bare._vjp is None
+        np.testing.assert_array_equal(bare.values, with_graph.values)
+
+    def test_restored_after_exception_and_when_nested(self):
+        a = Parameter(np.ones(2))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert (a + a)._vjp is not None
+        with no_grad():
+            with no_grad():
+                assert (a + a)._vjp is None
+            assert (a + a)._vjp is None
+        assert (a + a)._vjp is not None
+
+    def test_a_worker_under_no_grad_leaves_the_caller_graph_on(self):
+        a = Parameter(np.ones(2))
+        entered = threading.Event()
+        release = threading.Event()
+
+        def worker():
+            with no_grad():
+                entered.set()
+                release.wait(10)
+                return (a + a)._vjp is None
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(worker)
+            assert entered.wait(10)
+            assert (a + a)._vjp is not None
+            release.set()
+            assert future.result()

@@ -161,6 +161,19 @@ def test_reconstruct_tolerance_that_compares_nothing_is_usage_error(
     assert not recon.exists()
 
 
+def test_reconstruct_tolerance_without_reference_is_usage_error(
+    tmp_path, noise_signal, capsys
+):
+    out_dir = tmp_path / "pyr"
+    assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+               "--kernel", "truncated_gaussian", "--out", out_dir) == 0
+    recon = tmp_path / "recon.arsg"
+    assert run("reconstruct", "--pyramid", out_dir, "--level", "1",
+               "--out", recon, "--tol", "1e-12") == 64
+    assert capsys.readouterr().err.startswith("usage error: --tol needs --reference")
+    assert not recon.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     base = tmp_path_factory.mktemp("trained")
@@ -397,6 +410,35 @@ def test_ablate_usage_error_before_any_cell_trains(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and flags[0] in err
     assert not out_dir.exists()
+
+
+TINY_VERIFY = ("verify-adaptation", "--levels", "16,8", "--features", "2,2",
+               "--trials", "1")
+TINY_BENCH = ("bench", "--levels", "16,8", "--features", "2,2",
+              "--resolutions", "16")
+
+
+@pytest.mark.parametrize("argv", [
+    (*TINY_VERIFY, "--classes", "0"),
+    (*TINY_VERIFY, "--input-features", "0"),
+    (*TINY_VERIFY, "--seed", "-1"),
+    (*TINY_TRAIN, "--seed", "-1"),
+    (*TINY_TRAIN, "--data-seed", "-1"),
+    (*TINY_BENCH, "--classes", "0"),
+    (*TINY_BENCH, "--seed", "-1"),
+    (*TINY_ABLATE, "--seeds", "0,-1"),
+])
+def test_rejected_size_or_seed_is_usage_error(tmp_path, capsys, argv):
+    outputs = {
+        "verify-adaptation": (),
+        "train": ("--out", tmp_path / "model.arnn",
+                  "--data-cache", tmp_path / "cache"),
+        "bench": ("--out", tmp_path / "bench.csv"),
+        "ablate": ("--out-dir", tmp_path / "ablation"),
+    }[argv[0]]
+    assert run(*argv, *outputs) == 64
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not any(tmp_path.iterdir())
 
 
 class TestAblateSmoke:

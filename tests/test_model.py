@@ -2,17 +2,20 @@
 
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arrn.autodiff import Tensor
+from arrn import macs
+from arrn.autodiff import Tensor, no_grad
 from arrn.errors import FormatError, GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
-from arrn.layers import FeatureMap
+from arrn.evaluate import ADAPTED, count_macs, evaluate_sweep
+from arrn.layers import FeatureMap, zero_constancy_check
 from arrn.model import (
     ARNN_MAGIC,
     ArrnModel,
@@ -34,6 +37,7 @@ from arrn.resample import (
     resample_perfect_array,
 )
 from arrn.signal import mean_reject_array
+from arrn.training import TrainConfig, predict_classes, train
 
 PERFECT = SmoothingKernelSpec.perfect()
 SINC = SmoothingKernelSpec.windowed_sinc()
@@ -355,6 +359,75 @@ class TestDeterminism:
         b = build_model(seed=82)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.values, pb.values)
+
+
+class TestGraphFreeEval:
+    """Evaluation runs the graph ops under no_grad: same values, no nodes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("extents", [[32, 16, 8], [(16, 8), (8, 4), (4, 2)]],
+                             ids=["1d", "2d"])
+    def test_graph_logits_equal_no_graph_logits_bitwise(self, dtype, kernel, extents):
+        model = build_model(seed=90, kernel=kernel, dtype=dtype,
+                            ladder=ResolutionLadder.from_extents(extents))
+        mask = DropoutMask.all_on(len(model.residuals))
+        for entry in range(len(model.ladder)):
+            fmap = random_input(model, seed=91 + entry, level=entry)
+            graph = model.forward_graph(fmap.values, mask, entry=entry)
+            assert graph._vjp is not None
+            bare = forward_full(model, fmap) if entry == 0 else forward_adapted(
+                model, fmap)
+            np.testing.assert_array_equal(bare, graph.values)
+
+    def test_eval_callers_build_no_node(self, monkeypatch):
+        model = build_model(seed=92)
+        fmap = random_input(model, seed=93)
+        nodes = []
+        init = Tensor.__init__
+
+        def counting_init(tensor, values, parents=(), vjp=None):
+            init(tensor, values, parents, vjp)
+            if vjp is not None:
+                nodes.append(tensor)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        model.forward_graph(fmap.values, DropoutMask.all_on(2))
+        assert nodes
+        nodes.clear()
+        forward_full(model, fmap)
+        forward_adapted(model, random_input(model, seed=94, level=1))
+        predict_classes(model, fmap.values)
+        equivalence_report(model, 2, np.random.default_rng(95), repetitions=1)
+        evaluate_sweep(model, fmap.values, np.zeros(2, dtype=int), [32, 16],
+                       measure_time=False)
+        zero_constancy_check(model.residuals[0].block, model.ladder[0], 4)
+        assert nodes == []
+
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    def test_instrumented_macs_equal_count_macs(self, kernel):
+        model = build_model(seed=96, kernel=kernel)
+        mask = DropoutMask.all_on(len(model.residuals))
+        for entry in range(len(model.ladder)):
+            fmap = random_input(model, seed=97, batch=1, level=entry)
+            with macs.recording() as bare, no_grad():
+                model.forward_graph(fmap.values, mask, entry=entry)
+            with macs.recording() as graph:
+                model.forward_graph(fmap.values, mask, entry=entry)
+            assert bare.total == graph.total == count_macs(model, entry, ADAPTED)
+
+    def test_training_on_a_worker_ignores_the_callers_no_grad(self):
+        inputs = np.random.default_rng(98).standard_normal((16, 1, 32))
+        labels = np.arange(16) % 3
+        config = TrainConfig(epochs=2, batch_size=8, dtype="f64")
+        reference, trained = build_model(seed=99), build_model(seed=99)
+        train(reference, inputs, labels, config)
+        with ThreadPoolExecutor(max_workers=1) as pool, no_grad():
+            pool.submit(train, trained, inputs, labels, config).result()
+        for a, b in zip(reference.parameters(), trained.parameters()):
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 def rewrite_manifest(raw: bytes, edit, trim: int = 0) -> bytes:

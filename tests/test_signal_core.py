@@ -21,6 +21,7 @@ from arrn.kernels import SmoothingKernelSpec
 from arrn.resample import (
     check_bandlimited,
     decimate,
+    decimate_array,
     downsample,
     downsample_adjoint_array,
     downsample_array,
@@ -29,6 +30,7 @@ from arrn.resample import (
     resample_perfect_array,
     resample_to,
     upsample,
+    zero_insert_array,
 )
 from arrn.signal import (
     DiscreteSignal,
@@ -332,6 +334,14 @@ class TestDecimateUpsample:
         sig = random_signal(GridSpec((8,)))
         with pytest.raises(GridError):
             upsample(sig, GridSpec((4,)))
+
+    @pytest.mark.parametrize("fine, coarse", [((3,), (2,)), ((8,), (3,)),
+                                              ((4, 6), (2, 4)), ((4,), (8,))])
+    def test_array_ops_reject_a_target_that_does_not_divide(self, fine, coarse):
+        with pytest.raises(GridError, match="not a per-axis divisor"):
+            decimate_array(np.zeros((1,) + fine), coarse)
+        with pytest.raises(GridError, match="not a per-axis divisor"):
+            zero_insert_array(np.zeros((1,) + coarse), fine)
 
 
 # -- downsample ------------------------------------------------------------
