@@ -64,7 +64,11 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None):
-        """Propagate adjoints from this node back to every reachable leaf."""
+        """Propagate adjoints from this node back to every reachable leaf.
+
+        Leaves (and this node) keep their gradients; an interior node's
+        gradient is dropped once its vector-Jacobian product has run.
+        """
         if seed is None:
             seed = np.ones_like(self.values)
         seed = np.asarray(seed, dtype=self.values.dtype)
@@ -87,6 +91,10 @@ class Tensor:
                 stack.append((parent, False))
 
         self.grad = seed if self.grad is None else self.grad + seed
+        # Nodes whose grad is an array this call allocated. Only those are
+        # summed into in place: a first contribution is stored as is and may
+        # alias another node's grad (``add`` returns ``(g, g)``) or the seed.
+        owned: set[int] = set()
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
@@ -95,8 +103,13 @@ class Tensor:
                     continue
                 if parent.grad is None:
                     parent.grad = contribution
+                elif id(parent) in owned:
+                    parent.grad += contribution
                 else:
                     parent.grad = parent.grad + contribution
+                    owned.add(id(parent))
+            if node is not self:
+                node.grad = None
 
     # operator sugar used by layers and tests
     def __add__(self, other):

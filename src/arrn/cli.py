@@ -209,24 +209,31 @@ def _dataset_spec_from_args(args, ladder: ResolutionLadder, seed: int):
     )
 
 
-def _dataset_from_args(args, ladder: ResolutionLadder, need_test: bool = False):
-    """The ``--data-cache`` dataset as is if one exists, else a generated one.
+def _dataset_plan(args, ladder: ResolutionLadder, need_test: bool = False):
+    """``(spec, dataset)``: the ``--data-cache`` dataset as is if one exists,
+    else the spec of the one to generate and ``None``; nothing is written.
 
-    With ``need_test`` an empty test split is refused before anything is
-    generated or written.
+    With ``need_test`` an empty test split is refused.
     """
     cache = args.data_cache
     if cache is not None and (cache / "dataset.json").exists():
         dataset = load_dataset(cache)
         if need_test:
             _require_test_split(dataset.spec, f"dataset cache {cache}")
-        return dataset
+        return dataset.spec, dataset
     spec = _dataset_spec_from_args(args, ladder, args.data_seed)
     if need_test:
         _require_test_split(spec)
-    dataset = generate_dataset(spec)
-    if cache is not None:
-        save_dataset(cache, dataset)
+    return spec, None
+
+
+def _realize_dataset(args, spec: SynthDatasetSpec, dataset):
+    """The planned dataset: generated, and saved to ``--data-cache``, if
+    :func:`_dataset_plan` found no cache."""
+    if dataset is None:
+        dataset = generate_dataset(spec)
+        if args.data_cache is not None:
+            save_dataset(args.data_cache, dataset)
     return dataset
 
 
@@ -381,10 +388,12 @@ def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
     dropout = _dropout_from_args(args)
     config = _train_config_from_args(args, dropout, args.seed)
-    dataset = _dataset_from_args(args, ladder)
+    spec, dataset = _dataset_plan(args, ladder)
+    # The model is built, and its values checked, before a cache is written.
     model = _model_from_args(
-        args, ladder, kernel, dataset.spec.classes, config.numpy_dtype, args.seed
+        args, ladder, kernel, spec.classes, config.numpy_dtype, args.seed
     )
+    dataset = _realize_dataset(args, spec, dataset)
     result = train(model, dataset.train.inputs, dataset.train.labels, config)
     dropout_config = (
         DropoutConfig.uniform(dropout, len(model.residuals))
@@ -420,7 +429,9 @@ def _modes_from_args(args):
 
 def cmd_eval(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
-    dataset = _dataset_from_args(args, model.ladder, need_test=True)
+    dataset = _realize_dataset(
+        args, *_dataset_plan(args, model.ladder, need_test=True)
+    )
     resolutions = _parse_resolutions(args.resolutions)
     dropout_label = "on" if manifest.get("dropout") else "off"
     result = evaluate_sweep(

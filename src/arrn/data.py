@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import json
+import math
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class SynthDatasetSpec:
             raise ValueError("samples_per_class must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.signatures is not None:

@@ -77,7 +77,16 @@ def silu_op(x: Tensor) -> Tensor:
     s += 1.0
     np.reciprocal(s, out=s)
     out = x.values * s
-    return node(out, (x,), lambda g: (g * (s * (1.0 + x.values * (1.0 - s))),))
+
+    def vjp(g):
+        d = 1.0 - s  # g * s * (1 + x * (1 - s)), built in one buffer
+        d *= x.values
+        d += 1.0
+        d *= s
+        d *= g
+        return (d,)
+
+    return node(out, (x,), vjp)
 
 
 # The same function object, kept because benchmarks/tracing.py binds this name.
@@ -117,27 +126,30 @@ def depthwise_conv_op(
     offsets = list(np.ndindex(*w.shape[1:]))
     per_channel = (1, w.shape[0]) + (1,) * spatial_ndim
 
-    def window_at(values, off):
-        sl = (slice(None), slice(None)) + tuple(
+    def window(off):
+        return (slice(None), slice(None)) + tuple(
             slice(o, o + s) for o, s in zip(off, spatial)
         )
-        return sl, values[sl]
 
-    out = np.zeros_like(x.values)
-    for off in offsets:
-        _, window = window_at(padded, off)
-        out = out + w[(slice(None),) + off].reshape(per_channel) * window
+    def tap(off):
+        return w[(slice(None),) + off].reshape(per_channel)
+
+    # Accumulate into the first tap's product in place, in offset order.
+    out = tap(offsets[0]) * padded[window(offsets[0])]
+    term = np.empty_like(out)
+    for off in offsets[1:]:
+        out += np.multiply(tap(off), padded[window(off)], out=term)
     if bias is not None:
-        out = out + bias.values.reshape((1, -1) + (1,) * spatial_ndim)
+        out += bias.values.reshape((1, -1) + (1,) * spatial_ndim)
 
     def vjp(g):
-        reduce_axes = (0,) + tuple(range(2, g.ndim))
+        sites = "bc" + "xyz"[:spatial_ndim]
         gpad = np.zeros_like(padded)
-        gw = np.zeros_like(w)
+        gw = np.empty_like(w)
         for off in offsets:
-            sl, window = window_at(padded, off)
-            gw[(slice(None),) + off] = (g * window).sum(axis=reduce_axes)
-            gpad[sl] += w[(slice(None),) + off].reshape(per_channel) * g
+            sl = window(off)
+            gw[(slice(None),) + off] = np.einsum(f"{sites},{sites}->c", g, padded[sl])
+            gpad[sl] += tap(off) * g
         gx = _unpad_fold(gpad, spatial_ndim, padding)
         if bias is None:
             return gx, gw
@@ -148,49 +160,62 @@ def depthwise_conv_op(
 
 
 def batchnorm_op(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mean: np.ndarray,
-    var: np.ndarray,
-    batch_stats: bool,
+    x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, var: np.ndarray
 ) -> Tensor:
-    """Per-channel normalization with the given statistics.
-
-    With ``batch_stats`` the statistics are functions of ``x`` and the
-    backward pass includes their dependence; otherwise they are frozen
-    constants (eval mode with running statistics) and the op is one
-    per-channel affine map ``x * scale + shift``.
-    """
+    """Per-channel normalization with frozen statistics (eval mode with
+    running statistics): one per-channel affine map ``x * scale + shift``."""
     ndim = x.values.ndim
     axes = (0,) + tuple(range(2, ndim))
     shape = (1, -1) + (1,) * (ndim - 2)
-    if not batch_stats:
-        std = np.sqrt(var + BN_EPS)
-        scale = gamma.values / std
-        shift = (beta.values - mean * scale).reshape(shape)
-        scale = scale.reshape(shape)
-        out = x.values * scale
-        out += shift
-
-        def affine_vjp(g):
-            xhat = (x.values - mean.reshape(shape)) / std.reshape(shape)
-            return g * scale, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-        return node(out, (x, gamma, beta), affine_vjp)
-
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.values - mean.reshape(shape)) * inv.reshape(shape)
-    out = gamma.values.reshape(shape) * xhat + beta.values.reshape(shape)
+    std = np.sqrt(var + BN_EPS)
+    scale = gamma.values / std
+    shift = (beta.values - mean * scale).reshape(shape)
+    scale = scale.reshape(shape)
+    out = x.values * scale
+    out += shift
 
     def vjp(g):
-        gxhat = g * gamma.values.reshape(shape)
-        m = gxhat.mean(axis=axes, keepdims=True)
-        mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
-        gx = inv.reshape(shape) * (gxhat - m - xhat * mx)
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        xhat = (x.values - mean.reshape(shape)) / std.reshape(shape)
+        return g * scale, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return node(out, (x, gamma, beta), vjp)
+
+
+def _channel_sum(flat: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a ``(batch, channels, sites)`` array, sites first."""
+    return flat.sum(axis=2).sum(axis=0)
+
+
+def batchnorm_train_op(
+    x: Tensor, gamma: Tensor, beta: Tensor
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-channel normalization with the batch's own ``(mean, var)``,
+    returned with the output. The backward pass needs two per-channel
+    sums, ``sg = sum(g)`` and ``sgx = sum(g * xhat)``, which are also the
+    beta and gamma gradients."""
+    batch, channels = x.values.shape[:2]
+    flat = x.values.reshape(batch, channels, -1)
+    n = batch * flat.shape[2]
+    mean = _channel_sum(flat) / n
+    xhat = flat - mean[:, None]
+    var = np.einsum("bcs,bcs->c", xhat, xhat) / n
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv[:, None]
+    out = xhat * gamma.values[:, None]
+    out += beta.values[:, None]
+
+    def vjp(g):
+        gf = g.reshape(xhat.shape)
+        sg = _channel_sum(gf)
+        sgx = np.einsum("bcs,bcs->c", gf, xhat)
+        # gamma * inv * (g - sg / n - xhat * sgx / n), in one buffer.
+        gx = xhat * (sgx / n)[:, None]
+        np.subtract(gf, gx, out=gx)
+        gx -= (sg / n)[:, None]
+        gx *= (gamma.values * inv)[:, None]
+        return gx.reshape(x.values.shape), sgx, sg
+
+    return node(out.reshape(x.values.shape), (x, gamma, beta), vjp), mean, var
 
 
 def global_mean_pool_op(x: Tensor) -> Tensor:
@@ -294,19 +319,16 @@ class BatchNorm:
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
         if mode == TRAIN:
-            axes = (0,) + tuple(range(2, x.values.ndim))
-            mean = x.values.mean(axis=axes)
-            var = x.values.var(axis=axes)
+            out, mean, var = batchnorm_train_op(x, self.gamma, self.beta)
             self.running_mean = (
                 (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             )
             self.running_var = (
                 (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
             )
-            return batchnorm_op(x, self.gamma, self.beta, mean, var, batch_stats=True)
+            return out
         return batchnorm_op(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            batch_stats=False,
+            x, self.gamma, self.beta, self.running_mean, self.running_var
         )
 
     def parameters(self):

@@ -1,11 +1,14 @@
 """Acceptance suite: one test per exit criterion, each printing a
 pass/fail line (run with ``pytest -v -s tests/test_acceptance.py``).
 
-Criteria 7 and 8 train small models from scratch on the synthetic task
-and take a few minutes of CPU; everything else is seconds.
+Criteria 7 and 8 train six small models each from scratch on the
+synthetic task, on a thread pool, and take most of the suite's time;
+everything else is seconds.
 """
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,25 +280,43 @@ def _train_cell(kernel, dropout, seed, dataset):
     return model
 
 
+def _trained_sweeps(kernel, resolutions):
+    """Sweeps of the dropout-0.3 and the no-dropout cell for seeds 0-2,
+    keyed ``(seed, dropout)`` in seed-major order. The cells train on a
+    thread pool; each is deterministic, so the readings do not depend on
+    the pool."""
+    datasets = [
+        generate_dataset(
+            SynthDatasetSpec(classes=CLASSES, samples_per_class=256,
+                             noise=0.1, seed=seed)
+        )
+        for seed in range(3)
+    ]
+
+    def run(job):
+        seed, dropout = job
+        dataset = datasets[seed]
+        model = _train_cell(kernel, dropout, seed, dataset)
+        return evaluate_sweep(
+            model, dataset.test.inputs, dataset.test.labels,
+            resolutions, measure_time=False,
+        )
+
+    jobs = [(seed, p) for seed in range(3) for p in (0.3, None)]
+    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        return dict(zip(jobs, pool.map(run, jobs)))
+
+
 @pytest.mark.slow
 class TestCriterion7RobustnessDirection:
     def test_dropout_gains_at_coarse_resolution(self):
         start = time.perf_counter()
         full_acc = {"drop": [], "plain": []}
         coarse_acc = {"drop": [], "plain": []}
-        for seed in range(3):
-            dataset = generate_dataset(
-                SynthDatasetSpec(classes=CLASSES, samples_per_class=256,
-                                 noise=0.1, seed=seed)
-            )
-            for label, p in (("drop", 0.3), ("plain", None)):
-                model = _train_cell(PERFECT, p, seed, dataset)
-                sweep = evaluate_sweep(
-                    model, dataset.test.inputs, dataset.test.labels,
-                    [64, 16], measure_time=False,
-                )
-                full_acc[label].append(sweep.accuracy_at("64", FULL))
-                coarse_acc[label].append(sweep.accuracy_at("16", ADAPTED))
+        for (_, p), sweep in _trained_sweeps(PERFECT, [64, 16]).items():
+            label = "plain" if p is None else "drop"
+            full_acc[label].append(sweep.accuracy_at("64", FULL))
+            coarse_acc[label].append(sweep.accuracy_at("16", ADAPTED))
         gain = 100 * (np.mean(coarse_acc["drop"]) - np.mean(coarse_acc["plain"]))
         cost = 100 * (np.mean(full_acc["plain"]) - np.mean(full_acc["drop"]))
         elapsed = time.perf_counter() - start
@@ -312,22 +333,12 @@ class TestCriterion8DualRegularizationDirection:
     def test_matched_error_regimes_win_with_gaussian_kernel(self):
         start = time.perf_counter()
         cells = {("on", ADAPTED): [], ("off", ADAPTED): [], ("off", FULL): []}
-        for seed in range(3):
-            dataset = generate_dataset(
-                SynthDatasetSpec(classes=CLASSES, samples_per_class=256,
-                                 noise=0.1, seed=seed)
-            )
-            for label, p in (("on", 0.3), ("off", None)):
-                model = _train_cell(GAUSS, p, seed, dataset)
-                sweep = evaluate_sweep(
-                    model, dataset.test.inputs, dataset.test.labels,
-                    [64, 32, 16], measure_time=False,
-                )
-                if label == "on":
-                    cells[("on", ADAPTED)].append(sweep.mean_accuracy(ADAPTED))
-                else:
-                    cells[("off", ADAPTED)].append(sweep.mean_accuracy(ADAPTED))
-                    cells[("off", FULL)].append(sweep.mean_accuracy(FULL))
+        for (_, p), sweep in _trained_sweeps(GAUSS, [64, 32, 16]).items():
+            if p is not None:
+                cells[("on", ADAPTED)].append(sweep.mean_accuracy(ADAPTED))
+            else:
+                cells[("off", ADAPTED)].append(sweep.mean_accuracy(ADAPTED))
+                cells[("off", FULL)].append(sweep.mean_accuracy(FULL))
         drop_adapted = float(np.mean(cells[("on", ADAPTED)]))
         plain_adapted = float(np.mean(cells[("off", ADAPTED)]))
         plain_full = float(np.mean(cells[("off", FULL)]))

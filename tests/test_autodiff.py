@@ -70,6 +70,108 @@ class TestEngine:
         assert err <= 1e-8
 
 
+def _graph(root):
+    """Every node reachable from ``root``, in the order backward visits them."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    return topo
+
+
+def _reference_grads(root, seed):
+    """Gradients by out-of-place accumulation into copies, in backward's order."""
+    grads = {id(root): seed.copy()}
+    for node in reversed(_graph(root)):
+        g = grads.get(id(node))
+        if node._vjp is None or g is None:
+            continue
+        for parent, contribution in zip(node._parents, node._vjp(g)):
+            if contribution is None:
+                continue
+            key = id(parent)
+            grads[key] = (
+                contribution.copy() if key not in grads else grads[key] + contribution
+            )
+    return grads
+
+
+def _small_model_loss():
+    from arrn.grids import ResolutionLadder
+    from arrn.model import ArrnModel, DropoutMask
+
+    rng = np.random.default_rng(5)
+    model = ArrnModel(
+        ResolutionLadder.from_extents([16, 8]), 1, (3, 4), 3, PERFECT,
+        rng, dtype=np.float32,
+    )
+    logits = model.forward_graph(
+        rng.standard_normal((6, 1, 16)).astype(np.float32),
+        DropoutMask.all_on(1), mode=layers.TRAIN, rng=np.random.default_rng(6),
+    )
+    return layers.softmax_cross_entropy(logits, np.array([0, 1, 2, 0, 1, 2]))
+
+
+def _backward_cases():
+    """Graphs whose leaves receive several, partly aliased, contributions."""
+    rng = np.random.default_rng(31)
+
+    def leaf(*shape):
+        return Parameter(rng.standard_normal(shape))
+
+    a, b, x, y = leaf(2, 3, 4), leaf(2, 3, 4), leaf(2, 3, 4), leaf(2, 3, 4)
+    w = leaf(5, 3)
+    return {
+        # add returns (g, g): the seed reaches ``a`` twice.
+        "add_self": add(a, a),
+        # The seed reaches ``b`` as is, then ``b`` gets two more terms.
+        "seed_reaches_leaf": add(b, mul(b, b)),
+        # The sum hands one array to ``x`` and ``y`` before their other terms.
+        "sum_with_further_uses": scale(add(add(x, y), mul(x, y)), 1.5),
+        "leaf_in_three_ops": add(
+            add(mul(x, y), scale(x, 2.5)),
+            project_channels(layers.silu_op(x), Parameter(np.eye(3))),
+        ),
+        "channel_mix_reused": add(
+            project_channels(x, w), project_channels(layers.silu_op(x), w)
+        ),
+        "train_step": _small_model_loss(),
+    }
+
+
+class TestBackwardAccumulation:
+    @pytest.mark.parametrize("name", list(_backward_cases()))
+    def test_matches_out_of_place_reference(self, name):
+        root = _backward_cases()[name]
+        seed = np.random.default_rng(8).standard_normal(root.shape)
+        seed = seed.astype(root.dtype)
+        kept = seed.copy()
+        expected = _reference_grads(root, seed)
+        nodes = _graph(root)
+        root.backward(seed)
+        np.testing.assert_array_equal(seed, kept)
+        for node in nodes:
+            if node is root or node._vjp is None:
+                np.testing.assert_array_equal(node.grad, expected[id(node)])
+            else:
+                assert node.grad is None
+
+    def test_leaf_grads_accumulate_across_calls(self):
+        a = Parameter(np.array([1.0, 2.0]))
+        first = mul(a, a)
+        first.backward(np.ones(2))
+        held = a.grad
+        kept = held.copy()
+        add(a, scale(a, 2.0)).backward(np.ones(2))
+        np.testing.assert_array_equal(a.grad, 2 * a.values + 3.0)
+        np.testing.assert_array_equal(held, kept)
+
+
 class TestAdjoints:
     """<A x, y> = <x, A^T y> for every linear resampling operator."""
 
@@ -262,11 +364,8 @@ def _ops():
         "project_channels_bias": lambda: project_channels(x, w, b),
         "silu": lambda: layers.silu_op(x),
         "depthwise_conv": lambda: layers.depthwise_conv_op(x, dw, None),
-        "batchnorm_eval": lambda: layers.batchnorm_op(x, gamma, beta, *stats, False),
-        "batchnorm_train": lambda: layers.batchnorm_op(
-            x, gamma, beta, x.values.mean(axis=(0, 2)), x.values.var(axis=(0, 2)),
-            True,
-        ),
+        "batchnorm_eval": lambda: layers.batchnorm_op(x, gamma, beta, *stats),
+        "batchnorm_train": lambda: layers.batchnorm_train_op(x, gamma, beta)[0],
         "global_mean_pool": lambda: layers.global_mean_pool_op(x),
         "dropout": lambda: layers.dropout_op(x, 0.5, np.random.default_rng(0)),
         "cross_entropy": lambda: layers.softmax_cross_entropy(logits, np.array([1, 3])),

@@ -424,9 +424,13 @@ TINY_BENCH = ("bench", "--levels", "16,8", "--features", "2,2",
     (*TINY_VERIFY, "--seed", "-1"),
     (*TINY_TRAIN, "--seed", "-1"),
     (*TINY_TRAIN, "--data-seed", "-1"),
+    (*TINY_TRAIN, "--input-features", "0"),
+    (*TINY_TRAIN, "--noise", "nan"),
+    (*TINY_TRAIN, "--noise", "-1"),
     (*TINY_BENCH, "--classes", "0"),
     (*TINY_BENCH, "--seed", "-1"),
     (*TINY_ABLATE, "--seeds", "0,-1"),
+    (*TINY_ABLATE, "--noise", "inf"),
 ])
 def test_rejected_size_or_seed_is_usage_error(tmp_path, capsys, argv):
     outputs = {
@@ -439,6 +443,19 @@ def test_rejected_size_or_seed_is_usage_error(tmp_path, capsys, argv):
     assert run(*argv, *outputs) == 64
     assert capsys.readouterr().err.startswith("usage error:")
     assert not any(tmp_path.iterdir())
+
+
+def test_rejected_model_leaves_an_existing_cache_as_is(tmp_path, capsys):
+    cache, ckpt = tmp_path / "cache", tmp_path / "model.arnn"
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", ckpt) == 0
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    ckpt.unlink()
+    capsys.readouterr()
+    assert run(*TINY_TRAIN, "--input-features", "0", "--data-cache", cache,
+               "--out", ckpt) == 64
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+    assert not ckpt.exists()
 
 
 class TestAblateSmoke:

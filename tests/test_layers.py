@@ -44,6 +44,14 @@ class TestSiLU:
         p = Parameter(rng_for(0).standard_normal((2, 3, 4)))
         assert gradient_check(lambda: silu_op(p), [p]) <= 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_equals_the_textbook_expression(self, dtype):
+        x = Parameter(rng_for(18).standard_normal((4, 3, 8)).astype(dtype))
+        g = rng_for(19).standard_normal((4, 3, 8)).astype(dtype)
+        silu_op(x).backward(g)
+        s = 1.0 / (1.0 + np.exp(-x.values))
+        np.testing.assert_array_equal(x.grad, g * (s * (1.0 + x.values * (1.0 - s))))
+
 
 class TestPointwiseConv:
     def test_identity_initialization_passthrough(self):
@@ -80,6 +88,24 @@ class TestDepthwiseConv:
         x = Parameter(rng_for(9).standard_normal(shape))
         params = [x, layer.weight, layer.bias]
         assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+
+    @pytest.mark.parametrize("padding", ["replicate", "zero"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_forward_equals_the_tap_sum(self, dims, dtype, padding):
+        layer = DepthwiseConv(3, dims, rng_for(20), dtype=dtype, padding=padding)
+        layer.bias.assign(rng_for(21).standard_normal(3))
+        x = rng_for(22).standard_normal((2, 3) + (5,) * dims).astype(dtype)
+        mode = "edge" if padding == "replicate" else "constant"
+        padded = np.pad(x, [(0, 0)] * 2 + [(1, 1)] * dims, mode=mode)
+        expected = np.zeros_like(x)
+        for off in np.ndindex(*(3,) * dims):
+            window = padded[(slice(None),) * 2 + tuple(slice(o, o + 5) for o in off)]
+            tap = layer.weight.values[(slice(None),) + off]
+            expected = expected + tap.reshape((1, 3) + (1,) * dims) * window
+        expected = expected + layer.bias.values.reshape((1, 3) + (1,) * dims)
+        out = layer.forward(Tensor(x)).values
+        np.testing.assert_array_equal(out, expected)
 
     def test_gradcheck_zero_padding(self):
         layer = DepthwiseConv(2, 1, rng_for(10), padding="zero")
@@ -125,6 +151,43 @@ class TestBatchNorm:
         x = Tensor(np.full((1, 1, 4), 6.0))
         out = layer.forward(x, mode="eval").values
         np.testing.assert_allclose(out, (6.0 - 2.0) / np.sqrt(4.0 + 1e-5), atol=1e-9)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", [(8, 3, 16), (4, 3, 6, 5)])
+    def test_train_matches_textbook_statistics(self, shape, dtype, tol):
+        rng = rng_for(16)
+        x = (3.0 * rng.standard_normal(shape) + 1.5).astype(dtype)
+        layer = BatchNorm(3, dtype=dtype)
+        layer.gamma.assign(rng.uniform(0.5, 1.5, 3))
+        layer.beta.assign(rng.standard_normal(3))
+        axes = (0,) + tuple(range(2, len(shape)))
+        per_channel = (1, 3) + (1,) * (len(shape) - 2)
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        xhat = (x - mean.reshape(per_channel)) / np.sqrt(
+            var.reshape(per_channel) + 1e-5
+        )
+        expected = (
+            layer.gamma.values.reshape(per_channel) * xhat
+            + layer.beta.values.reshape(per_channel)
+        )
+        out = layer.forward(Tensor(x), mode="train").values
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
+        np.testing.assert_allclose(layer.running_mean, 0.1 * mean, rtol=tol, atol=tol)
+        np.testing.assert_allclose(
+            layer.running_var, 0.9 + 0.1 * var, rtol=tol, atol=tol
+        )
+        plain = BatchNorm(3, dtype=dtype)
+        got = plain.forward(Tensor(x), mode="train").values
+        np.testing.assert_allclose(got, xhat, rtol=tol, atol=tol)
+
+    def test_train_gradcheck_on_a_2d_map(self):
+        layer = BatchNorm(2)
+        layer.gamma.assign(np.array([1.3, 0.7]))
+        layer.beta.assign(np.array([-0.2, 0.4]))
+        x = Parameter(rng_for(17).standard_normal((3, 2, 4, 3)))
+        params = [x, layer.gamma, layer.beta]
+        assert gradient_check(lambda: layer.forward(x, mode="train"), params) <= 1e-6
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_gradcheck(self, mode):
