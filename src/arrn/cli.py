@@ -107,7 +107,10 @@ def _parse_ladder(text: str) -> ResolutionLadder:
 
 
 def _parse_resolutions(text: str) -> list[tuple[int, ...]]:
-    return [_parse_extents(tok) for tok in text.split(",") if tok.strip()]
+    resolutions = [_parse_extents(tok) for tok in text.split(",") if tok.strip()]
+    if not resolutions:
+        raise UsageError(f"--resolutions names no resolution: {text!r}")
+    return resolutions
 
 
 def _parse_features(text: str) -> tuple[int, ...]:
@@ -429,10 +432,10 @@ def _modes_from_args(args):
 
 def cmd_eval(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
+    resolutions = _parse_resolutions(args.resolutions)
     dataset = _realize_dataset(
         args, *_dataset_plan(args, model.ladder, need_test=True)
     )
-    resolutions = _parse_resolutions(args.resolutions)
     dropout_label = "on" if manifest.get("dropout") else "off"
     result = evaluate_sweep(
         model,
@@ -461,6 +464,7 @@ def cmd_bench(args) -> int:
     if args.batch < 1:
         raise UsageError("--batch must be positive")
     _require_seed(args.seed)
+    resolutions = _parse_resolutions(args.resolutions)
     if args.checkpoint:
         model, _ = load_checkpoint(args.checkpoint)
     else:
@@ -477,7 +481,7 @@ def cmd_bench(args) -> int:
         model,
         inputs,
         np.zeros(args.batch, dtype=np.int64),
-        _parse_resolutions(args.resolutions),
+        resolutions,
         policy=args.policy,
         measure_time=not args.no_timing,
         batch_size=args.batch,

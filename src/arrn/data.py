@@ -53,6 +53,12 @@ class SynthDatasetSpec:
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        elements = (
+            self.classes * self.samples_per_class * self.features
+            * math.prod(self.base_extents)
+        )
+        if elements > np.iinfo(np.intp).max:
+            raise ValueError(f"the input array's {elements} elements cannot be indexed")
         if self.signatures is not None:
             rows = len(self.signatures)
             if rows != self.classes or any(

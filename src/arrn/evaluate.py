@@ -4,8 +4,8 @@ Low-resolution test inputs are always synthesized by perfect-kernel
 downsampling of the base-resolution test signals, independent of the
 model's own smoothing kernel. ``full`` mode interpolates each input back
 to the finest grid and evaluates every residual; ``adapted`` mode routes
-through :func:`arrn.model.entry_level` and skips the residuals above the
-entry level.
+through :func:`arrn.model.entry_level` and evaluates the model cast to
+the entry level (:meth:`arrn.model.ArrnModel.cast`).
 
 MAC totals follow the conventions in :mod:`arrn.macs`; the closed-form
 counts here must match the instrumented counter exactly (asserted in the
@@ -112,40 +112,29 @@ def _downsample_macs(
 def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
     """Single-sample multiply-accumulate total for one evaluation path.
 
-    ``mode="full"`` is the all-residual path from the finest grid;
-    ``mode="adapted"`` enters at ladder level ``entry`` through the
-    composed projection (entry 0 is definitionally the full path).
+    The count of :func:`arrn.model.forward_full` on ``model.cast(u)``:
+    ``mode="adapted"`` enters at ``u = entry``, ``mode="full"`` at
+    ``u = 0``. Each residual supplies its own kernel and grids.
     """
-    ladder = model.ladder
-    total = 0
-    if mode == FULL or entry == 0:
-        total += _lowpass_macs(
-            model.kernel, ladder[0], ladder[0], model.input_features
-        )
-        total += macs.pointwise_macs(
-            ladder[0].num_samples, model.input_features, model.features[0]
-        )
-        start = 0
-    elif mode == ADAPTED:
-        total += macs.pointwise_macs(
-            ladder[entry].num_samples, model.input_features, model.features[entry]
-        )
-        start = entry
-    else:
+    if mode not in (FULL, ADAPTED):
         raise ValueError(f"unknown mode {mode!r}")
-    for i in range(start, len(model.residuals)):
-        res = model.residuals[i]
-        fine, coarse = ladder[i], ladder[i + 1]
-        total += _lowpass_macs(model.kernel, fine, coarse, res.in_features)
+    model = model.cast(entry if mode == ADAPTED else 0)
+    base = model.ladder[0]
+    total = macs.pointwise_macs(
+        base.num_samples, model.input_features, model.features[0]
+    )
+    if model.base_lowpass:
+        total += _lowpass_macs(model.kernel, base, base, model.input_features)
+    for res in model.residuals:
+        fine, coarse = res.in_grid, res.out_grid
+        total += _lowpass_macs(res.kernel, fine, coarse, res.in_features)
         total += res.block.count_macs(fine.num_samples)
-        total += _downsample_macs(model.kernel, fine, coarse, res.in_features)
+        total += _downsample_macs(res.kernel, fine, coarse, res.in_features)
         total += macs.pointwise_macs(
             coarse.num_samples, res.in_features, res.out_features
         )
-    top_sites = ladder[ladder.top_level].num_samples
-    total += macs.pointwise_macs(
-        top_sites, model.features[-1], model.features[-1]
-    )
+    top_sites = model.ladder[-1].num_samples
+    total += macs.pointwise_macs(top_sites, model.features[-1], model.features[-1])
     total += model.head.count_macs(top_sites)
     return total
 

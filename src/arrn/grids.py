@@ -65,6 +65,7 @@ class ResolutionLadder:
     """Ordered chain of grids, finest first, each coarser grid an exact divisor.
 
     Index 0 is the finest level; indices increase toward coarser grids.
+    One level is a ladder too, that of a model cast to its coarsest level.
     """
 
     levels: tuple[GridSpec, ...]
@@ -72,8 +73,8 @@ class ResolutionLadder:
     def __post_init__(self):
         if not isinstance(self.levels, tuple):
             object.__setattr__(self, "levels", tuple(self.levels))
-        if len(self.levels) < 2:
-            raise GridError("a resolution ladder needs at least two levels")
+        if not self.levels:
+            raise GridError("a resolution ladder needs at least one level")
         dims = self.levels[0].dims
         for finer, coarser in zip(self.levels, self.levels[1:]):
             if coarser.dims != dims:

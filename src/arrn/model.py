@@ -10,8 +10,9 @@ Because a residual whose band difference is zero collapses to its
 projection applied to the downsampled input, a chain evaluated on an
 input that is bandlimited to level ``u``'s grid can skip residuals
 ``0..u-1`` entirely: their combined effect is the single matrix
-``P_{u-1} ... P_0 A`` (``A`` being the input projection). With the
-perfect smoothing kernel the skipped and unskipped paths agree to
+``P_{u-1} ... P_0 A`` (``A`` being the input projection), the input
+projection of the cast model :meth:`ArrnModel.cast` over ``ladder[u:]``.
+With the perfect smoothing kernel the model and its cast agree to
 floating-point accuracy; approximate kernels perturb every skipped level
 by a small error signal, which is measured (never asserted away) by
 :func:`equivalence_report`.
@@ -24,6 +25,7 @@ randomly lowered resolution.
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 from dataclasses import dataclass
@@ -222,6 +224,8 @@ class ArrnModel:
                 f"input_features and classes must be >= 1, got "
                 f"{input_features} and {classes}"
             )
+        if input_features > np.iinfo(np.intp).max:
+            raise ValueError(f"input_features {input_features} is too large to index")
         self.ladder = ladder
         self.kernel = kernel
         self.input_features = input_features
@@ -264,6 +268,7 @@ class ArrnModel:
         self.head = GlobalPoolHead(
             features[-1], classes, rng, dtype, dropout_p=head_dropout
         )
+        self.base_lowpass = True
         self.version = 0
         self._composed_cache: dict[int, tuple[int, np.ndarray]] = {}
 
@@ -326,19 +331,31 @@ class ArrnModel:
         self._composed_cache[entry_level] = (self.version, matrix)
         return matrix
 
-    # -- forward paths ---------------------------------------------------------
+    def cast(self, entry: int) -> "ArrnModel":
+        """This model without residuals ``0..entry-1``: the ARRN over
+        ``ladder[entry:]`` with input projection :meth:`composed_projection`.
 
-    def _check_input(self, fmap: FeatureMap, grid: GridSpec) -> np.ndarray:
-        if fmap.grid != grid:
-            raise GridError(
-                f"input grid {fmap.grid.extents} does not match {grid.extents}"
-            )
-        if fmap.features != self.input_features:
-            raise ShapeError(
-                f"input has {fmap.features} channels, model expects "
-                f"{self.input_features}"
-            )
-        return np.asarray(fmap.values, dtype=self.dtype)
+        It shares its residuals, terminal stage and head with this model;
+        take a new cast after an update. Its input is the running low band,
+        so it applies no base low-pass (the Gaussian's blurs even at factor
+        1). It lives in memory only: :func:`save_checkpoint` refuses it.
+        """
+        if entry == 0:
+            return self
+        if not 0 < entry <= self.ladder.top_level:
+            raise GridError(f"entry level {entry} outside the ladder")
+        cast = copy.copy(self)
+        cast.ladder = ResolutionLadder(self.ladder.levels[entry:])
+        cast.features = self.features[entry:]
+        cast.residuals = self.residuals[entry:]
+        cast.input_projection = Parameter(
+            self.composed_projection(entry), name="input.proj"
+        )
+        cast.base_lowpass = False
+        cast._composed_cache = {}
+        return cast
+
+    # -- forward paths ---------------------------------------------------------
 
     def _terminal_and_head(
         self, r: Tensor, mode: str, rng: np.random.Generator | None
@@ -354,21 +371,16 @@ class ArrnModel:
         mask: DropoutMask,
         mode: str = EVAL,
         rng: np.random.Generator | None = None,
-        entry: int = 0,
     ) -> Tensor:
-        """Graph from input values on ladder level ``entry`` to logits.
-
-        Entry 0 runs the base low-pass and the input projection; a coarser
-        entry replaces them and the skipped residuals with
-        :meth:`composed_projection`. Gates of skipped residuals are unused.
-        """
+        """Graph from input values on ``ladder[0]`` to logits; every residual
+        runs, gated by ``mask``, and a :meth:`cast` skips the base low-pass."""
+        if len(mask.chain) != len(self.residuals):
+            raise ShapeError("mask length does not match residual count")
         x = Tensor(values)
-        if entry == 0:
+        if self.base_lowpass:
             x = lowpass_op(x, self.ladder[0].extents, self.kernel)
-            r = project_channels(x, self.input_projection)
-        else:
-            r = project_channels(x, Tensor(self.composed_projection(entry)))
-        for res, gate in zip(self.residuals[entry:], mask.chain[entry:]):
+        r = project_channels(x, self.input_projection)
+        for res, gate in zip(self.residuals, mask.chain):
             r = res.forward(r, gate, mode=mode, rng=rng)
         return self._terminal_and_head(r, mode, rng)
 
@@ -380,27 +392,24 @@ def forward_full(
 
     Like :func:`forward_adapted`, this is eval mode and builds no graph.
     """
-    values = model._check_input(fmap, model.ladder[0])
+    grid = model.ladder[0]
+    if fmap.grid != grid:
+        raise GridError(f"input grid {fmap.grid.extents} does not match {grid.extents}")
+    if fmap.features != model.input_features:
+        raise ShapeError(
+            f"input has {fmap.features} channels, model expects "
+            f"{model.input_features}"
+        )
     if mask is None:
         mask = DropoutMask.all_on(len(model.residuals))
-    if len(mask.chain) != len(model.residuals):
-        raise ShapeError("mask length does not match residual count")
     with no_grad():
-        return model.forward_graph(values, mask).values
+        return model.forward_graph(np.asarray(fmap.values, model.dtype), mask).values
 
 
 def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
-    """Evaluate only the residuals at or below the input's ladder level.
-
-    The input grid must coincide with a ladder level (route arbitrary
-    resolutions through :func:`entry_level` first). Entry at level 0 is
-    definitionally the full evaluation.
-    """
-    entry = model.ladder.index_of(fmap.grid)
-    values = model._check_input(fmap, model.ladder[entry])
-    mask = DropoutMask.all_on(len(model.residuals))
-    with no_grad():
-        return model.forward_graph(values, mask, entry=entry).values
+    """:func:`forward_full` of the cast to the input grid's ladder level,
+    which must be one (route other resolutions through :func:`entry_level`)."""
+    return forward_full(model.cast(model.ladder.index_of(fmap.grid)), fmap)
 
 
 def entry_level(
@@ -516,6 +525,8 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write magic, u32 manifest length, JSON manifest, raw parameter blob."""
+    if not model.base_lowpass:  # its residuals keep their levels in the model
+        raise ValueError("a cast has no ARNN1 form; save the model it came from")
     state = model.state()
     params = {p.name for p in model.parameters()}
     manifest = {

@@ -283,6 +283,22 @@ class TestTrainEval:
         assert "--samples-per-class" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("resolutions", ["", ","])
+    def test_empty_resolutions_is_usage_error(
+        self, tmp_path, capsys, trained, resolutions
+    ):
+        _, ckpt, _ = trained
+        out, cache = tmp_path / "s.csv", tmp_path / "cache"
+        assert run("eval", "--checkpoint", ckpt, "--resolutions", resolutions,
+                   "--classes", "3", "--samples-per-class", "16",
+                   "--data-seed", "1", "--data-cache", cache,
+                   "--out", out, "--no-timing") == 64
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert run("bench", "--checkpoint", ckpt, "--resolutions", resolutions,
+                   "--out", out, "--no-timing") == 64
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists() and not cache.exists()
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.arnn"
         bad.write_bytes(b"NOTACKPT")
@@ -416,19 +432,24 @@ TINY_VERIFY = ("verify-adaptation", "--levels", "16,8", "--features", "2,2",
                "--trials", "1")
 TINY_BENCH = ("bench", "--levels", "16,8", "--features", "2,2",
               "--resolutions", "16")
+HUGE = "100000000000000000000"  # 10**20, more than any array dimension
 
 
 @pytest.mark.parametrize("argv", [
     (*TINY_VERIFY, "--classes", "0"),
     (*TINY_VERIFY, "--input-features", "0"),
+    (*TINY_VERIFY, "--input-features", HUGE),
     (*TINY_VERIFY, "--seed", "-1"),
     (*TINY_TRAIN, "--seed", "-1"),
     (*TINY_TRAIN, "--data-seed", "-1"),
     (*TINY_TRAIN, "--input-features", "0"),
+    (*TINY_TRAIN, "--input-features", HUGE),
+    (*TINY_TRAIN, "--samples-per-class", HUGE),
     (*TINY_TRAIN, "--noise", "nan"),
     (*TINY_TRAIN, "--noise", "-1"),
     (*TINY_BENCH, "--classes", "0"),
     (*TINY_BENCH, "--seed", "-1"),
+    (*TINY_BENCH, "--input-features", HUGE),
     (*TINY_ABLATE, "--seeds", "0,-1"),
     (*TINY_ABLATE, "--noise", "inf"),
 ])

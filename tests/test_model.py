@@ -14,7 +14,7 @@ from arrn.autodiff import Tensor, no_grad
 from arrn.errors import FormatError, GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
-from arrn.evaluate import ADAPTED, count_macs, evaluate_sweep
+from arrn.evaluate import ADAPTED, FULL, count_macs, evaluate_sweep
 from arrn.layers import FeatureMap, zero_constancy_check
 from arrn.model import (
     ARNN_MAGIC,
@@ -326,6 +326,87 @@ class TestComposedProjection:
         np.testing.assert_allclose(second, first * 2.0, atol=1e-12)
 
 
+class TestCast:
+    """``model.cast(u)`` is the low-resolution ARRN over ``ladder[u:]``."""
+
+    def test_entry_zero_is_the_model(self):
+        model = build_model(seed=100)
+        assert model.cast(0) is model
+
+    def test_shares_residuals_terminal_stage_and_head(self):
+        model = build_model(seed=101)
+        for u in range(1, len(model.ladder)):
+            cast = model.cast(u)
+            assert cast.ladder.levels == model.ladder.levels[u:]
+            assert cast.features == model.features[u:]
+            assert len(cast.residuals) == len(model.residuals) - u
+            for i, res in enumerate(cast.residuals):
+                assert res is model.residuals[u + i]
+            assert cast.terminal_norm is model.terminal_norm
+            assert cast.terminal_projection is model.terminal_projection
+            assert cast.head is model.head
+            assert cast.input_projection.values is model.composed_projection(u)
+            assert model.base_lowpass and not cast.base_lowpass
+
+    def test_cast_after_an_update_reflects_it(self):
+        model = build_model(seed=102)
+        fmap = random_input(model, seed=103, level=1)
+        before = forward_full(model.cast(1), fmap)
+        for p in model.parameters():
+            p.assign(p.values * 1.5)
+        model.bump_version()
+        after = forward_full(model.cast(1), fmap)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, forward_adapted(model, fmap))
+        reference = build_model(seed=102)
+        for p, q in zip(reference.parameters(), model.parameters()):
+            p.assign(q.values)
+        np.testing.assert_array_equal(after, forward_adapted(reference, fmap))
+
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    def test_macs_of_the_cast_are_its_full_macs(self, kernel):
+        model = build_model(seed=104, kernel=kernel)
+        for u in range(len(model.ladder)):
+            cast = model.cast(u)
+            fmap = random_input(model, seed=105, batch=1, level=u)
+            with macs.recording() as counter:
+                forward_full(cast, fmap)
+            assert count_macs(model, u, ADAPTED) == count_macs(cast, 0, FULL)
+            assert count_macs(cast, 0, FULL) == counter.total
+        # The Gaussian blurs even at factor 1, so the counts above show that
+        # a cast skips the base low-pass its own finest grid would get.
+        if kernel is GAUSS:
+            coarse = model.cast(1)
+            assert not coarse.base_lowpass
+            own = ArrnModel(coarse.ladder, 1, coarse.features, 3, GAUSS,
+                            np.random.default_rng(0))
+            assert count_macs(own, 0, FULL) > count_macs(coarse, 0, FULL)
+
+    def test_coarsest_cast_has_no_residuals_and_runs(self):
+        model = build_model(seed=106)
+        top = model.ladder.top_level
+        cast = model.cast(top)
+        assert cast.residuals == [] and len(cast.ladder) == 1
+        fmap = random_input(model, seed=107, level=top)
+        logits = forward_full(cast, fmap)
+        assert logits.shape == (2, 3) and np.all(np.isfinite(logits))
+        np.testing.assert_array_equal(logits, forward_adapted(model, fmap))
+
+    def test_entry_outside_the_ladder(self):
+        model = build_model(seed=108)
+        for entry in (-1, len(model.ladder)):
+            with pytest.raises(GridError):
+                model.cast(entry)
+
+    def test_save_refuses_a_cast(self, tmp_path):
+        model = build_model(seed=109)
+        path = tmp_path / "cast.arnn"
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model.cast(1))
+        assert not any(tmp_path.iterdir())
+
+
 class TestInputValidation:
     def test_wrong_grid(self):
         model = build_model(seed=60)
@@ -344,6 +425,10 @@ class TestInputValidation:
         fmap = random_input(model)
         with pytest.raises(ShapeError):
             forward_full(model, fmap, mask=DropoutMask((1,), (1,)))
+        # A cast has fewer residuals: the model's mask would shift its gates.
+        coarse = random_input(model, level=1)
+        with pytest.raises(ShapeError):
+            model.cast(1).forward_graph(coarse.values, DropoutMask.all_on(2))
 
 
 class TestDeterminism:
@@ -372,10 +457,11 @@ class TestGraphFreeEval:
     def test_graph_logits_equal_no_graph_logits_bitwise(self, dtype, kernel, extents):
         model = build_model(seed=90, kernel=kernel, dtype=dtype,
                             ladder=ResolutionLadder.from_extents(extents))
-        mask = DropoutMask.all_on(len(model.residuals))
         for entry in range(len(model.ladder)):
             fmap = random_input(model, seed=91 + entry, level=entry)
-            graph = model.forward_graph(fmap.values, mask, entry=entry)
+            cast = model.cast(entry)
+            mask = DropoutMask.all_on(len(cast.residuals))
+            graph = cast.forward_graph(fmap.values, mask)
             assert graph._vjp is not None
             bare = forward_full(model, fmap) if entry == 0 else forward_adapted(
                 model, fmap)
@@ -409,13 +495,14 @@ class TestGraphFreeEval:
                              ids=lambda k: k.variant)
     def test_instrumented_macs_equal_count_macs(self, kernel):
         model = build_model(seed=96, kernel=kernel)
-        mask = DropoutMask.all_on(len(model.residuals))
         for entry in range(len(model.ladder)):
             fmap = random_input(model, seed=97, batch=1, level=entry)
+            cast = model.cast(entry)
+            mask = DropoutMask.all_on(len(cast.residuals))
             with macs.recording() as bare, no_grad():
-                model.forward_graph(fmap.values, mask, entry=entry)
+                cast.forward_graph(fmap.values, mask)
             with macs.recording() as graph:
-                model.forward_graph(fmap.values, mask, entry=entry)
+                cast.forward_graph(fmap.values, mask)
             assert bare.total == graph.total == count_macs(model, entry, ADAPTED)
 
     def test_training_on_a_worker_ignores_the_callers_no_grad(self):
@@ -518,6 +605,18 @@ class TestCheckpoint:
             assert manifest["dropout"] == [0.3, 0.3]
             after = forward_full(again, fmap)
             np.testing.assert_array_equal(before, after)
+
+    def test_one_level_roundtrip(self, tmp_path):
+        model = build_model(seed=77, ladder=ResolutionLadder.from_extents([8]),
+                            features=(4,))
+        assert model.residuals == []
+        fmap = random_input(model, seed=78)
+        path = tmp_path / "one.arnn"
+        save_checkpoint(path, model)
+        again, manifest = load_checkpoint(path)
+        assert manifest["ladder"] == [[8]] and manifest["blocks"] == []
+        np.testing.assert_array_equal(forward_full(model, fmap),
+                                      forward_full(again, fmap))
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         model = build_model(seed=72)

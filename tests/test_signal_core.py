@@ -181,7 +181,8 @@ class TestGrids:
         with pytest.raises(GridError):
             ResolutionLadder.from_extents([64, 24])
         with pytest.raises(GridError):
-            ResolutionLadder.from_extents([64])
+            ResolutionLadder.from_extents([])
+        assert len(ResolutionLadder.from_extents([64])) == 1
 
     def test_ladder_lookup(self):
         ladder = ResolutionLadder.from_extents([(32, 32), (16, 16), (8, 8)])
