@@ -52,7 +52,7 @@ from .model import (
 )
 from .pyramid import decompose, load_pyramid, reconstruct, save_pyramid
 from .resample import downsample
-from .signal import atomic_write, read_arsg, write_arsg
+from .signal import DTYPES, atomic_write, read_arsg, write_arsg, write_csv
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -61,6 +61,8 @@ EXIT_FORMAT = 2
 EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 EXIT_USAGE = 64
+
+_MODES = {"full": (FULL,), "adapted": (ADAPTED,), "both": (FULL, ADAPTED)}
 
 
 class UsageError(Exception):
@@ -113,11 +115,31 @@ def _parse_resolutions(text: str) -> list[tuple[int, ...]]:
     return resolutions
 
 
-def _parse_features(text: str) -> tuple[int, ...]:
+def _parse_features(text: str, ladder: ResolutionLadder) -> tuple[int, ...]:
+    """One width per ladder level. The count is checked here: ArrnModel
+    raises ShapeError (exit 3) for it, and ``ablate`` builds on pool threads."""
     features = _parse_ints((p for p in text.split(",") if p.strip()), text)
-    if any(f < 1 for f in features):
-        raise UsageError(f"--features widths must be positive, got {text!r}")
+    if len(features) != len(ladder):
+        raise UsageError(f"--features needs {len(ladder)} entries for this ladder")
     return features
+
+
+def _output_path(text: str, directory: bool = False) -> Path:
+    """A file to write, or with ``directory`` a directory to write into. An
+    empty path (the working directory), an existing path of the other kind,
+    or a file's missing directory is refused before anything runs."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names nothing to write")
+    path = Path(text)
+    if path.exists() and path.is_dir() != directory:
+        kind = "not a directory" if directory else "a directory"
+        raise argparse.ArgumentTypeError(f"{text!r} is {kind}")
+    if not (directory or path.parent.is_dir()):
+        raise argparse.ArgumentTypeError(f"{text!r} is in no existing directory")
+    return path
+
+
+_output_dir = partial(_output_path, directory=True)
 
 
 def _require_tolerance(tol: float | None) -> None:
@@ -145,12 +167,8 @@ def _kernel_from_args(args) -> SmoothingKernelSpec:
 
 
 def _add_kernel_flags(parser):
-    parser.add_argument(
-        "--kernel",
-        choices=VARIANTS,
-        default="perfect",
-        help="smoothing kernel realization",
-    )
+    parser.add_argument("--kernel", choices=VARIANTS, default="perfect",
+                        help="smoothing kernel realization")
     parser.add_argument("--taps", type=int, default=9,
                         help="windowed-sinc taps per axis (odd)")
     parser.add_argument("--sigma-factor", type=float, default=0.6,
@@ -168,7 +186,7 @@ def _add_task_flags(parser):
 def _add_dataset_flags(parser):
     _add_task_flags(parser)
     parser.add_argument("--data-seed", type=int, default=0)
-    parser.add_argument("--data-cache", type=Path, default=None,
+    parser.add_argument("--data-cache", type=_output_dir, default=None,
                         help="dataset directory: an existing cache is loaded "
                              "as is and the dataset flags are ignored; "
                              "otherwise the generated dataset is saved there")
@@ -198,7 +216,7 @@ def _add_train_flags(parser):
     parser.add_argument("--weight-decay", type=float, default=1e-3)
     parser.add_argument("--dropout", default="0.3",
                         help="per-level gate drop probability, or 'none'")
-    parser.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    parser.add_argument("--dtype", choices=tuple(DTYPES), default="f32")
 
 
 def _dataset_spec_from_args(args, ladder: ResolutionLadder, seed: int):
@@ -254,12 +272,9 @@ def _dropout_from_args(args) -> float | None:
     if str(args.dropout).lower() in ("none", "off"):
         return None
     try:
-        value = float(args.dropout)
+        return float(args.dropout)
     except ValueError as exc:
         raise UsageError(f"bad --dropout value {args.dropout!r}") from exc
-    if not 0.0 <= value <= 1.0:
-        raise UsageError("--dropout must lie in [0, 1] or be 'none'")
-    return value
 
 
 def _train_config_from_args(args, dropout, seed: int) -> TrainConfig:
@@ -277,16 +292,11 @@ def _train_config_from_args(args, dropout, seed: int) -> TrainConfig:
 
 
 def _model_from_args(args, ladder, kernel, classes, dtype, seed) -> ArrnModel:
-    features = _parse_features(args.features)
-    if len(features) != len(ladder):
-        raise UsageError(
-            f"--features needs {len(ladder)} entries for this ladder"
-        )
     return _build(
         ArrnModel,
         ladder=ladder,
         input_features=args.input_features,
-        features=features,
+        features=_parse_features(args.features, ladder),
         classes=classes,
         kernel=kernel,
         rng=np.random.default_rng(seed),
@@ -342,24 +352,14 @@ def cmd_verify_adaptation(args) -> int:
     _require_seed(args.seed)
     ladder = _parse_ladder(args.levels)
     kernel = _kernel_from_args(args)
-    dtype = np.float32 if args.dtype == "f32" else np.float64
-    features = _parse_features(args.features)
-    if len(features) != len(ladder):
-        raise UsageError(f"--features needs {len(ladder)} entries")
+    features = _parse_features(args.features, ladder)
     worst = 0.0
     failures = 0
     for trial in range(args.trials):
         rng = np.random.default_rng(args.seed + 1000 * trial)
-        model = _build(
-            ArrnModel,
-            ladder=ladder,
-            input_features=args.input_features,
-            features=features,
-            classes=args.classes,
-            kernel=kernel,
-            rng=rng,
-            dtype=dtype,
-        )
+        model = _build(ArrnModel, ladder=ladder, input_features=args.input_features,
+                       features=features, classes=args.classes, kernel=kernel,
+                       rng=rng, dtype=DTYPES[args.dtype])
         randomize_for_verification(model, rng)
         for level in range(1, ladder.top_level + 1):
             report = equivalence_report(
@@ -398,36 +398,27 @@ def cmd_train(args) -> int:
     )
     dataset = _realize_dataset(args, spec, dataset)
     result = train(model, dataset.train.inputs, dataset.train.labels, config)
-    dropout_config = (
-        DropoutConfig.uniform(dropout, len(model.residuals))
-        if dropout is not None
-        else None
-    )
     save_checkpoint(
         args.out,
         model,
-        dropout=dropout_config,
+        dropout=None if dropout is None else DropoutConfig.uniform(
+            dropout, len(model.residuals)
+        ),
         extra={"train_config": config.describe(), "dataset": dataset.spec.describe()},
     )
     if args.loss_csv:
-        lines = ["epoch,loss,learning_rate"]
-        for epoch, (loss, lr) in enumerate(
-            zip(result.epoch_losses, result.learning_rates)
-        ):
-            lines.append(f"{epoch},{loss!r},{lr!r}")
-        atomic_write(args.loss_csv, "\n".join(lines) + "\n")
+        write_csv(args.loss_csv, "epoch,loss,learning_rate", (
+            f"{epoch},{loss!r},{lr!r}"
+            for epoch, (loss, lr) in enumerate(
+                zip(result.epoch_losses, result.learning_rates)
+            )
+        ))
     print(
         f"trained {config.epochs} epochs; final loss "
         f"{result.epoch_losses[-1]:.4f}; train accuracy "
         f"{result.final_train_accuracy:.3f}; checkpoint -> {args.out}"
     )
     return EXIT_OK
-
-
-def _modes_from_args(args):
-    if args.mode == "both":
-        return (FULL, ADAPTED)
-    return (FULL,) if args.mode == "full" else (ADAPTED,)
 
 
 def cmd_eval(args) -> int:
@@ -442,7 +433,7 @@ def cmd_eval(args) -> int:
         dataset.test.inputs,
         dataset.test.labels,
         resolutions,
-        modes=_modes_from_args(args),
+        modes=_MODES[args.mode],
         policy=args.policy,
         dropout_label=dropout_label,
         measure_time=not args.no_timing,
@@ -470,12 +461,13 @@ def cmd_bench(args) -> int:
     else:
         ladder = _parse_ladder(args.levels)
         kernel = _kernel_from_args(args)
-        dtype = np.float32 if args.dtype == "f32" else np.float64
-        model = _model_from_args(args, ladder, kernel, args.classes, dtype, args.seed)
+        model = _model_from_args(
+            args, ladder, kernel, args.classes, DTYPES[args.dtype], args.seed
+        )
         randomize_for_verification(model, np.random.default_rng(args.seed))
-    rng = np.random.default_rng(args.seed)
-    inputs = rng.standard_normal(
-        (args.batch, model.input_features) + model.ladder[0].extents
+    inputs = _build(
+        np.random.default_rng(args.seed).standard_normal,
+        size=(args.batch, model.input_features) + model.ladder[0].extents,
     )
     result = evaluate_sweep(
         model,
@@ -486,39 +478,38 @@ def cmd_bench(args) -> int:
         measure_time=not args.no_timing,
         batch_size=args.batch,
     )
-    lines = ["resolution,mode,kernel,macs,wall_ms"]
     for row in result.rows:
-        lines.append(
-            f"{row.resolution},{row.mode},{row.kernel},{row.macs},{row.wall_ms!r}"
-        )
         print(
             f"{row.resolution:>8} {row.mode:8} macs={row.macs} "
             f"wall_ms={row.wall_ms:.2f}"
         )
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    write_csv(args.out, "resolution,mode,kernel,macs,wall_ms", (
+        f"{row.resolution},{row.mode},{row.kernel},{row.macs},{row.wall_ms!r}"
+        for row in result.rows
+    ))
     print(f"bench -> {args.out}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     ladder = _parse_ladder(args.levels)
-    features = _parse_features(args.features)
-    if len(features) != len(ladder):
-        raise UsageError(f"--features needs {len(ladder)} entries")
+    features = _parse_features(args.features, ladder)
     dropout = _dropout_from_args(args)
-    if dropout is None:
+    if not dropout:
         raise UsageError("ablation needs a nonzero --dropout probability")
     # ablation_grid sets each run's training and dataset seed from --seeds.
     config = _train_config_from_args(args, dropout, seed=0)
     spec = _dataset_spec_from_args(args, ladder, seed=0)
     _require_test_split(spec)
+    # The cells build their models on pool threads; one built here checks them.
+    _build(ArrnModel, ladder=ladder, input_features=spec.features,
+           features=features, classes=spec.classes,
+           kernel=SmoothingKernelSpec.perfect(), rng=np.random.default_rng(0))
     seeds = _parse_ints(args.seeds.split(","), args.seeds)
     for seed in seeds:
         _build(partial(replace, spec), seed=seed)
         _build(partial(replace, config), seed=seed)
-    resolutions = (
-        _parse_resolutions(args.resolutions) if args.resolutions else None
-    )
+    resolutions = _parse_resolutions(args.resolutions) if args.resolutions else None
     cells, tree = ablation_grid(
         dataset_spec=spec,
         ladder=ladder,
@@ -609,13 +600,13 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--levels", required=True)
     _add_kernel_flags(p)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--out", required=True, type=_output_dir)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="rebuild a band level from a pyramid")
     p.add_argument("--pyramid", required=True, type=Path)
     p.add_argument("--level", required=True, type=int)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--out", required=True, type=_output_path)
     p.add_argument("--reference", type=Path, default=None,
                    help="original signal; prints max abs round-trip error")
     p.add_argument("--tol", type=float, default=None,
@@ -632,7 +623,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input-features", type=int, default=1)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f64")
+    p.add_argument("--dtype", choices=tuple(DTYPES), default="f64")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--metric", choices=("abs", "rel"), default="abs")
     p.add_argument("--trials", type=int, default=20)
@@ -645,21 +636,21 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p)
     _add_train_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--loss-csv", type=Path, default=None)
+    p.add_argument("--out", required=True, type=_output_path)
+    p.add_argument("--loss-csv", type=_output_path, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy sweep over resolutions")
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("--resolutions", required=True)
-    p.add_argument("--mode", choices=("full", "adapted", "both"), default="both")
+    p.add_argument("--mode", choices=tuple(_MODES), default="both")
     p.add_argument("--policy", choices=(PREFER_FINER, PREFER_COARSER),
                    default=PREFER_FINER)
     _add_dataset_flags(p)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--out", required=True, type=_output_path)
     p.add_argument("--no-timing", action="store_true",
                    help="write wall_ms as 0.0 for reproducible output")
-    p.add_argument("--plot", type=Path, default=None,
+    p.add_argument("--plot", type=_output_path, default=None,
                    help="also write an SVG rendering of the sweep curves")
     p.set_defaults(func=cmd_eval)
 
@@ -669,12 +660,12 @@ def build_parser() -> _Parser:
     _add_kernel_flags(p)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    p.add_argument("--dtype", choices=tuple(DTYPES), default="f32")
     p.add_argument("--resolutions", required=True)
     p.add_argument("--policy", choices=(PREFER_FINER, PREFER_COARSER),
                    default=PREFER_FINER)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--out", required=True, type=_output_path)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_bench)
 
@@ -689,7 +680,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolutions", default=None)
     p.add_argument("--policy", choices=(PREFER_FINER, PREFER_COARSER),
                    default=PREFER_FINER)
-    p.add_argument("--out-dir", required=True, type=Path)
+    p.add_argument("--out-dir", required=True, type=_output_dir)
     p.set_defaults(func=cmd_ablate)
 
     return parser

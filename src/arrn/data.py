@@ -45,8 +45,9 @@ class SynthDatasetSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least two classes")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be positive")
+        for name in ("samples_per_class", "features"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.noise) and self.noise >= 0.0):

@@ -30,14 +30,9 @@ from .errors import GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import VARIANTS, SmoothingKernelSpec
 from .layers import FeatureMap
-from .model import (
-    PREFER_FINER,
-    ArrnModel,
-    entry_level,
-    forward_adapted,
-)
+from .model import PREFER_FINER, ArrnModel, entry_level, forward_adapted
 from .resample import resample_perfect_array
-from .signal import atomic_write
+from .signal import write_csv
 from .training import TrainConfig, train
 
 SWEEP_CSV_HEADER = "resolution,mode,kernel,dropout,accuracy,macs,wall_ms"
@@ -218,13 +213,11 @@ def evaluate_sweep(
 
 
 def write_sweep_csv(path: str | Path, rows) -> None:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.resolution},{r.mode},{r.kernel},{r.dropout},"
-            f"{r.accuracy!r},{r.macs},{r.wall_ms!r}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, SWEEP_CSV_HEADER, (
+        f"{r.resolution},{r.mode},{r.kernel},{r.dropout},"
+        f"{r.accuracy!r},{r.macs},{r.wall_ms!r}"
+        for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +318,12 @@ def ablation_grid(
 
 
 def write_ablation_csv(path: str | Path, cells: list[AblationCell]) -> None:
-    lines = ["kernel,dropout,mode,accuracy"]
-    for c in cells:
-        lines.append(f"{c.kernel},{c.dropout},{c.mode},{c.accuracy!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, "kernel,dropout,mode,accuracy", (
+        f"{c.kernel},{c.dropout},{c.mode},{c.accuracy!r}" for c in cells
+    ))
 
 
 def write_tree_csv(path: str | Path, tree: list[dict]) -> None:
-    lines = ["node,mean_accuracy,ratio"]
-    for row in tree:
-        lines.append(f"{row['node']},{row['mean_accuracy']!r},{row['ratio']!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, "node,mean_accuracy,ratio", (
+        f"{row['node']},{row['mean_accuracy']!r},{row['ratio']!r}" for row in tree
+    ))

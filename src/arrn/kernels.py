@@ -50,8 +50,8 @@ class SmoothingKernelSpec:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.taps_per_axis < 3 or self.taps_per_axis % 2 == 0:
             raise ValueError("taps_per_axis must be odd and >= 3")
-        if self.sigma_factor <= 0 or self.radius_factor <= 0:
-            raise ValueError("sigma_factor and radius_factor must be positive")
+        if not (0 < self.sigma_factor < math.inf and 0 < self.radius_factor < math.inf):
+            raise ValueError("sigma_factor and radius_factor must be finite and positive")
 
     @classmethod
     def perfect(cls) -> "SmoothingKernelSpec":

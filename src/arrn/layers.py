@@ -73,7 +73,8 @@ def _slice_at(ndim: int, axis: int, index) -> tuple:
 def silu_op(x: Tensor) -> Tensor:
     # s = 1 / (1 + exp(-x)), built in one buffer.
     s = np.negative(x.values)
-    np.exp(s, out=s)
+    with np.errstate(over="ignore"):  # an overflow only rounds s to 0
+        np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
     out = x.values * s

@@ -57,10 +57,9 @@ from .layers import (
     silu_op,
 )
 from .resample import resample_perfect_array
-from .signal import atomic_write
+from .signal import DTYPE_NAMES, DTYPES, atomic_write
 
 ARNN_MAGIC = b"ARNN1\n"
-_CHECKPOINT_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 PREFER_FINER = "prefer-finer"
 PREFER_COARSER = "prefer-coarser"
@@ -219,10 +218,10 @@ class ArrnModel:
     ):
         if len(features) != len(ladder):
             raise ShapeError("need one feature width per ladder level")
-        if input_features < 1 or classes < 1:
+        if min(input_features, classes, *features) < 1:
             raise ValueError(
-                f"input_features and classes must be >= 1, got "
-                f"{input_features} and {classes}"
+                f"input_features, classes and features must be >= 1, got "
+                f"{input_features}, {classes} and {tuple(features)}"
             )
         if input_features > np.iinfo(np.intp).max:
             raise ValueError(f"input_features {input_features} is too large to index")
@@ -539,7 +538,7 @@ def save_checkpoint(
         "blocks": [res.block.spec.describe() for res in model.residuals],
         "head_dropout": model.head_dropout,
         "dropout": list(dropout.probabilities) if dropout else None,
-        "dtype": "f32" if model.dtype == np.float32 else "f64",
+        "dtype": DTYPE_NAMES[model.dtype],
         "arrays": [
             {
                 "name": name,
@@ -580,7 +579,7 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
     if not isinstance(manifest, dict) or manifest.get("format") != "ARNN1":
         raise FormatError(f"{path}: unsupported checkpoint format")
     try:
-        dtype = _CHECKPOINT_DTYPES.get(manifest["dtype"])
+        dtype = DTYPES.get(manifest["dtype"])
         if dtype is None:
             raise FormatError(f"{path}: unknown dtype {manifest['dtype']!r}")
         blocks = [InnerBlockSpec.from_description(b) for b in manifest["blocks"]]

@@ -26,13 +26,11 @@ from pathlib import Path
 
 import json
 
-import numpy as np
-
 from .errors import FormatError, GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
 from .resample import decimate, lowpass, upsample
-from .signal import DiscreteSignal, atomic_write, read_arsg, write_arsg
+from .signal import DTYPE_NAMES, DiscreteSignal, atomic_write, read_arsg, write_arsg
 
 PYRAMID_MANIFEST = "manifest.json"
 
@@ -145,7 +143,7 @@ def save_pyramid(directory: str | Path, decomp: PyramidDecomposition) -> None:
         "levels": [list(g.extents) for g in decomp.ladder.levels],
         "kernel": decomp.kernel.describe(),
         "start_level": decomp.start_level,
-        "dtype": "f32" if decomp.low.dtype == np.float32 else "f64",
+        "dtype": DTYPE_NAMES[decomp.low.dtype],
         "diffs": diff_names,
         "low": "low.arsg",
     }

@@ -28,6 +28,9 @@ from .errors import FormatError, NumericError, ShapeError
 from .grids import GridSpec
 
 ARSG_MAGIC = b"ARSG1\n"
+# Float widths by the name that flags, checkpoints and manifests use.
+DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
+DTYPE_NAMES = {dtype: name for name, dtype in DTYPES.items()}
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
@@ -119,6 +122,11 @@ def atomic_write(path: str | Path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: str, lines) -> None:
+    """Write ``header`` then each of ``lines``, one per row, atomically."""
+    atomic_write(path, "".join(f"{line}\n" for line in (header, *lines)))
 
 
 def write_arsg(path: str | Path, signal: DiscreteSignal) -> None:

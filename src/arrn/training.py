@@ -17,6 +17,7 @@ from .autodiff import Parameter
 from .errors import NumericError, ShapeError
 from .layers import TRAIN, softmax_cross_entropy
 from .model import ArrnModel, DropoutConfig, DropoutMask, sample_mask
+from .signal import DTYPES
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.dropout is not None and not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout probability must lie in [0, 1]")
-        if self.dtype not in ("f32", "f64"):
-            raise ValueError("dtype must be 'f32' or 'f64'")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
 
     @property
-    def numpy_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
+    def numpy_dtype(self) -> np.dtype:
+        return DTYPES[self.dtype]
 
     def describe(self) -> dict:
         return {
@@ -124,6 +125,7 @@ class TrainResult:
     final_train_accuracy: float
 
 
+@np.errstate(over="raise", invalid="raise")
 def train(
     model: ArrnModel,
     inputs: np.ndarray,
@@ -134,9 +136,17 @@ def train(
 
     ``inputs`` is ``(n, channels, *finest_extents)``; any other per-sample
     shape raises :class:`~arrn.errors.ShapeError`. One gate mask is
-    drawn per minibatch. A non-finite loss aborts immediately with
+    drawn per minibatch. A non-finite loss, or an overflow or invalid
+    value in any step, aborts immediately with
     :class:`~arrn.errors.NumericError` rather than training through it.
     """
+    try:
+        return _fit(model, inputs, labels, config)
+    except FloatingPointError as exc:
+        raise NumericError(f"training diverged: {exc}") from exc
+
+
+def _fit(model, inputs, labels, config) -> TrainResult:
     if model.dtype != np.dtype(config.numpy_dtype):
         raise ValueError(
             f"model dtype {model.dtype} does not match config {config.dtype}"

@@ -1,11 +1,17 @@
 """End-to-end command-line behavior and the stable exit-code contract."""
 
+import argparse
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from arrn.cli import main
+from arrn.cli import build_parser, main
 from arrn.grids import GridSpec
 from arrn.signal import DiscreteSignal, read_arsg, write_arsg
 
@@ -88,6 +94,20 @@ class TestDecomposeReconstruct:
             manifest["diffs"] = manifest["diffs"][:-1]
         manifest_path.write_text(json.dumps(manifest))
         assert run("reconstruct", "--pyramid", out_dir, "--level", "2",
+                   "--out", tmp_path / "recon.arsg") == 2
+
+    @pytest.mark.parametrize("factor", ["sigma_factor", "radius_factor"])
+    def test_non_finite_kernel_factor_in_manifest_exits_2(
+        self, tmp_path, noise_signal, factor
+    ):
+        out_dir = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+                   "--kernel", "truncated_gaussian", "--out", out_dir) == 0
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["kernel"][factor] = float("nan")
+        manifest_path.write_text(json.dumps(manifest))
+        assert run("reconstruct", "--pyramid", out_dir, "--level", "1",
                    "--out", tmp_path / "recon.arsg") == 2
 
     def test_missing_input_exits_2(self, tmp_path):
@@ -382,6 +402,16 @@ TINY_TRAIN = ("train", "--levels", "16,8", "--features", "2,2",
     ("--features", "0,2"),
     ("--kernel", "windowed_sinc", "--taps", "4"),
     ("--kernel", "truncated_gaussian", "--sigma-factor", "-1"),
+    ("--kernel", "truncated_gaussian", "--sigma-factor", "nan"),
+    ("--kernel", "truncated_gaussian", "--sigma-factor", "inf"),
+    ("--kernel", "truncated_gaussian", "--sigma-factor", "1e309"),
+    ("--kernel", "truncated_gaussian", "--radius-factor", "nan"),
+    ("--kernel", "truncated_gaussian", "--radius-factor", "inf"),
+    ("--kernel", "truncated_gaussian", "--radius-factor", "1e309"),
+    ("--features", "2,0"),
+    ("--features", "2,-1"),
+    ("--dropout", "1.5"),
+    ("--dropout", "nan"),
     ("--classes", "1"),
     ("--samples-per-class", "0"),
     ("--head-dropout", "1.5"),
@@ -415,6 +445,7 @@ TINY_ABLATE = ("ablate", "--levels", "16,8", "--features", "2,2",
     ("--depth", "2"),
     ("--head-dropout", "0.5"),
     ("--samples-per-class", "1"),
+    ("--dropout", "0"),
     # Flags ablate does not take; --seed must not pass for --seeds.
     ("--seed", "5"),
     ("--data-seed", "15"),
@@ -450,6 +481,7 @@ HUGE = "100000000000000000000"  # 10**20, more than any array dimension
     (*TINY_BENCH, "--classes", "0"),
     (*TINY_BENCH, "--seed", "-1"),
     (*TINY_BENCH, "--input-features", HUGE),
+    (*TINY_BENCH, "--batch", HUGE),
     (*TINY_ABLATE, "--seeds", "0,-1"),
     (*TINY_ABLATE, "--noise", "inf"),
 ])
@@ -463,6 +495,55 @@ def test_rejected_size_or_seed_is_usage_error(tmp_path, capsys, argv):
     }[argv[0]]
     assert run(*argv, *outputs) == 64
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_cache_with_zero_features_exits_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "a.arnn") == 0
+    manifest = json.loads((cache / "dataset.json").read_text())
+    manifest["spec"]["features"] = 0
+    (cache / "dataset.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "b.arnn") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+
+
+@pytest.mark.parametrize("command, flag, path", [
+    ("decompose", "--out", "file"),
+    ("reconstruct", "--out", "dir"),
+    ("train", "--out", "dir"),
+    ("train", "--out", "absent/model.arnn"),
+    ("train", "--loss-csv", "dir"),
+    ("train", "--data-cache", "file"),
+    ("eval", "--plot", "dir"),
+    ("eval", "--out", "file/sweep.csv"),
+    ("bench", "--out", "dir"),
+    ("ablate", "--out-dir", "file"),
+])
+def test_unwritable_output_path_is_usage_error(
+    tmp_path, capsys, command, flag, path
+):
+    """A directory where a file is written, the reverse, or a file in no
+    directory is refused while the flags are parsed, before anything runs."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    assert run(command, flag, tmp_path / path) == 64
+    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any((tmp_path / "dir").iterdir())
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    (*TINY_TRAIN, "--out", "model.arnn", "--data-cache", ""),
+    (*TINY_ABLATE, "--out-dir", ""),
+])
+def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """An empty path would name the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 64
+    assert capsys.readouterr().err.startswith("usage error: argument")
     assert not any(tmp_path.iterdir())
 
 
@@ -493,3 +574,127 @@ class TestAblateSmoke:
         tree = (out_dir / "ablation_tree.csv").read_text().splitlines()
         assert tree[0] == "node,mean_accuracy,ratio"
         assert len(tree) == 1 + 1 + 3 * (1 + 2 * (1 + 2))
+
+
+# ---------------------------------------------------------------------------
+# Property: any argv built from the parser's own options and a hostile
+# alphabet ends in a documented exit code, and a usage error writes nothing.
+# ---------------------------------------------------------------------------
+
+HOSTILE = ("0", "-1", "nan", "inf", "1e309", "", "16x0", "0,0", "2,2", "1.5",
+           HUGE, "16,0", "15,8", "16x8,8")
+# Accepted with no upper bound (see the README): 10**20 epochs, layers,
+# trials or repetitions run for ever, and Gaussian taps that wide cannot be
+# allocated, so that one value is left out for these flags.
+UNBOUNDED = {"--epochs", "--depth", "--trials", "--repetitions",
+             "--sigma-factor", "--radius-factor"}
+# Path values; "valid" is the given file of the kind a flag reads, and a new
+# path for a flag that only writes.
+PATH_VALUES = ("missing", "dir", "garbage.bin", "valid")
+READS = {"--input": "signal.arsg", "--reference": "signal.arsg",
+         "--pyramid": "pyramid", "--checkpoint": "model.arnn",
+         "--data-cache": "cache"}
+
+
+def _options():
+    """Every option of every subcommand but -h/--help, by subcommand."""
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {a.option_strings[0]: a for a in p._actions
+                  if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        for command, p in sub.choices.items()
+    }
+
+
+OPTIONS = _options()
+
+
+def _takes_path(action):
+    """Flags that take a value that is neither a choice, a number nor text."""
+    return action.nargs != 0 and not action.choices and action.type not in (
+        None, int, float)
+
+
+def _tiny_argv(command, work):
+    """A quick, valid run of ``command`` on the given files in ``work``."""
+    return {
+        "decompose": ("--input", work / "signal.arsg", "--levels", "16,8",
+                      "--out", work / "pyr"),
+        "reconstruct": ("--pyramid", work / "pyramid", "--level", "1",
+                        "--out", work / "r.arsg"),
+        "verify-adaptation": (*TINY_VERIFY[1:], "--repetitions", "1"),
+        "train": (*TINY_TRAIN[1:], "--out", work / "m.arnn"),
+        "eval": ("--checkpoint", work / "model.arnn", "--resolutions", "16,8",
+                 "--samples-per-class", "4", "--out", work / "s.csv"),
+        "bench": (*TINY_BENCH[1:], "--batch", "2", "--out", work / "b.csv"),
+        "ablate": (*TINY_ABLATE[1:], "--out-dir", work / "ablation"),
+    }[command]
+
+
+@st.composite
+def hostile_runs(draw):
+    """A subcommand and ``(flag, value)`` pairs to append to its tiny run."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = OPTIONS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    pairs = []
+    for flag in flags:
+        action = options[flag]
+        if action.nargs == 0:
+            pairs.append((flag, None))
+        elif action.choices:
+            pairs.append((flag, draw(st.one_of(
+                st.sampled_from(action.choices), st.sampled_from(HOSTILE)))))
+        elif _takes_path(action):
+            pairs.append((flag, draw(st.sampled_from(PATH_VALUES))))
+        else:
+            values = [v for v in HOSTILE if not (v == HUGE and flag in UNBOUNDED)]
+            pairs.append((flag, draw(st.sampled_from(values))))
+    return command, pairs
+
+
+@pytest.fixture(scope="module")
+def given_files(tmp_path_factory):
+    """A signal, its pyramid, a checkpoint, a dataset cache, garbage, a dir."""
+    given = tmp_path_factory.mktemp("given")
+    write_arsg(given / "signal.arsg", DiscreteSignal(
+        GridSpec((16,)), np.random.default_rng(0).standard_normal((1, 16))))
+    assert run("decompose", "--input", given / "signal.arsg", "--levels", "16,8",
+               "--out", given / "pyramid") == 0
+    assert run(*TINY_TRAIN, "--data-cache", given / "cache",
+               "--out", given / "model.arnn") == 0
+    (given / "garbage.bin").write_bytes(b"\x00garbage\xff" * 4)
+    (given / "dir").mkdir()
+    return given
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=hostile_runs())
+@example(case=("decompose", [("--kernel", "truncated_gaussian"),
+                             ("--sigma-factor", "nan")]))
+@example(case=("bench", [("--batch", HUGE)]))
+@example(case=("ablate", [("--dropout", "0")]))
+def test_hostile_argv_ends_in_a_documented_exit_code(given_files, case):
+    command, pairs = case
+    work = Path(tempfile.mkdtemp(dir=given_files.parent))
+    try:
+        shutil.copytree(given_files, work, dirs_exist_ok=True)
+        argv = [command, *_tiny_argv(command, work)]
+        for flag, value in pairs:
+            if _takes_path(OPTIONS[command][flag]):
+                value = work / (READS.get(flag, "new") if value == "valid" else value)
+            argv += [flag] if value is None else [flag, value]
+        before = _tree(work)
+        code = run(*argv)
+        event(f"{command} exits {code}")
+        assert code in (0, 1, 2, 3, 4, 64)
+        if code == 64:
+            assert _tree(work) == before
+    finally:
+        shutil.rmtree(work)

@@ -57,6 +57,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SynthDatasetSpec(classes=2, signatures=((1.0, 2.0),))
 
+    @pytest.mark.parametrize("features", [0, -1])
+    def test_features_below_one_rejected(self, features):
+        with pytest.raises(ValueError, match="features must be positive"):
+            SynthDatasetSpec(features=features, samples_per_class=2)
+
 
 class TestOracle:
     def test_perfect_accuracy_on_disjoint_noiseless_classes(self):

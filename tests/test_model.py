@@ -664,10 +664,15 @@ class TestCheckpoint:
             (edit_blocks(lambda blocks: blocks[1].update(padding="zero")), 0),
             (edit_blocks(lambda blocks: blocks.append(dict(blocks[0]))), 0),
             (lambda manifest: {**manifest, "blocks": []}, 0),
+            (lambda manifest: {**manifest, "features": [4, 8, 0]}, 0),
+            (lambda manifest: {**manifest, "kernel": {
+                "variant": "truncated_gaussian", "sigma_factor": float("nan"),
+                "radius_factor": 2.0}}, 0),
         ],
         ids=["list-manifest", "unknown-residual", "non-norm-layer",
              "dropped-last-array", "transposed-shape", "unknown-dtype",
-             "zero-padded-block-1", "extra-block", "no-blocks"],
+             "zero-padded-block-1", "extra-block", "no-blocks",
+             "zero-last-width", "nan-sigma-factor"],
     )
     def test_malformed_array_table(self, tmp_path, edit, trim):
         model = build_model(seed=74)
