@@ -67,7 +67,8 @@ class Tensor:
         """Propagate adjoints from this node back to every reachable leaf.
 
         Leaves (and this node) keep their gradients; an interior node's
-        gradient is dropped once its vector-Jacobian product has run.
+        gradient is dropped once its vector-Jacobian product has run. No
+        MACs are added to an active :func:`arrn.macs.recording`.
         """
         if seed is None:
             seed = np.ones_like(self.values)
@@ -95,21 +96,24 @@ class Tensor:
         # summed into in place: a first contribution is stored as is and may
         # alias another node's grad (``add`` returns ``(g, g)``) or the seed.
         owned: set[int] = set()
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
-                continue
-            for parent, contribution in zip(node._parents, node._vjp(node.grad)):
-                if contribution is None:
+        # The VJPs reuse counting forward functions; a throwaway recording
+        # keeps them out of the caller's, so MAC counts are forward-only.
+        with macs.recording():
+            for node in reversed(topo):
+                if node._vjp is None or node.grad is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = contribution
-                elif id(parent) in owned:
-                    parent.grad += contribution
-                else:
-                    parent.grad = parent.grad + contribution
-                    owned.add(id(parent))
-            if node is not self:
-                node.grad = None
+                for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+                    if contribution is None:
+                        continue
+                    if parent.grad is None:
+                        parent.grad = contribution
+                    elif id(parent) in owned:
+                        parent.grad += contribution
+                    else:
+                        parent.grad = parent.grad + contribution
+                        owned.add(id(parent))
+                if node is not self:
+                    node.grad = None
 
     # operator sugar used by layers and tests
     def __add__(self, other):
@@ -234,7 +238,7 @@ def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
     w = weight.values
     batch, cin = x.values.shape[:2]
     flat = x.values.reshape(batch, cin, -1)
-    macs.add_macs(macs.pointwise_macs(batch * flat.shape[2], cin, w.shape[0]))
+    macs.add_macs(macs.pointwise_macs(flat[:, 0].size, cin, w.shape[0]))
     out = np.matmul(w, flat)
     if bias is not None:
         out = out + bias.values[:, None]

@@ -155,12 +155,11 @@ def _require_seed(seed: int) -> None:
 
 
 def _kernel_from_args(args) -> SmoothingKernelSpec:
-    if args.kernel == "perfect":
-        return SmoothingKernelSpec.perfect()
-    if args.kernel == "windowed_sinc":
-        return _build(SmoothingKernelSpec.windowed_sinc, taps_per_axis=args.taps)
+    """Every kernel flag is checked, also those the variant does not use."""
     return _build(
-        SmoothingKernelSpec.truncated_gaussian,
+        SmoothingKernelSpec,
+        variant=args.kernel,
+        taps_per_axis=args.taps,
         sigma_factor=args.sigma_factor,
         radius_factor=args.radius_factor,
     )
@@ -269,12 +268,14 @@ def _require_test_split(spec: SynthDatasetSpec, source: str | None = None) -> No
 
 
 def _dropout_from_args(args) -> float | None:
+    """The level dropout probability; ``None`` for none, off, or 0."""
     if str(args.dropout).lower() in ("none", "off"):
         return None
     try:
-        return float(args.dropout)
+        p = float(args.dropout)
     except ValueError as exc:
         raise UsageError(f"bad --dropout value {args.dropout!r}") from exc
+    return p or None
 
 
 def _train_config_from_args(args, dropout, seed: int) -> TrainConfig:

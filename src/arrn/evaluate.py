@@ -8,10 +8,10 @@ through :func:`arrn.model.entry_level` and evaluates the model cast to
 the entry level (:meth:`arrn.model.ArrnModel.cast`).
 
 MAC totals follow the conventions in :mod:`arrn.macs`; the closed-form
-counts here must match the instrumented counter exactly (asserted in the
-test suite), and they are what the sweep CSV reports (per sample, i.e.
-batch size one). Wall-clock times are measured only when requested so
-that CSV outputs can be byte-reproducible.
+counts of :func:`count_macs` must match the instrumented forward count
+exactly (asserted in the test suite), and they are what the sweep CSV
+reports (per sample, i.e. batch size one). Wall-clock times are measured
+only when requested so that CSV outputs can be byte-reproducible.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .data import SynthDatasetSpec, generate_dataset
 from .errors import GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import VARIANTS, SmoothingKernelSpec
-from .layers import FeatureMap
+from .layers import FeatureMap, InnerBlockSpec
 from .model import PREFER_FINER, ArrnModel, entry_level, forward_adapted
 from .resample import resample_perfect_array
 from .signal import write_csv
@@ -68,40 +68,35 @@ class EvalSweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form MAC counts (must mirror the instrumented execution exactly).
+# Closed-form MAC counts: which ops run, each priced by its arrn.macs function.
 # ---------------------------------------------------------------------------
 
 
-def _taps_counts(
-    kernel: SmoothingKernelSpec, factors: tuple[int, ...]
-) -> tuple[int, ...]:
-    return tuple(
-        n for n in (len(kernel.realize(f)) for f in factors) if n > 1
+def _band_reduction(
+    spectral, kernel: SmoothingKernelSpec, fine: GridSpec, band: GridSpec, channels: int
+) -> int:
+    """One low-pass or downsample from ``fine`` to ``band``'s cutoff.
+
+    The perfect kernel runs the ``spectral`` op; any other convolves with
+    the kernel's taps for each axis's decimation factor.
+    """
+    if kernel.is_perfect:
+        return spectral(fine.extents, band.extents, channels)
+    taps = tuple(len(kernel.realize(f)) for f in fine.stride_factors(band))
+    return macs.separable_conv_macs(fine.extents, taps, channels)
+
+
+def _block_macs(spec: InnerBlockSpec, grid: GridSpec) -> int:
+    """The inner block: expand, ``depth`` depthwise 3-per-axis convolutions
+    with ``depth - 1`` pointwise mixes between them, then contract."""
+    sites, narrow = grid.num_samples, spec.features
+    wide = narrow * spec.expansion
+    return (
+        macs.pointwise_macs(sites, narrow, wide)
+        + spec.depth * macs.depthwise_macs(sites, wide, 3**grid.dims)
+        + (spec.depth - 1) * macs.pointwise_macs(sites, wide, wide)
+        + macs.pointwise_macs(sites, wide, narrow)
     )
-
-
-def _lowpass_macs(
-    kernel: SmoothingKernelSpec, fine: GridSpec, band: GridSpec, channels: int
-) -> int:
-    if kernel.is_perfect:
-        if all(b >= f for b, f in zip(band.extents, fine.extents)):
-            return 0
-        return channels * 2 * macs.fft_macs(fine.extents)
-    counted = _taps_counts(kernel, fine.stride_factors(band))
-    if not counted:
-        return 0
-    return macs.separable_conv_macs(fine.extents, counted, channels)
-
-
-def _downsample_macs(
-    kernel: SmoothingKernelSpec, fine: GridSpec, coarse: GridSpec, channels: int
-) -> int:
-    if kernel.is_perfect:
-        return macs.spectral_resample_macs(fine.extents, coarse.extents, channels)
-    counted = _taps_counts(kernel, fine.stride_factors(coarse))
-    if not counted:
-        return 0
-    return macs.separable_conv_macs(fine.extents, counted, channels)
 
 
 def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
@@ -109,7 +104,9 @@ def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
 
     The count of :func:`arrn.model.forward_full` on ``model.cast(u)``:
     ``mode="adapted"`` enters at ``u = entry``, ``mode="full"`` at
-    ``u = 0``. Each residual supplies its own kernel and grids.
+    ``u = 0``. It is stated from the model's structure alone, without
+    asking any layer for a cost, so its agreement with the instrumented
+    count checks the layers against their specs.
     """
     if mode not in (FULL, ADAPTED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -118,20 +115,19 @@ def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
     total = macs.pointwise_macs(
         base.num_samples, model.input_features, model.features[0]
     )
+    lowpass, downsample = macs.lowpass_perfect_macs, macs.spectral_resample_macs
     if model.base_lowpass:
-        total += _lowpass_macs(model.kernel, base, base, model.input_features)
+        channels = model.input_features
+        total += _band_reduction(lowpass, model.kernel, base, base, channels)
     for res in model.residuals:
-        fine, coarse = res.in_grid, res.out_grid
-        total += _lowpass_macs(res.kernel, fine, coarse, res.in_features)
-        total += res.block.count_macs(fine.num_samples)
-        total += _downsample_macs(res.kernel, fine, coarse, res.in_features)
-        total += macs.pointwise_macs(
-            coarse.num_samples, res.in_features, res.out_features
-        )
-    top_sites = model.ladder[-1].num_samples
-    total += macs.pointwise_macs(top_sites, model.features[-1], model.features[-1])
-    total += model.head.count_macs(top_sites)
-    return total
+        fine, coarse, width = res.in_grid, res.out_grid, res.in_features
+        total += _band_reduction(lowpass, res.kernel, fine, coarse, width)
+        total += _block_macs(res.block.spec, fine)
+        total += _band_reduction(downsample, res.kernel, fine, coarse, width)
+        total += macs.pointwise_macs(coarse.num_samples, width, res.out_features)
+    top = model.features[-1]
+    total += macs.pointwise_macs(model.ladder[-1].num_samples, top, top)
+    return total + macs.pointwise_macs(1, top, model.classes)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def depthwise_conv_op(
     spatial_ndim = x.values.ndim - 2
     spatial = x.values.shape[2:]
     w = weight.values  # (channels, 3[, 3])
-    macs.add_macs(x.values.shape[0] * prod(spatial) * w.shape[0] * prod(w.shape[1:]))
+    # Sites over the batch, channels, and taps per channel.
+    macs.add_macs(macs.depthwise_macs(x.values[:, 0].size, w.shape[0], w[0].size))
     padded = _pad_spatial(x.values, spatial_ndim, padding)
     offsets = list(np.ndindex(*w.shape[1:]))
     per_channel = (1, w.shape[0]) + (1,) * spatial_ndim
@@ -276,9 +277,6 @@ class PointwiseConv:
     def parameters(self):
         return [self.weight, self.bias]
 
-    def count_macs(self, sites: int) -> int:
-        return macs.pointwise_macs(sites, self.weight.shape[1], self.weight.shape[0])
-
 
 class DepthwiseConv:
     """Per-channel convolution, kernel extent 3 per spatial axis, stride 1."""
@@ -302,11 +300,6 @@ class DepthwiseConv:
 
     def parameters(self):
         return [self.weight, self.bias]
-
-    def count_macs(self, sites: int) -> int:
-        return macs.depthwise_macs(
-            sites, self.weight.shape[0], prod(self.weight.shape[1:])
-        )
 
 
 class BatchNorm:
@@ -335,9 +328,6 @@ class BatchNorm:
     def parameters(self):
         return [self.gamma, self.beta]
 
-    def count_macs(self, sites: int) -> int:
-        return 0
-
 
 class SiLU:
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
@@ -345,9 +335,6 @@ class SiLU:
 
     def parameters(self):
         return []
-
-    def count_macs(self, sites: int) -> int:
-        return 0
 
 
 class Dropout:
@@ -365,9 +352,6 @@ class Dropout:
 
     def parameters(self):
         return []
-
-    def count_macs(self, sites: int) -> int:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -436,9 +420,6 @@ class InnerBlock:
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def count_macs(self, sites: int) -> int:
-        return sum(layer.count_macs(sites) for layer in self.layers)
-
 
 class GlobalPoolHead:
     """Spatial mean pooling, elementwise dropout, and a dense class map."""
@@ -455,9 +436,6 @@ class GlobalPoolHead:
 
     def parameters(self):
         return [self.weight, self.bias]
-
-    def count_macs(self, sites: int) -> int:
-        return macs.pointwise_macs(1, self.weight.shape[1], self.weight.shape[0])
 
 
 def zero_constancy_check(

@@ -1,13 +1,15 @@
 """Multiply-accumulate accounting.
 
 Compute cost is tracked as MAC counts rather than wall-clock time so that
-results are hardware-independent and exactly reproducible. Two routes
-exist and must agree exactly:
+results are hardware-independent and exactly reproducible. Each cost
+convention below is one function of this module, and both routes price
+every op with it, so the two must agree exactly:
 
-* an *instrumented* counter that executing code adds to while a
-  :func:`recording` context is active, and
-* *analytic* closed-form counts derived from model structure alone
-  (see :func:`arrn.evaluate.count_macs`).
+* the *instrumented* count: forward ops add to the counter of an active
+  :func:`recording` context. It is forward-only: a backward pass runs its
+  vector-Jacobian products inside a throwaway recording and adds nothing;
+* the *analytic* count, :func:`arrn.evaluate.count_macs` alone: a walk
+  over the model's structure that mirrors which ops run.
 
 Cost conventions (single sample, i.e. batch size 1):
 
@@ -15,14 +17,17 @@ Cost conventions (single sample, i.e. batch size 1):
 * depthwise convolution over S sites, C channels, K taps: ``S*C*K``
 * dense layer: the pointwise convention at S = 1, i.e. ``cin*cout``
 * separable spatial convolution with per-axis tap counts T_a over S
-  sites and C channels: ``S*C*sum(T_a)``
+  sites and C channels: ``S*C*sum(T_a)``, where a 1-tap axis is the
+  identity and counts 0
 * one FFT (or inverse FFT) over a grid of S sites, per channel:
   ``S*ceil(log2(S))``; spectral resampling costs one transform at the
-  input grid plus one at the output grid. The perfect kernel runs one
-  real ``rfft``/``irfft`` pair per axis; it is counted by this whole-grid
-  convention, so the counts stay independent of the transform layout
+  input grid plus one at the output grid, and the perfect low-pass one
+  transform and its inverse at the input grid (0 when the band holds the
+  whole grid). The perfect kernel runs one real ``rfft``/``irfft`` pair
+  per axis; it is counted by this whole-grid convention, so the counts
+  stay independent of the transform layout
 * stride decimation, sample-preserving reshapes, normalization,
-  activations, additions, and mean subtraction: 0
+  activations, dropout, pooling, additions, and mean subtraction: 0
 """
 
 from __future__ import annotations
@@ -80,11 +85,20 @@ def spectral_resample_macs(
     return channels * (fft_macs(tuple(in_extents)) + fft_macs(tuple(out_extents)))
 
 
+def lowpass_perfect_macs(
+    extents: tuple[int, ...], band: tuple[int, ...], channels: int
+) -> int:
+    """A transform and its inverse at the input grid; 0 if the band holds it."""
+    if all(m >= n for m, n in zip(band, extents)):
+        return 0
+    return channels * 2 * fft_macs(tuple(extents))
+
+
 def separable_conv_macs(
     extents: tuple[int, ...], tap_counts: tuple[int, ...], channels: int
 ) -> int:
-    sites = prod(extents)
-    return channels * sites * sum(tap_counts)
+    """Per-axis convolutions; a 1-tap axis is the identity and costs 0."""
+    return channels * prod(extents) * sum(t for t in tap_counts if t > 1)
 
 
 def pointwise_macs(sites: int, cin: int, cout: int) -> int:

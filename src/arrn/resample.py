@@ -130,7 +130,8 @@ def lowpass_perfect_array(x: np.ndarray, band_extents: tuple[int, ...]) -> np.nd
     from_extents = _spatial(x, band_extents)
     if all(m >= n for m, n in zip(band_extents, from_extents)):
         return x.copy()
-    macs.add_macs(2 * macs.fft_macs(from_extents) * _leading(x, band_extents))
+    lead = _leading(x, band_extents)
+    macs.add_macs(macs.lowpass_perfect_macs(from_extents, band_extents, lead))
     return _spectral(x, tuple(band_extents), from_extents)
 
 
@@ -146,10 +147,9 @@ def convolve_taps_array(
     taps_per_axis = [
         kernel.realize(n // m) for n, m in zip(from_extents, band_extents)
     ]
-    counted = tuple(len(t) for t in taps_per_axis if len(t) > 1)
-    if counted:
-        lead = _leading(x, band_extents)
-        macs.add_macs(macs.separable_conv_macs(from_extents, counted, lead))
+    counts = tuple(len(t) for t in taps_per_axis)
+    lead = _leading(x, band_extents)
+    macs.add_macs(macs.separable_conv_macs(from_extents, counts, lead))
     out = x
     for axis, taps in zip(range(-len(band_extents), 0), taps_per_axis):
         if len(taps) > 1:

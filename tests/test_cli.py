@@ -401,6 +401,8 @@ TINY_TRAIN = ("train", "--levels", "16,8", "--features", "2,2",
     ("--expansion", "0"),
     ("--features", "0,2"),
     ("--kernel", "windowed_sinc", "--taps", "4"),
+    ("--taps", "4"),
+    ("--kernel", "windowed_sinc", "--sigma-factor", "nan"),
     ("--kernel", "truncated_gaussian", "--sigma-factor", "-1"),
     ("--kernel", "truncated_gaussian", "--sigma-factor", "nan"),
     ("--kernel", "truncated_gaussian", "--sigma-factor", "inf"),
@@ -425,6 +427,15 @@ def test_rejected_train_value_is_usage_error(tmp_path, capsys, flags):
     assert run(*TINY_TRAIN, *flags, "--out", out) == 64
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
+
+
+def test_zero_dropout_checkpoint_evaluates_as_dropout_off(tmp_path):
+    ckpt, sweep = tmp_path / "model.arnn", tmp_path / "sweep.csv"
+    assert run(*TINY_TRAIN, "--dropout", "0", "--out", ckpt) == 0
+    assert run("eval", "--checkpoint", ckpt, "--resolutions", "16,8",
+               "--samples-per-class", "4", "--out", sweep, "--no-timing") == 0
+    rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
+    assert rows and all(row[3] == "off" for row in rows)
 
 
 def test_input_features_unlike_the_data_exits_3(tmp_path, capsys):

@@ -12,9 +12,10 @@ from arrn.data import SynthDatasetSpec, generate_dataset
 from arrn.errors import GridError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
-from arrn.layers import FeatureMap
+from arrn.layers import TRAIN, FeatureMap
 from arrn.model import (
     ArrnModel,
+    DropoutMask,
     forward_adapted,
     forward_full,
     randomize_for_verification,
@@ -36,10 +37,11 @@ KERNELS = {
 }
 
 
-def build_model(kernel="perfect", ladder=LADDER, seed=0):
+def build_model(kernel="perfect", ladder=LADDER, seed=0, expansion=2, depth=1):
     model = ArrnModel(
         ladder, 1, (8, 16, 32), 4, KERNELS[kernel],
-        np.random.default_rng(seed), dtype=np.float64,
+        np.random.default_rng(seed), expansion=expansion, depth=depth,
+        dtype=np.float64,
     )
     randomize_for_verification(model, np.random.default_rng(seed + 1))
     return model
@@ -81,6 +83,33 @@ class TestMacCounts:
                 model, level, ADAPTED
             )
         assert count_macs(model, 0, FULL) == instrumented_macs(model, 0, FULL)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("extents", [[27, 9, 3], [(24, 16), (12, 8), (6, 4)]])
+    @pytest.mark.parametrize("expansion", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_analytic_equals_instrumented_for_every_block_shape(
+        self, kernel, extents, expansion, depth
+    ):
+        ladder = ResolutionLadder.from_extents(extents)
+        model = build_model(kernel, ladder, expansion=expansion, depth=depth)
+        for level in (0, 1, 2):
+            assert count_macs(model, level, ADAPTED) == instrumented_macs(
+                model, level, ADAPTED
+            )
+        assert count_macs(model, 0, FULL) == instrumented_macs(model, 0, FULL)
+
+    @pytest.mark.parametrize("kernel", ["perfect", "windowed_sinc"])
+    def test_backward_adds_nothing_to_the_count(self, kernel):
+        model = build_model(kernel)
+        values = np.random.default_rng(0).standard_normal((1, 1) + LADDER[0].extents)
+        rng = np.random.default_rng(1)
+        with macs.recording() as counter:
+            logits = model.forward_graph(values, DropoutMask.all_on(2), TRAIN, rng)
+            forward = counter.total
+            logits.backward(np.ones_like(logits.values))
+        assert forward == count_macs(model, 0, FULL)
+        assert counter.total == forward
 
     def test_strictly_decreasing_in_entry_level(self):
         model = build_model("perfect")
