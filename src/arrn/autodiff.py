@@ -192,6 +192,28 @@ def scale(a: Tensor, c: float) -> Tensor:
     return node(a.values * c, (a,), lambda g: (g * c,))
 
 
+# Parameter folds: ops on parameter-sized arrays, which count no MACs.
+
+
+def scale_rows(a: Tensor, s: Tensor) -> Tensor:
+    """Scale row ``i`` of ``a`` (its leading axis) by ``s[i]``."""
+    a, s = as_tensor(a), as_tensor(s)
+    column = s.values.reshape((-1,) + (1,) * (a.values.ndim - 1))
+
+    def vjp(g):
+        return g * column, (g * a.values).reshape(len(column), -1).sum(axis=1)
+
+    return node(a.values * column, (a, s), vjp)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The matrix product ``a @ b`` of two matrices."""
+    a, b = as_tensor(a), as_tensor(b)
+    return node(
+        a.values @ b.values, (a, b), lambda g: (g @ b.values.T, a.values.T @ g)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Differentiable resampling operators.
 # ---------------------------------------------------------------------------
@@ -241,7 +263,7 @@ def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
     macs.add_macs(macs.pointwise_macs(flat[:, 0].size, cin, w.shape[0]))
     out = np.matmul(w, flat)
     if bias is not None:
-        out = out + bias.values[:, None]
+        out += bias.values[:, None]
 
     def vjp(g):
         gf = g.reshape(out.shape)

@@ -104,9 +104,10 @@ def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
 
     The count of :func:`arrn.model.forward_full` on ``model.cast(u)``:
     ``mode="adapted"`` enters at ``u = entry``, ``mode="full"`` at
-    ``u = 0``. It is stated from the model's structure alone, without
-    asking any layer for a cost, so its agreement with the instrumented
-    count checks the layers against their specs.
+    ``u = 0``, in eval mode with its parameter folds. It is stated from
+    the model's structure alone, without asking any layer for a cost, so
+    its agreement with the instrumented count checks the layers against
+    their specs.
     """
     if mode not in (FULL, ADAPTED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -125,9 +126,8 @@ def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
         total += _block_macs(res.block.spec, fine)
         total += _band_reduction(downsample, res.kernel, fine, coarse, width)
         total += macs.pointwise_macs(coarse.num_samples, width, res.out_features)
-    top = model.features[-1]
-    total += macs.pointwise_macs(model.ladder[-1].num_samples, top, top)
-    return total + macs.pointwise_macs(1, top, model.classes)
+    # The terminal projection is folded into the head.
+    return total + macs.pointwise_macs(1, model.features[-1], model.classes)
 
 
 # ---------------------------------------------------------------------------

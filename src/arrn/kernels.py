@@ -28,6 +28,11 @@ TRUNCATED_GAUSSIAN = "truncated_gaussian"
 
 VARIANTS = (PERFECT, WINDOWED_SINC, TRUNCATED_GAUSSIAN)
 
+# Ceiling on the taps a spec realizes per axis at decimation factor 1. At
+# factor f the truncated Gaussian realizes at most f times as many, since
+# its radius grows with f; the windowed sinc's count is fixed.
+MAX_TAPS = 1025
+
 
 @dataclass(frozen=True)
 class SmoothingKernelSpec:
@@ -37,7 +42,11 @@ class SmoothingKernelSpec:
     ``sigma_factor`` and ``radius_factor`` apply to the truncated
     Gaussian: the standard deviation is ``sigma_factor * factor`` in
     fine-grid sample units for a per-axis decimation ``factor``, and the
-    truncation radius is ``ceil(radius_factor * sigma)``.
+    truncation radius is ``ceil(radius_factor * sigma)``. Either realizes
+    at most :data:`MAX_TAPS` taps per axis at factor 1, so
+    ``taps_per_axis <= MAX_TAPS`` and
+    ``radius_factor * sigma_factor <= (MAX_TAPS - 1) / 2``; every field is
+    checked, also those the variant does not use.
     """
 
     variant: str = PERFECT
@@ -50,8 +59,15 @@ class SmoothingKernelSpec:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.taps_per_axis < 3 or self.taps_per_axis % 2 == 0:
             raise ValueError("taps_per_axis must be odd and >= 3")
+        if self.taps_per_axis > MAX_TAPS:
+            raise ValueError(f"taps_per_axis must be <= {MAX_TAPS}")
         if not (0 < self.sigma_factor < math.inf and 0 < self.radius_factor < math.inf):
             raise ValueError("sigma_factor and radius_factor must be finite and positive")
+        if self.radius_factor * self.sigma_factor > (MAX_TAPS - 1) // 2:
+            raise ValueError(
+                f"radius_factor * sigma_factor must be <= {(MAX_TAPS - 1) // 2}, "
+                f"the Gaussian radius of {MAX_TAPS} taps at factor 1"
+            )
 
     @classmethod
     def perfect(cls) -> "SmoothingKernelSpec":

@@ -14,6 +14,7 @@ construct counterexamples that violate the constancy condition.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from math import prod
@@ -21,7 +22,17 @@ from math import prod
 import numpy as np
 
 from . import macs
-from .autodiff import Parameter, Tensor, no_grad, node, project_channels
+from .autodiff import (
+    Parameter,
+    Tensor,
+    add,
+    matmul,
+    no_grad,
+    node,
+    project_channels,
+    scale_rows,
+    sub,
+)
 from .errors import NumericError, ShapeError
 from .grids import GridSpec
 
@@ -328,6 +339,22 @@ class BatchNorm:
     def parameters(self):
         return [self.gamma, self.beta]
 
+    def fold_into(self, conv):
+        """``conv`` followed by this layer in eval mode, as one convolution.
+
+        A copy of ``conv`` (a :class:`PointwiseConv` or
+        :class:`DepthwiseConv`) whose weight and bias are scaled per output
+        channel by ``s = gamma / sqrt(var + eps)``, with ``beta - mean * s``
+        added to the bias. The fold is built from the parameters by graph
+        ops on every call, so gradients still reach ``gamma`` and ``beta``.
+        """
+        s = scale_rows(self.gamma, 1.0 / np.sqrt(self.running_var + BN_EPS))
+        folded = copy.copy(conv)
+        folded.weight = scale_rows(conv.weight, s)
+        shifted = sub(conv.bias, self.running_mean)
+        folded.bias = add(scale_rows(shifted, s), self.beta)
+        return folded
+
 
 class SiLU:
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
@@ -413,9 +440,19 @@ class InnerBlock:
         self.layers = layers
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
-        for layer in self.layers:
+        layers = self.layers if mode == TRAIN else self.folded_layers()
+        for layer in layers:
             x = layer.forward(x, mode=mode, rng=rng)
         return x
+
+    def folded_layers(self) -> list:
+        """The eval-mode layers: every batch norm folded into the
+        convolution before it (:meth:`BatchNorm.fold_into`)."""
+        out: list = []
+        for layer in self.layers:
+            out.append(layer.fold_into(out.pop()) if isinstance(layer, BatchNorm)
+                       else layer)
+        return out
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -436,6 +473,17 @@ class GlobalPoolHead:
 
     def parameters(self):
         return [self.weight, self.bias]
+
+    def fold_in(self, projection: Tensor) -> "GlobalPoolHead":
+        """This head after the channel mix ``projection``, in eval mode.
+
+        With dropout off, a channel mix commutes with the mean pool, so
+        ``head(P x) = (W P) mean(x) + b``: a copy of this head whose weight
+        is the graph op ``W @ P``, rebuilt on every call.
+        """
+        folded = copy.copy(self)
+        folded.weight = matmul(self.weight, projection)
+        return folded
 
 
 def zero_constancy_check(

@@ -28,6 +28,9 @@ Cost conventions (single sample, i.e. batch size 1):
   stay independent of the transform layout
 * stride decimation, sample-preserving reshapes, normalization,
   activations, dropout, pooling, additions, and mean subtraction: 0
+* parameter folds (:func:`arrn.autodiff.scale_rows`,
+  :func:`arrn.autodiff.matmul`): 0. They act on parameters, not on the
+  sample, so their cost does not grow with the batch or the grid
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
 from .layers import (
     EVAL,
+    TRAIN,
     BatchNorm,
     FeatureMap,
     GlobalPoolHead,
@@ -200,7 +201,8 @@ class ArrnModel:
     be blind to all of them. The stage runs identically in the full and
     adapted paths and is never gated, so it leaves the skip guarantee
     untouched, and it preserves spatial constancy, so zero inputs still
-    yield constant logits.
+    yield constant logits. In eval mode the pointwise convolution commutes
+    with the head's mean pool and folds into the head's weight.
     """
 
     def __init__(
@@ -361,6 +363,8 @@ class ArrnModel:
     ) -> Tensor:
         r = self.terminal_norm.forward(r, mode=mode, rng=rng)
         r = silu_op(r)
+        if mode != TRAIN:  # the projection runs folded into the head
+            return self.head.fold_in(self.terminal_projection).forward(r, mode=mode)
         r = project_channels(r, self.terminal_projection)
         return self.head.forward(r, mode=mode, rng=rng)
 
@@ -372,7 +376,13 @@ class ArrnModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Graph from input values on ``ladder[0]`` to logits; every residual
-        runs, gated by ``mask``, and a :meth:`cast` skips the base low-pass."""
+        runs, gated by ``mask``, and a :meth:`cast` skips the base low-pass.
+
+        Eval mode runs the same ops with folded parameters: each block batch
+        norm folded into the convolution before it, and the terminal
+        projection into the head. The folds are graph ops rebuilt on every
+        call, so eval gradients reach every parameter; training is unfolded.
+        """
         if len(mask.chain) != len(self.residuals):
             raise ShapeError("mask length does not match residual count")
         x = Tensor(values)

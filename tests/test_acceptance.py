@@ -379,7 +379,7 @@ class TestCriterion9ComputeScaling:
             decreasing = counts[0] > counts[1] > counts[2]
             ratio = counts[2] / full
             ok = ok and exact and decreasing and ratio <= 0.40
-            details.append(f"{kernel.variant}: ratio {ratio:.3f}")
+            details.append(f"{kernel.variant}: ratio {ratio:.4f}")
         report(
             9,
             ok,

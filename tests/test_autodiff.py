@@ -23,11 +23,13 @@ from arrn.autodiff import (
     gradient_check,
     add,
     lowpass_op,
+    matmul,
     mean_reject_op,
     mul,
     no_grad,
     project_channels,
     scale,
+    scale_rows,
     sub,
 )
 from arrn.kernels import SmoothingKernelSpec
@@ -340,6 +342,33 @@ class TestProjectChannels:
         assert err <= 1e-6
 
 
+class TestParameterFolds:
+    """The ops that fold eval batch norm and the terminal projection count
+    no MACs, and their vector-Jacobian products pass the f64 check."""
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (4, 3, 3)])
+    def test_scale_rows_gradient_check(self, shape):
+        rng = np.random.default_rng(13)
+        a = Parameter(rng.standard_normal(shape))
+        s = Parameter(rng.standard_normal(4))
+        with macs.recording() as counter:
+            out = scale_rows(a, s)
+        np.testing.assert_array_equal(
+            out.values, a.values * s.values.reshape((4,) + (1,) * (len(shape) - 1)))
+        assert counter.total == 0
+        assert gradient_check(lambda: scale_rows(a, s), [a, s]) <= 1e-6
+
+    def test_matmul_gradient_check(self):
+        rng = np.random.default_rng(14)
+        a = Parameter(rng.standard_normal((3, 5)))
+        b = Parameter(rng.standard_normal((5, 4)))
+        with macs.recording() as counter:
+            out = matmul(a, b)
+        np.testing.assert_array_equal(out.values, a.values @ b.values)
+        assert counter.total == 0
+        assert gradient_check(lambda: matmul(a, b), [a, b]) <= 1e-6
+
+
 def _ops():
     """One call of every differentiable op, keyed by name."""
     rng = np.random.default_rng(21)
@@ -356,6 +385,8 @@ def _ops():
         "sub": lambda: sub(x, y),
         "mul": lambda: mul(x, y),
         "scale": lambda: scale(x, 2.5),
+        "scale_rows": lambda: scale_rows(w, b),
+        "matmul": lambda: matmul(w, dw),
         "mean_reject": lambda: mean_reject_op(x),
         "lowpass": lambda: lowpass_op(x, (4,), GAUSS),
         "downsample": lambda: downsample_op(x, (4,), PERFECT),

@@ -410,6 +410,9 @@ TINY_TRAIN = ("train", "--levels", "16,8", "--features", "2,2",
     ("--kernel", "truncated_gaussian", "--radius-factor", "nan"),
     ("--kernel", "truncated_gaussian", "--radius-factor", "inf"),
     ("--kernel", "truncated_gaussian", "--radius-factor", "1e309"),
+    ("--kernel", "truncated_gaussian", "--sigma-factor", "1e20"),
+    ("--kernel", "truncated_gaussian", "--radius-factor", "1e20"),
+    ("--sigma-factor", "1e20"),
     ("--features", "2,0"),
     ("--features", "2,-1"),
     ("--dropout", "1.5"),
@@ -482,6 +485,7 @@ HUGE = "100000000000000000000"  # 10**20, more than any array dimension
     (*TINY_VERIFY, "--input-features", "0"),
     (*TINY_VERIFY, "--input-features", HUGE),
     (*TINY_VERIFY, "--seed", "-1"),
+    (*TINY_VERIFY, "--kernel", "truncated_gaussian", "--sigma-factor", "1e20"),
     (*TINY_TRAIN, "--seed", "-1"),
     (*TINY_TRAIN, "--data-seed", "-1"),
     (*TINY_TRAIN, "--input-features", "0"),
@@ -595,10 +599,9 @@ class TestAblateSmoke:
 HOSTILE = ("0", "-1", "nan", "inf", "1e309", "", "16x0", "0,0", "2,2", "1.5",
            HUGE, "16,0", "15,8", "16x8,8")
 # Accepted with no upper bound (see the README): 10**20 epochs, layers,
-# trials or repetitions run for ever, and Gaussian taps that wide cannot be
-# allocated, so that one value is left out for these flags.
-UNBOUNDED = {"--epochs", "--depth", "--trials", "--repetitions",
-             "--sigma-factor", "--radius-factor"}
+# trials or repetitions run for ever, so that one value is left out for
+# these flags.
+UNBOUNDED = {"--epochs", "--depth", "--trials", "--repetitions"}
 # Path values; "valid" is the given file of the kind a flag reads, and a new
 # path for a flag that only writes.
 PATH_VALUES = ("missing", "dir", "garbage.bin", "valid")

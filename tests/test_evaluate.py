@@ -108,7 +108,10 @@ class TestMacCounts:
             logits = model.forward_graph(values, DropoutMask.all_on(2), TRAIN, rng)
             forward = counter.total
             logits.backward(np.ones_like(logits.values))
-        assert forward == count_macs(model, 0, FULL)
+        # Training also runs the terminal projection that eval folds away.
+        top = model.features[-1]
+        terminal = macs.pointwise_macs(model.ladder[-1].num_samples, top, top)
+        assert forward == count_macs(model, 0, FULL) + terminal
         assert counter.total == forward
 
     def test_strictly_decreasing_in_entry_level(self):

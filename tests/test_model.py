@@ -10,12 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arrn import macs
-from arrn.autodiff import Tensor, no_grad
+from arrn.autodiff import Tensor, no_grad, project_channels
 from arrn.errors import FormatError, GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
 from arrn.evaluate import ADAPTED, FULL, count_macs, evaluate_sweep
-from arrn.layers import FeatureMap, zero_constancy_check
+from arrn.layers import EVAL, FeatureMap, InnerBlock, silu_op, zero_constancy_check
 from arrn.model import (
     ARNN_MAGIC,
     ArrnModel,
@@ -466,6 +466,40 @@ class TestGraphFreeEval:
             bare = forward_full(model, fmap) if entry == 0 else forward_adapted(
                 model, fmap)
             np.testing.assert_array_equal(bare, graph.values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("extents", [[32, 16, 8], [(16, 8), (8, 4), (4, 2)]],
+                             ids=["1d", "2d"])
+    def test_folded_logits_match_unfolded_layers(
+        self, monkeypatch, dtype, kernel, extents
+    ):
+        model = build_model(seed=100, kernel=kernel, dtype=dtype,
+                            ladder=ResolutionLadder.from_extents(extents))
+        inputs = [random_input(model, seed=101 + entry, level=entry)
+                  for entry in range(len(model.ladder))]
+        folded = [forward_full(model.cast(entry), fmap)
+                  for entry, fmap in enumerate(inputs)]
+
+        def unfolded_block(block, x, mode=EVAL, rng=None):
+            for layer in block.layers:
+                x = layer.forward(x, EVAL)
+            return x
+
+        def unfolded_terminal_and_head(model, r, mode, rng):
+            r = silu_op(model.terminal_norm.forward(r, EVAL))
+            r = project_channels(r, model.terminal_projection)
+            return model.head.forward(r, EVAL)
+
+        monkeypatch.setattr(InnerBlock, "forward", unfolded_block)
+        monkeypatch.setattr(ArrnModel, "_terminal_and_head",
+                            unfolded_terminal_and_head)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for entry, fmap in enumerate(inputs):
+            reference = forward_full(model.cast(entry), fmap)
+            gap = np.max(np.abs(folded[entry] - reference))
+            assert gap <= tol * np.max(np.abs(reference)), (entry, gap)
 
     def test_eval_callers_build_no_node(self, monkeypatch):
         model = build_model(seed=92)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from arrn.errors import FormatError, GridError, NumericError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
-from arrn.kernels import SmoothingKernelSpec
+from arrn.kernels import MAX_TAPS, SmoothingKernelSpec
 from arrn.resample import (
     check_bandlimited,
     decimate,
@@ -203,6 +203,27 @@ class TestKernels:
             SmoothingKernelSpec(variant="boxcar")
         with pytest.raises(ValueError):
             SmoothingKernelSpec.truncated_gaussian(sigma_factor=-1.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"variant": "windowed_sinc", "taps_per_axis": MAX_TAPS + 2},
+        {"variant": "windowed_sinc", "taps_per_axis": 999999999},
+        {"variant": "truncated_gaussian", "sigma_factor": 1e20},
+        {"variant": "truncated_gaussian", "radius_factor": 1e20},
+        {"variant": "truncated_gaussian", "sigma_factor": 256.0,
+         "radius_factor": np.nextafter(2.0, 3.0)},
+        {"variant": "perfect", "sigma_factor": 1e20},
+    ], ids=["sinc", "sinc-huge", "sigma", "radius", "just-over", "unused"])
+    def test_taps_over_the_ceiling_are_rejected(self, fields):
+        # Only the spec is built: no taps are realized.
+        with pytest.raises(ValueError, match="must be <="):
+            SmoothingKernelSpec(**fields)
+
+    def test_the_ceiling_is_realizable(self):
+        sinc = SmoothingKernelSpec.windowed_sinc(MAX_TAPS)
+        gauss = SmoothingKernelSpec.truncated_gaussian(256.0, 2.0)
+        assert len(sinc.realize(2)) <= MAX_TAPS
+        assert len(gauss.realize(1)) == MAX_TAPS
+        assert len(gauss.realize(4)) <= 4 * MAX_TAPS
 
     @pytest.mark.parametrize("kernel", [SINC, GAUSS])
     @pytest.mark.parametrize("factor", [1, 2, 4])
