@@ -477,7 +477,6 @@ def cmd_bench(args) -> int:
         resolutions,
         policy=args.policy,
         measure_time=not args.no_timing,
-        batch_size=args.batch,
     )
     for row in result.rows:
         print(

@@ -279,6 +279,12 @@ def load_dataset(directory: str | Path) -> SynthDataset:
                 [int(line) for line in label_text.splitlines() if line.strip()],
                 dtype=np.int64,
             )
+            outside = labels[(labels < 0) | (labels >= spec.classes)]
+            if outside.size:
+                raise FormatError(
+                    f"{directory}: {name}_labels.txt holds label {outside[0]} "
+                    f"outside [0, {spec.classes})"
+                )
             n = labels.shape[0]
             inputs = packed.values.reshape(
                 (n, spec.features) + spec.base_extents

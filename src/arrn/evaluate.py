@@ -26,7 +26,7 @@ import numpy as np
 
 from . import macs
 from .data import SynthDatasetSpec, generate_dataset
-from .errors import GridError
+from .errors import GridError, ShapeError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import VARIANTS, SmoothingKernelSpec
 from .layers import FeatureMap, InnerBlockSpec
@@ -143,20 +143,6 @@ def _resolution_grid(resolution, dims: int) -> GridSpec:
     return GridSpec(tuple(resolution))
 
 
-def _batched_logits(model, values, grid, batch_size):
-    """Logits in batches; the input grid picks the entry level."""
-    out = []
-    elapsed = 0.0
-    for start in range(0, values.shape[0], batch_size):
-        chunk = values[start : start + batch_size]
-        fmap = FeatureMap(grid, chunk)
-        t0 = time.perf_counter()
-        logits = forward_adapted(model, fmap)
-        elapsed += time.perf_counter() - t0
-        out.append(logits)
-    return np.concatenate(out), elapsed
-
-
 def evaluate_sweep(
     model: ArrnModel,
     inputs: np.ndarray,
@@ -166,12 +152,17 @@ def evaluate_sweep(
     policy: str = PREFER_FINER,
     dropout_label: str = "off",
     measure_time: bool = True,
-    batch_size: int = 256,
 ) -> EvalSweepResult:
     """Accuracy / MAC / time table over synthetic lower resolutions.
 
-    ``inputs`` are base-resolution test signals ``(n, channels, *extents)``.
+    ``inputs`` are base-resolution test signals ``(n, channels, *extents)``
+    and ``labels`` their ``n`` classes.
     """
+    if np.shape(labels) != np.shape(inputs)[:1]:
+        raise ShapeError(
+            f"labels have shape {np.shape(labels)}, the {len(inputs)} input "
+            f"rows need ({len(inputs)},)"
+        )
     base = model.ladder[0]
     grids = [_resolution_grid(resolution, base.dims) for resolution in resolutions]
     for grid in grids:
@@ -191,8 +182,10 @@ def evaluate_sweep(
                 level, target = entry_level(model.ladder, grid, policy)
             else:
                 raise ValueError(f"unknown mode {mode!r}")
-            values = resample_perfect_array(low, target.extents)
-            logits, elapsed = _batched_logits(model, values, target, batch_size)
+            fmap = FeatureMap(target, resample_perfect_array(low, target.extents))
+            start = time.perf_counter()
+            logits = forward_adapted(model, fmap)
+            elapsed = time.perf_counter() - start
             accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
             rows.append(
                 SweepRow(

@@ -65,6 +65,15 @@ ARNN_MAGIC = b"ARNN1\n"
 PREFER_FINER = "prefer-finer"
 PREFER_COARSER = "prefer-coarser"
 
+# Evaluation runs a batch in blocks of rows whose widest activation takes at
+# most this many bytes, so every pass over a block stays in a core's 2 MiB L2
+# cache. Measured on eval-ladder (desk model, f32, batch 256, 4 KiB widest
+# per sample; 2-core Xeon, 10 s runs, seeds 0-3, median samples/s): no
+# blocking 11.8k; 128 KiB 11.0k (each forward_graph call costs a fixed
+# ~0.6 ms); 256 KiB 13.3k; 384 KiB 14.2k; 512 KiB 14.1k; 768 KiB 14.5k
+# (the same 128-row blocks as 512 KiB); 1 MiB 11.2k (one block).
+EVAL_BLOCK_BYTES = 512 * 1024
+
 
 # ---------------------------------------------------------------------------
 # Dropout configuration and masks.
@@ -394,12 +403,34 @@ class ArrnModel:
         return self._terminal_and_head(r, mode, rng)
 
 
+def eval_block_rows(model: ArrnModel) -> int:
+    """Rows per evaluation block: :data:`EVAL_BLOCK_BYTES` over the widest
+    per-sample activation an op of ``model`` writes, and at least one.
+
+    The candidates are the input and input-projection maps on the finest
+    grid, each block's expanded width on its grid, and the terminal width
+    on the coarsest grid.
+    """
+    finest, coarsest = model.ladder[0], model.ladder[model.ladder.top_level]
+    widths = [
+        max(model.input_features, model.features[0]) * finest.num_samples,
+        model.features[-1] * coarsest.num_samples,
+    ]
+    for res in model.residuals:
+        spec = res.block.spec
+        widths.append(spec.features * spec.expansion * res.in_grid.num_samples)
+    return max(1, EVAL_BLOCK_BYTES // (max(widths) * model.dtype.itemsize))
+
+
 def forward_full(
     model: ArrnModel, fmap: FeatureMap, mask: DropoutMask | None = None
 ) -> np.ndarray:
     """Evaluate every residual; dropout gates apply only when supplied.
 
     Like :func:`forward_adapted`, this is eval mode and builds no graph.
+    The batch runs as equal blocks of at most :func:`eval_block_rows` rows,
+    one :meth:`ArrnModel.forward_graph` call each. Every eval op acts on
+    each sample alone, so the logits do not depend on the block size.
     """
     grid = model.ladder[0]
     if fmap.grid != grid:
@@ -409,10 +440,17 @@ def forward_full(
             f"input has {fmap.features} channels, model expects "
             f"{model.input_features}"
         )
+    if fmap.batch == 0:
+        raise ShapeError("cannot evaluate an empty batch")
     if mask is None:
         mask = DropoutMask.all_on(len(model.residuals))
+    values = np.asarray(fmap.values, model.dtype)
+    rows = eval_block_rows(model)
     with no_grad():
-        return model.forward_graph(np.asarray(fmap.values, model.dtype), mask).values
+        if fmap.batch <= rows:  # np.array_split costs ~20 us, 1% of a small call
+            return model.forward_graph(values, mask).values
+        blocks = np.array_split(values, -(-fmap.batch // rows))
+        return np.concatenate([model.forward_graph(b, mask).values for b in blocks])
 
 
 def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Parameter
 from .errors import NumericError, ShapeError
-from .layers import TRAIN, softmax_cross_entropy
+from .layers import TRAIN, FeatureMap, softmax_cross_entropy
 from .model import ArrnModel, DropoutConfig, DropoutMask, sample_mask
 from .signal import DTYPES
 
@@ -158,7 +158,14 @@ def _fit(model, inputs, labels, config) -> TrainResult:
             f"inputs have per-sample shape {inputs.shape[1:]}, the model "
             f"expects {expected}"
         )
+    if inputs.shape[0] == 0:
+        raise ShapeError("training needs at least one sample")
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != inputs.shape[:1]:
+        raise ShapeError(
+            f"labels have shape {labels.shape}, the {inputs.shape[0]} input "
+            f"rows need ({inputs.shape[0]},)"
+        )
     streams = np.random.SeedSequence(config.seed).spawn(3)
     shuffle_rng = np.random.default_rng(streams[0])
     gate_rng = np.random.default_rng(streams[1])
@@ -212,16 +219,9 @@ def _fit(model, inputs, labels, config) -> TrainResult:
     return TrainResult(epoch_losses, learning_rates, accuracy)
 
 
-def predict_classes(
-    model: ArrnModel, inputs: np.ndarray, batch_size: int = 256
-) -> np.ndarray:
-    """Eval-mode class predictions for finest-grid inputs, in batches."""
-    from .layers import FeatureMap
-    from .model import forward_full
+def predict_classes(model: ArrnModel, inputs: np.ndarray) -> np.ndarray:
+    """Eval-mode class predictions for finest-grid inputs."""
+    from .model import forward_full  # looked up per call, so a patched one is seen
 
-    out = []
-    for start in range(0, inputs.shape[0], batch_size):
-        chunk = np.asarray(inputs[start : start + batch_size], dtype=model.dtype)
-        logits = forward_full(model, FeatureMap(model.ladder[0], chunk))
-        out.append(np.argmax(logits, axis=1))
-    return np.concatenate(out)
+    fmap = FeatureMap(model.ladder[0], np.asarray(inputs, dtype=model.dtype))
+    return np.argmax(forward_full(model, fmap), axis=1)

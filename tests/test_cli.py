@@ -524,6 +524,27 @@ def test_cache_with_zero_features_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("format error:")
 
 
+@pytest.mark.parametrize("split, label", [
+    ("train", "7"), ("test", "7"), ("test", "-1"),
+])
+def test_cache_label_outside_the_classes_exits_2(tmp_path, capsys, split, label):
+    cache, ckpt = tmp_path / "cache", tmp_path / "a.arnn"
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", ckpt) == 0
+    classes = json.loads((cache / "dataset.json").read_text())["spec"]["classes"]
+    assert int(label) not in range(classes)
+    labels = cache / f"{split}_labels.txt"
+    lines = labels.read_text().splitlines()
+    labels.write_text("\n".join([label] + lines[1:]) + "\n")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "b.arnn") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert run("eval", "--checkpoint", ckpt, "--resolutions", "16",
+               "--data-cache", cache, "--out", tmp_path / "s.csv") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command, flag, path", [
     ("decompose", "--out", "file"),
     ("reconstruct", "--out", "dir"),

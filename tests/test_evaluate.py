@@ -9,7 +9,7 @@ import pytest
 
 from arrn import macs
 from arrn.data import SynthDatasetSpec, generate_dataset
-from arrn.errors import GridError
+from arrn.errors import GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
 from arrn.layers import TRAIN, FeatureMap
@@ -197,6 +197,14 @@ class TestSweep:
                     measure_time=False,
                 )
         assert counter.total == 0
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_label_count_unlike_the_inputs_rejected(self, count):
+        model = build_model("perfect")
+        inputs = np.zeros((10, 1, 64))
+        with pytest.raises(ShapeError, match="labels have shape"):
+            evaluate_sweep(model, inputs, np.zeros(count, dtype=np.int64), [32],
+                           measure_time=False)
 
     def test_integer_resolution_broadcasts_to_every_axis(self):
         model = ArrnModel(

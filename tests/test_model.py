@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arrn import macs
+from arrn import model as model_module
 from arrn.autodiff import Tensor, no_grad, project_channels
 from arrn.errors import FormatError, GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
@@ -23,6 +24,7 @@ from arrn.model import (
     DropoutMask,
     entry_level,
     equivalence_report,
+    eval_block_rows,
     forward_adapted,
     forward_full,
     load_checkpoint,
@@ -549,6 +551,132 @@ class TestGraphFreeEval:
             pool.submit(train, trained, inputs, labels, config).result()
         for a, b in zip(reference.parameters(), trained.parameters()):
             np.testing.assert_array_equal(a.values, b.values)
+
+
+DESK = ResolutionLadder.from_extents([64, 32, 16])
+
+
+def count_forward_graph_calls(monkeypatch) -> list:
+    """Patch ``ArrnModel.forward_graph`` to record each call's batch size."""
+    calls = []
+    forward_graph = ArrnModel.forward_graph
+
+    def counting(model, values, *args, **kwargs):
+        calls.append(values.shape[0])
+        return forward_graph(model, values, *args, **kwargs)
+
+    monkeypatch.setattr(ArrnModel, "forward_graph", counting)
+    return calls
+
+
+def widest_bytes(model) -> int:
+    """The widest per-sample activation of an eval pass, in bytes."""
+    finest, coarsest = model.ladder[0], model.ladder[model.ladder.top_level]
+    widths = [model.input_features * finest.num_samples,
+              model.features[0] * finest.num_samples,
+              model.features[-1] * coarsest.num_samples]
+    widths += [res.block.spec.expansion * res.in_features * res.in_grid.num_samples
+               for res in model.residuals]
+    return max(widths) * model.dtype.itemsize
+
+
+class TestBlockedEval:
+    """forward_full runs a batch in blocks of eval_block_rows rows."""
+
+    @staticmethod
+    def unblocked(cast, fmap):
+        with no_grad():
+            return cast.forward_graph(
+                fmap.values, DropoutMask.all_on(len(cast.residuals))).values
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("extents", [[32, 16, 8], [(16, 8), (8, 4), (4, 2)]],
+                             ids=["1d", "2d"])
+    def test_blocked_logits_equal_one_unblocked_call_bitwise(
+        self, monkeypatch, dtype, kernel, extents
+    ):
+        model = build_model(seed=110, kernel=kernel, dtype=dtype,
+                            ladder=ResolutionLadder.from_extents(extents))
+        calls = count_forward_graph_calls(monkeypatch)
+        for entry in range(len(model.ladder)):
+            cast = model.cast(entry)
+            fmap = random_input(model, seed=111 + entry, batch=23, level=entry)
+            reference = self.unblocked(cast, fmap)
+            for rows, blocks in ((1, [1] * 23), (5, [5, 5, 5, 4, 4])):
+                monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES",
+                                    rows * widest_bytes(cast))
+                assert eval_block_rows(cast) == rows
+                calls.clear()
+                np.testing.assert_array_equal(forward_adapted(model, fmap), reference)
+                assert calls == blocks
+
+    def test_uneven_batch_runs_as_equal_blocks(self, monkeypatch):
+        model = build_model(seed=112, dtype=np.float32, ladder=DESK,
+                            features=(8, 16, 32), classes=4)
+        fmap = random_input(model, seed=113, batch=300)
+        calls = count_forward_graph_calls(monkeypatch)
+        blocked = forward_full(model, fmap)
+        assert calls == [100, 100, 100]
+        np.testing.assert_array_equal(blocked, self.unblocked(model, fmap))
+
+    def test_rows_rule_and_call_counts(self, monkeypatch):
+        desk = build_model(seed=114, dtype=np.float32, ladder=DESK,
+                           features=(8, 16, 32), classes=4)
+        verify = build_model(
+            seed=115, ladder=ResolutionLadder.from_extents(
+                [(32, 32), (16, 16), (8, 8)]),
+            features=(8, 16, 32), classes=4, input_features=4)
+        # The widest maps: the first block's expanded width on the finest
+        # grid, and at entry 2 the terminal width on the coarsest grid.
+        assert widest_bytes(desk) == 16 * 64 * 4
+        assert widest_bytes(desk.cast(2)) == 32 * 16 * 4
+        assert widest_bytes(verify) == 16 * 32 * 32 * 8
+        for model in (desk, desk.cast(1), desk.cast(2), verify, verify.cast(1)):
+            assert eval_block_rows(model) == (
+                model_module.EVAL_BLOCK_BYTES // widest_bytes(model))
+        calls = count_forward_graph_calls(monkeypatch)
+        forward_full(desk, random_input(desk, batch=256))
+        assert calls == [128, 128]
+        calls.clear()
+        forward_adapted(desk, random_input(desk, batch=256, level=2))
+        assert calls == [256]
+        calls.clear()
+        forward_full(verify, random_input(verify, batch=2))
+        assert calls == [2]
+
+    def test_one_row_blocks_when_a_sample_exceeds_the_budget(self, monkeypatch):
+        model = build_model(seed=116)
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1)
+        assert eval_block_rows(model) == 1
+        calls = count_forward_graph_calls(monkeypatch)
+        forward_full(model, random_input(model, batch=3))
+        assert calls == [1, 1, 1]
+
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    def test_blocked_macs_equal_unblocked_macs(self, monkeypatch, kernel):
+        model = build_model(seed=117, kernel=kernel)
+        for entry in range(len(model.ladder)):
+            monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES",
+                                2 * widest_bytes(model.cast(entry)))
+            fmap = random_input(model, seed=118, batch=7, level=entry)
+            with macs.recording() as blocked:
+                forward_adapted(model, fmap)
+            with macs.recording() as unblocked:
+                self.unblocked(model.cast(entry), fmap)
+            assert blocked.total == unblocked.total
+            assert blocked.total == 7 * count_macs(model, entry, ADAPTED)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_empty_batch_is_a_shape_error(self, level):
+        model = build_model(seed=119)
+        fmap = random_input(model, batch=0, level=level)
+        with pytest.raises(ShapeError, match="empty batch"):
+            forward_adapted(model, fmap)
+        with pytest.raises(ShapeError, match="empty batch"):
+            forward_full(model.cast(level), fmap)
 
 
 def rewrite_manifest(raw: bytes, edit, trim: int = 0) -> bytes:

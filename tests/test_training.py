@@ -136,6 +136,19 @@ class TestTrain:
             train(model, np.zeros(shape, dtype=np.float32),
                   np.zeros(4, dtype=np.int64), TrainConfig(epochs=1))
 
+    def test_zero_samples_rejected(self):
+        model = build_model()
+        with pytest.raises(ShapeError, match="at least one sample"):
+            train(model, np.zeros((0, 1, 64), dtype=np.float32),
+                  np.zeros(0, dtype=np.int64), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("labels", [3, 5, (4, 1)])
+    def test_label_count_unlike_the_inputs_rejected(self, labels):
+        model = build_model()
+        with pytest.raises(ShapeError, match="labels have shape"):
+            train(model, np.zeros((4, 1, 64), dtype=np.float32),
+                  np.zeros(labels, dtype=np.int64), TrainConfig(epochs=1))
+
     def test_dtype_mismatch_rejected(self):
         model = build_model(dtype=np.float64)
         ds = toy_dataset()
