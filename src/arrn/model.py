@@ -445,11 +445,8 @@ def forward_full(
     if mask is None:
         mask = DropoutMask.all_on(len(model.residuals))
     values = np.asarray(fmap.values, model.dtype)
-    rows = eval_block_rows(model)
+    blocks = np.array_split(values, -(-fmap.batch // eval_block_rows(model)))
     with no_grad():
-        if fmap.batch <= rows:  # np.array_split costs ~20 us, 1% of a small call
-            return model.forward_graph(values, mask).values
-        blocks = np.array_split(values, -(-fmap.batch // rows))
         return np.concatenate([model.forward_graph(b, mask).values for b in blocks])
 
 
