@@ -39,15 +39,12 @@ from .pyramid import (
 from .layers import FeatureMap, InnerBlock, InnerBlockSpec, zero_constancy_check
 from .model import (
     ArrnModel,
-    DropoutConfig,
-    DropoutMask,
     LaplacianResidual,
     entry_level,
     equivalence_report,
     forward_adapted,
     forward_full,
     load_checkpoint,
-    sample_mask,
     save_checkpoint,
 )
 from .data import SynthDataset, SynthDatasetSpec, generate_dataset, oracle_predict
@@ -82,9 +79,6 @@ __all__ = [
     "zero_constancy_check",
     "ArrnModel",
     "LaplacianResidual",
-    "DropoutConfig",
-    "DropoutMask",
-    "sample_mask",
     "entry_level",
     "forward_full",
     "forward_adapted",

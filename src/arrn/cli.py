@@ -44,7 +44,6 @@ from .model import (
     PREFER_COARSER,
     PREFER_FINER,
     ArrnModel,
-    DropoutConfig,
     equivalence_report,
     load_checkpoint,
     randomize_for_verification,
@@ -402,9 +401,7 @@ def cmd_train(args) -> int:
     save_checkpoint(
         args.out,
         model,
-        dropout=None if dropout is None else DropoutConfig.uniform(
-            dropout, len(model.residuals)
-        ),
+        dropout=dropout,
         extra={"train_config": config.describe(), "dataset": dataset.spec.describe()},
     )
     if args.loss_csv:

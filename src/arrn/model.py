@@ -17,10 +17,10 @@ floating-point accuracy; approximate kernels perturb every skipped level
 by a small error signal, which is measured (never asserted away) by
 :func:`equivalence_report`.
 
-Per-level dropout gates reuse the same collapse: gates are Bernoulli
-draws OR-chained from fine to coarse, so a sampled mask always disables a
-consecutive prefix of fine levels, which is exactly evaluation at a
-randomly lowered resolution.
+Laplacian dropout reuses the same collapse. A training step draws one
+count ``dropped`` and runs residuals ``0..dropped-1`` without their
+blocks, which is exactly evaluation at a randomly lowered resolution:
+the cast to level ``dropped`` omits the same prefix.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,68 +75,6 @@ EVAL_BLOCK_BYTES = 512 * 1024
 
 
 # ---------------------------------------------------------------------------
-# Dropout configuration and masks.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DropoutConfig:
-    """Per-level drop probabilities, finest residual first."""
-
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
-            raise ValueError("drop probabilities must lie in [0, 1]")
-
-    @classmethod
-    def uniform(cls, p: float, levels: int) -> "DropoutConfig":
-        return cls((p,) * levels)
-
-
-@dataclass(frozen=True)
-class DropoutMask:
-    """Keep gates per residual level.
-
-    ``chain`` is the running OR of ``independent`` from fine to coarse, so
-    it is always a monotone step sequence: a dropped prefix of fine levels
-    followed by kept coarse levels. Gate 0 disables a level's block path.
-    """
-
-    independent: tuple[int, ...]
-    chain: tuple[int, ...]
-
-    def __post_init__(self):
-        running = 0
-        for ind, ch in zip(self.independent, self.chain):
-            running = running | ind
-            if ch != running:
-                raise ValueError("chain gates must be the running OR of independent")
-
-    @classmethod
-    def all_on(cls, levels: int) -> "DropoutMask":
-        return cls((1,) * levels, (1,) * levels)
-
-    @property
-    def dropped_prefix(self) -> int:
-        """Number of leading residuals gated off."""
-        return sum(1 for c in self.chain if c == 0)
-
-
-def sample_mask(rng: np.random.Generator, config: DropoutConfig) -> DropoutMask:
-    """Draw one mask: a uniform per level (fine to coarse), then the OR chain."""
-    independent = []
-    for p in config.probabilities:
-        independent.append(int(rng.random() >= p))
-    chain = []
-    running = 0
-    for ind in independent:
-        running = running | ind
-        chain.append(running)
-    return DropoutMask(tuple(independent), tuple(chain))
-
-
-# ---------------------------------------------------------------------------
 # Residual level and full model.
 # ---------------------------------------------------------------------------
 
@@ -174,8 +111,8 @@ class LaplacianResidual:
             name=f"res{level}.proj",
         )
 
-    def forward(self, r_prev: Tensor, gate: int, mode: str = EVAL, rng=None) -> Tensor:
-        """Advance the chain one level; ``gate`` 0 bypasses the block exactly.
+    def forward(self, r_prev: Tensor, gate: bool, mode: str = EVAL, rng=None) -> Tensor:
+        """Advance the chain one level; a false ``gate`` bypasses the block exactly.
 
         The bypass never evaluates the block (its contribution is exactly
         zero after mean rejection), so a gated-off level costs only the
@@ -279,8 +216,7 @@ class ArrnModel:
             features[-1], classes, rng, dtype, dropout_p=head_dropout
         )
         self.base_lowpass = True
-        self.version = 0
-        self._composed_cache: dict[int, tuple[int, np.ndarray]] = {}
+        self.version = 0  # never changes; the benchmark tracer reads it
 
     # -- parameters and state ------------------------------------------------
 
@@ -320,26 +256,18 @@ class ArrnModel:
         state["terminal.bn.var"] = self.terminal_norm.running_var
         return state
 
-    def bump_version(self) -> None:
-        """Invalidate caches after any parameter update."""
-        self.version += 1
-
     def composed_projection(self, entry_level: int) -> np.ndarray:
         """The matrix equal to all projections of the skipped prefix.
 
         For entry at ladder level ``u`` this is
         ``P_{u-1} @ ... @ P_0 @ A`` mapping raw input channels directly to
-        the width of level ``u``; materialized once per version.
+        the width of level ``u``, formed from the current values on every
+        call.
         """
-        cached = self._composed_cache.get(entry_level)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
         matrix = self.input_projection.values
         for res in self.residuals[:entry_level]:
             matrix = res.projection.values @ matrix
-        matrix = np.ascontiguousarray(matrix, dtype=self.dtype)
-        self._composed_cache[entry_level] = (self.version, matrix)
-        return matrix
+        return np.ascontiguousarray(matrix, dtype=self.dtype)
 
     def cast(self, entry: int) -> "ArrnModel":
         """This model without residuals ``0..entry-1``: the ARRN over
@@ -362,7 +290,6 @@ class ArrnModel:
             self.composed_projection(entry), name="input.proj"
         )
         cast.base_lowpass = False
-        cast._composed_cache = {}
         return cast
 
     # -- forward paths ---------------------------------------------------------
@@ -380,26 +307,29 @@ class ArrnModel:
     def forward_graph(
         self,
         values: np.ndarray,
-        mask: DropoutMask,
+        dropped: int = 0,
         mode: str = EVAL,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Graph from input values on ``ladder[0]`` to logits; every residual
-        runs, gated by ``mask``, and a :meth:`cast` skips the base low-pass.
+        runs, the first ``dropped`` without their blocks (Laplacian dropout),
+        and a :meth:`cast` skips the base low-pass.
 
         Eval mode runs the same ops with folded parameters: each block batch
         norm folded into the convolution before it, and the terminal
         projection into the head. The folds are graph ops rebuilt on every
         call, so eval gradients reach every parameter; training is unfolded.
         """
-        if len(mask.chain) != len(self.residuals):
-            raise ShapeError("mask length does not match residual count")
+        if not 0 <= dropped <= len(self.residuals):
+            raise ShapeError(
+                f"cannot drop {dropped} of {len(self.residuals)} residuals"
+            )
         x = Tensor(values)
         if self.base_lowpass:
             x = lowpass_op(x, self.ladder[0].extents, self.kernel)
         r = project_channels(x, self.input_projection)
-        for res, gate in zip(self.residuals, mask.chain):
-            r = res.forward(r, gate, mode=mode, rng=rng)
+        for i, res in enumerate(self.residuals):
+            r = res.forward(r, i >= dropped, mode=mode, rng=rng)
         return self._terminal_and_head(r, mode, rng)
 
 
@@ -422,10 +352,8 @@ def eval_block_rows(model: ArrnModel) -> int:
     return max(1, EVAL_BLOCK_BYTES // (max(widths) * model.dtype.itemsize))
 
 
-def forward_full(
-    model: ArrnModel, fmap: FeatureMap, mask: DropoutMask | None = None
-) -> np.ndarray:
-    """Evaluate every residual; dropout gates apply only when supplied.
+def forward_full(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
+    """Evaluate every residual, each with its block.
 
     Like :func:`forward_adapted`, this is eval mode and builds no graph.
     The batch runs as equal blocks of at most :func:`eval_block_rows` rows,
@@ -442,12 +370,10 @@ def forward_full(
         )
     if fmap.batch == 0:
         raise ShapeError("cannot evaluate an empty batch")
-    if mask is None:
-        mask = DropoutMask.all_on(len(model.residuals))
     values = np.asarray(fmap.values, model.dtype)
     blocks = np.array_split(values, -(-fmap.batch // eval_block_rows(model)))
     with no_grad():
-        return np.concatenate([model.forward_graph(b, mask).values for b in blocks])
+        return np.concatenate([model.forward_graph(b).values for b in blocks])
 
 
 def forward_adapted(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
@@ -510,7 +436,6 @@ def randomize_for_verification(model: ArrnModel, rng: np.random.Generator) -> No
         bn.beta.assign(rng.normal(0.0, 0.3, channels).astype(model.dtype))
         bn.running_mean = rng.normal(0.0, 0.3, channels).astype(model.dtype)
         bn.running_var = rng.uniform(0.5, 1.5, channels).astype(model.dtype)
-    model.bump_version()
 
 
 def equivalence_report(
@@ -565,12 +490,18 @@ def equivalence_report(
 def save_checkpoint(
     path: str | Path,
     model: ArrnModel,
-    dropout: DropoutConfig | None = None,
+    dropout: float | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write magic, u32 manifest length, JSON manifest, raw parameter blob."""
+    """Write magic, u32 manifest length, JSON manifest, raw parameter blob.
+
+    ``dropout`` is the Laplacian dropout probability the model trained
+    with, stored once per residual; ``None`` stores ``null``.
+    """
     if not model.base_lowpass:  # its residuals keep their levels in the model
         raise ValueError("a cast has no ARNN1 form; save the model it came from")
+    if dropout is not None and not 0.0 <= dropout <= 1.0:
+        raise ValueError("dropout probability must lie in [0, 1]")
     state = model.state()
     params = {p.name for p in model.parameters()}
     manifest = {
@@ -582,7 +513,7 @@ def save_checkpoint(
         "kernel": model.kernel.describe(),
         "blocks": [res.block.spec.describe() for res in model.residuals],
         "head_dropout": model.head_dropout,
-        "dropout": list(dropout.probabilities) if dropout else None,
+        "dropout": None if dropout is None else [dropout] * len(model.residuals),
         "dtype": DTYPE_NAMES[model.dtype],
         "arrays": [
             {
@@ -647,6 +578,16 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
                 f"{path}: block specs {manifest['blocks']} do not describe the "
                 f"model's {len(model.residuals)} residual blocks"
             )
+        dropout = manifest["dropout"]
+        if dropout is not None and not (
+            isinstance(dropout, list)
+            and len(dropout) == len(model.residuals)
+            and all(type(p) in (int, float) and 0 <= p <= 1 for p in dropout)
+        ):
+            raise FormatError(
+                f"{path}: dropout {dropout!r} is neither null nor one "
+                f"probability in [0, 1] for each of {len(model.residuals)} residuals"
+            )
         stored = np.dtype(dtype).newbyteorder("<")
         unread = model.state()
         for entry in manifest["arrays"]:
@@ -670,5 +611,4 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
         raise FormatError(f"{path}: missing arrays {sorted(unread)}")
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes after blob")
-    model.bump_version()
     return model, manifest

@@ -164,9 +164,10 @@ def load_pyramid(directory: str | Path) -> PyramidDecomposition:
             [tuple(e) for e in manifest["levels"]]
         )
         kernel = SmoothingKernelSpec.from_description(manifest["kernel"])
-        diffs = tuple(read_arsg(directory / name) for name in manifest["diffs"])
-        low = read_arsg(directory / manifest["low"])
+        names = (*manifest["diffs"], manifest["low"])
+        terms = tuple(read_arsg(directory / name) for name in names)
         start_level = manifest["start_level"]
+        dtype = manifest["dtype"]
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{directory}: malformed pyramid manifest: {exc}") from exc
     if type(start_level) is not int or not 0 <= start_level <= ladder.top_level:
@@ -174,11 +175,25 @@ def load_pyramid(directory: str | Path) -> PyramidDecomposition:
             f"{directory}: start_level {start_level!r} is not an integer in "
             f"[0, {ladder.top_level}]"
         )
+    diffs, low = terms[:-1], terms[-1]
     if len(diffs) != ladder.top_level - start_level:
         raise FormatError(
             f"{directory}: {len(diffs)} difference signals listed, ladder and "
             f"start_level {start_level} need {ladder.top_level - start_level}"
         )
+    # Diff i lies on ladder[start_level + i], the low band on the coarsest grid.
+    for name, term, level in zip(names, terms, range(start_level, len(ladder))):
+        if term.grid != ladder[level]:
+            raise FormatError(
+                f"{directory}: {name} is on grid {term.grid.extents}, "
+                f"ladder level {level} is {ladder[level].extents}"
+            )
+        if term.features != low.features or DTYPE_NAMES[term.dtype] != dtype:
+            raise FormatError(
+                f"{directory}: {name} has {term.features} "
+                f"{DTYPE_NAMES[term.dtype]} channels; the low band has "
+                f"{low.features} and the manifest says {dtype!r}"
+            )
     return PyramidDecomposition(
         ladder=ladder, kernel=kernel, diffs=diffs, low=low, start_level=start_level
     )

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Parameter
 from .errors import NumericError, ShapeError
 from .layers import TRAIN, FeatureMap, softmax_cross_entropy
-from .model import ArrnModel, DropoutConfig, DropoutMask, sample_mask
+from .model import ArrnModel
 from .signal import DTYPES
 
 
@@ -135,10 +135,11 @@ def train(
     """Optimize the model in place on ``(inputs, labels)``.
 
     ``inputs`` is ``(n, channels, *finest_extents)``; any other per-sample
-    shape raises :class:`~arrn.errors.ShapeError`. One gate mask is
-    drawn per minibatch. A non-finite loss, or an overflow or invalid
-    value in any step, aborts immediately with
-    :class:`~arrn.errors.NumericError` rather than training through it.
+    shape raises :class:`~arrn.errors.ShapeError`. Each minibatch drops
+    the blocks of :func:`draw_dropped` fine residuals (Laplacian
+    dropout). A non-finite loss, or an overflow or invalid value in any
+    step, aborts immediately with :class:`~arrn.errors.NumericError`
+    rather than training through it.
     """
     try:
         return _fit(model, inputs, labels, config)
@@ -171,11 +172,6 @@ def _fit(model, inputs, labels, config) -> TrainResult:
     gate_rng = np.random.default_rng(streams[1])
     head_rng = np.random.default_rng(streams[2])
 
-    dropout = (
-        DropoutConfig.uniform(config.dropout, len(model.residuals))
-        if config.dropout is not None
-        else None
-    )
     optimizer = AdamW(
         model.parameters(),
         learning_rate=config.learning_rate,
@@ -192,13 +188,13 @@ def _fit(model, inputs, labels, config) -> TrainResult:
         batch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            mask = (
-                sample_mask(gate_rng, dropout)
-                if dropout is not None
-                else DropoutMask.all_on(len(model.residuals))
+            dropped = (
+                draw_dropped(gate_rng, config.dropout, len(model.residuals))
+                if config.dropout is not None
+                else 0
             )
             logits = model.forward_graph(
-                inputs[batch], mask, mode=TRAIN, rng=head_rng
+                inputs[batch], dropped, mode=TRAIN, rng=head_rng
             )
             loss = softmax_cross_entropy(logits, labels[batch])
             loss_value = float(loss.values)
@@ -209,7 +205,6 @@ def _fit(model, inputs, labels, config) -> TrainResult:
             optimizer.zero_grad()
             loss.backward(np.ones_like(loss.values))
             optimizer.step(lr)
-            model.bump_version()
             batch_losses.append(loss_value)
         epoch_losses.append(float(np.mean(batch_losses)))
         learning_rates.append(lr)
@@ -217,6 +212,16 @@ def _fit(model, inputs, labels, config) -> TrainResult:
     predictions = predict_classes(model, inputs)
     accuracy = float(np.mean(predictions == labels))
     return TrainResult(epoch_losses, learning_rates, accuracy)
+
+
+def draw_dropped(rng: np.random.Generator, p: float, levels: int) -> int:
+    """How many fine residuals one minibatch drops: one uniform per level,
+    finest first, all drawn, and the count of leading draws below ``p``.
+
+    So ``dropped >= k`` has probability ``p**k``.
+    """
+    kept = rng.random(levels) >= p
+    return int(kept.argmax()) if kept.any() else levels
 
 
 def predict_classes(model: ArrnModel, inputs: np.ndarray) -> np.ndarray:

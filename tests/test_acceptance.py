@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from arrn import macs
-from arrn.autodiff import Parameter, Tensor, gradient_check
+from arrn.autodiff import Parameter, Tensor, gradient_check, no_grad
 from arrn.data import SynthDatasetSpec, generate_dataset
 from arrn.evaluate import ADAPTED, FULL, count_macs, evaluate_sweep
 from arrn.grids import GridSpec, ResolutionLadder
@@ -34,7 +34,6 @@ from arrn.layers import (
 )
 from arrn.model import (
     ArrnModel,
-    DropoutMask,
     equivalence_report,
     forward_adapted,
     forward_full,
@@ -124,11 +123,8 @@ class TestCriterion3DropoutDownsamplingIdentity:
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((2, 1, 64))
             for k in (1, 2):
-                chain = tuple(0 if i < k else 1 for i in range(2))
-                gated = forward_full(
-                    model, FeatureMap(LADDER[0], x),
-                    mask=DropoutMask(chain, chain),
-                )
+                with no_grad():
+                    gated = model.forward_graph(x, dropped=k).values
                 values = x
                 for level in range(1, k + 1):
                     values = downsample_array(
@@ -226,9 +222,7 @@ class TestCriterion5GradientChecks:
         params = small.parameters()
 
         def full_loss():
-            logits = small.forward_graph(
-                batch, DropoutMask.all_on(1), mode="eval"
-            )
+            logits = small.forward_graph(batch, mode="eval")
             return softmax_cross_entropy(logits, labels)
 
         check(full_loss, params)

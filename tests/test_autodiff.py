@@ -105,7 +105,7 @@ def _reference_grads(root, seed):
 
 def _small_model_loss():
     from arrn.grids import ResolutionLadder
-    from arrn.model import ArrnModel, DropoutMask
+    from arrn.model import ArrnModel
 
     rng = np.random.default_rng(5)
     model = ArrnModel(
@@ -114,7 +114,7 @@ def _small_model_loss():
     )
     logits = model.forward_graph(
         rng.standard_normal((6, 1, 16)).astype(np.float32),
-        DropoutMask.all_on(1), mode=layers.TRAIN, rng=np.random.default_rng(6),
+        mode=layers.TRAIN, rng=np.random.default_rng(6),
     )
     return layers.softmax_cross_entropy(logits, np.array([0, 1, 2, 0, 1, 2]))
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -109,6 +110,35 @@ class TestDecomposeReconstruct:
         manifest_path.write_text(json.dumps(manifest))
         assert run("reconstruct", "--pyramid", out_dir, "--level", "1",
                    "--out", tmp_path / "recon.arsg") == 2
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("edit", ["low-grid", "low-features", "low-dtype",
+                                      "reversed-diffs", "manifest-dtype"])
+    def test_terms_unlike_the_manifest_exit_2(
+        self, tmp_path, noise_signal, edit, level
+    ):
+        out_dir = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+                   "--out", out_dir) == 0
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        low = read_arsg(out_dir / "low.arsg")
+        if edit == "low-grid":
+            low = DiscreteSignal(GridSpec((8,)), low.values[:, ::2])
+        elif edit == "low-features":
+            low = DiscreteSignal(low.grid, np.concatenate([low.values] * 2))
+        elif edit == "low-dtype":
+            low = low.astype(np.float32)
+        elif edit == "reversed-diffs":
+            manifest["diffs"] = manifest["diffs"][::-1]
+        else:
+            manifest["dtype"] = "f32"
+        write_arsg(out_dir / "low.arsg", low)
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "recon.arsg"
+        assert run("reconstruct", "--pyramid", out_dir, "--level", level,
+                   "--out", out) == 2
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("decompose", "--input", tmp_path / "absent.arsg",
@@ -328,6 +358,24 @@ class TestTrainEval:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert run("eval", "--checkpoint", tmp_path / "absent.arnn",
                    "--resolutions", "64", "--out", tmp_path / "s.csv") == 2
+
+    @pytest.mark.parametrize("dropout", [[1.5, 1.5], "garbage", [0.3], {"a": 1}, -1])
+    def test_checkpoint_dropout_field_unlike_a_flag_exits_2(
+        self, tmp_path, trained, dropout
+    ):
+        # ARNN1: magic, u32 manifest length, manifest, blob.
+        raw = trained[1].read_bytes()
+        (length,) = struct.unpack_from("<I", raw, 6)
+        manifest = json.loads(raw[10 : 10 + length])
+        header = json.dumps({**manifest, "dropout": dropout}).encode()
+        bad = tmp_path / "bad.arnn"
+        bad.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header
+                        + raw[10 + length :])
+        out = tmp_path / "s.csv"
+        assert run("eval", "--checkpoint", bad, "--resolutions", "64,32",
+                   "--classes", "3", "--samples-per-class", "16",
+                   "--data-seed", "1", "--out", out, "--no-timing") == 2
+        assert not out.exists()
 
 
 class TestBench:

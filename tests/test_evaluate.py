@@ -15,7 +15,6 @@ from arrn.kernels import SmoothingKernelSpec
 from arrn.layers import TRAIN, FeatureMap
 from arrn.model import (
     ArrnModel,
-    DropoutMask,
     forward_adapted,
     forward_full,
     randomize_for_verification,
@@ -105,7 +104,7 @@ class TestMacCounts:
         values = np.random.default_rng(0).standard_normal((1, 1) + LADDER[0].extents)
         rng = np.random.default_rng(1)
         with macs.recording() as counter:
-            logits = model.forward_graph(values, DropoutMask.all_on(2), TRAIN, rng)
+            logits = model.forward_graph(values, 0, TRAIN, rng)
             forward = counter.total
             logits.backward(np.ones_like(logits.values))
         # Training also runs the terminal projection that eval folds away.

@@ -20,8 +20,6 @@ from arrn.layers import EVAL, FeatureMap, InnerBlock, silu_op, zero_constancy_ch
 from arrn.model import (
     ARNN_MAGIC,
     ArrnModel,
-    DropoutConfig,
-    DropoutMask,
     entry_level,
     equivalence_report,
     eval_block_rows,
@@ -29,7 +27,6 @@ from arrn.model import (
     forward_full,
     load_checkpoint,
     randomize_for_verification,
-    sample_mask,
     save_checkpoint,
 )
 from arrn.resample import (
@@ -39,7 +36,7 @@ from arrn.resample import (
     resample_perfect_array,
 )
 from arrn.signal import mean_reject_array
-from arrn.training import TrainConfig, predict_classes, train
+from arrn.training import TrainConfig, draw_dropped, predict_classes, train
 
 PERFECT = SmoothingKernelSpec.perfect()
 SINC = SmoothingKernelSpec.windowed_sinc()
@@ -73,45 +70,55 @@ def random_input(model, seed=0, batch=2, level=0):
     return FeatureMap(grid, values)
 
 
-class TestMasks:
-    def test_no_drop_probability_keeps_everything(self):
+class TestDroppedCount:
+    """Laplacian dropout drops the blocks of a prefix of ``draw_dropped``
+    fine residuals per minibatch."""
+
+    def test_stream_is_one_draw_per_level_finest_first(self):
+        for seed in range(20):
+            replay = np.random.default_rng(seed)
+            draws = [replay.random() for _ in range(4)]
+            expected = next((i for i, u in enumerate(draws) if u >= 0.5), 4)
+            rng = np.random.default_rng(seed)
+            assert draw_dropped(rng, 0.5, 4) == expected
+            # Every level is drawn, also after the first kept one.
+            assert rng.random() == replay.random()
+
+    def test_no_drop_probability_drops_nothing(self):
         rng = np.random.default_rng(0)
-        mask = sample_mask(rng, DropoutConfig.uniform(0.0, 4))
-        assert mask.chain == (1, 1, 1, 1)
+        assert [draw_dropped(rng, 0.0, 4) for _ in range(50)] == [0] * 50
 
-    def test_full_drop_probability_gates_everything_off(self):
+    def test_full_drop_probability_drops_every_level(self):
         rng = np.random.default_rng(0)
-        mask = sample_mask(rng, DropoutConfig.uniform(1.0, 4))
-        assert mask.chain == (0, 0, 0, 0)
+        assert [draw_dropped(rng, 1.0, 4) for _ in range(50)] == [4] * 50
 
-    def test_or_chain_example(self):
-        mask = DropoutMask((0, 0, 1, 0), (0, 0, 1, 1))
-        assert mask.dropped_prefix == 2
-        with pytest.raises(ValueError):
-            DropoutMask((0, 0, 1, 0), (0, 0, 1, 0))
-
-    def test_sampled_chains_are_step_sequences(self):
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+    def test_prefix_frequencies_are_powers_of_p(self, p):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            mask = sample_mask(rng, DropoutConfig.uniform(0.5, 5))
-            chain = mask.chain
-            assert all(a <= b for a, b in zip(chain, chain[1:]))
-            running = 0
-            for ind, ch in zip(mask.independent, chain):
-                running |= ind
-                assert ch == running
+        n = 20_000
+        counts = np.array([draw_dropped(rng, p, 4) for _ in range(n)])
+        for k in range(5):
+            target = p**k
+            bound = 4.0 * np.sqrt(target * (1.0 - target) / n)
+            assert abs(np.mean(counts >= k) - target) <= bound, (k, target)
 
-    def test_stream_order_is_one_draw_per_level(self):
-        # The documented stream: one uniform per level, finest first.
-        config = DropoutConfig((0.3, 0.6, 0.1))
-        draws = np.random.default_rng(42).random(3)
-        expected = tuple(int(u >= p) for u, p in zip(draws, config.probabilities))
-        mask = sample_mask(np.random.default_rng(42), config)
-        assert mask.independent == expected
+    def test_train_runs_the_sampled_counts(self, monkeypatch):
+        model = build_model(seed=8)
+        config = TrainConfig(epochs=2, batch_size=4, dropout=0.5, dtype="f64")
+        calls = []
+        forward_graph = ArrnModel.forward_graph
 
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            DropoutConfig((0.5, 1.2))
+        def recording(model, values, dropped=0, mode=EVAL, rng=None):
+            calls.append((mode, dropped))
+            return forward_graph(model, values, dropped, mode, rng)
+
+        monkeypatch.setattr(ArrnModel, "forward_graph", recording)
+        inputs = np.random.default_rng(9).standard_normal((12, 1, 32))
+        train(model, inputs, np.arange(12) % 3, config)
+        gate_rng = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[1])
+        expected = [draw_dropped(gate_rng, 0.5, 2) for _ in range(6)]
+        assert [d for mode, d in calls if mode == "train"] == expected
+        assert len(set(expected)) > 1
 
 
 class TestSkipTheorem:
@@ -227,29 +234,33 @@ class TestResidualLevel:
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def gated(model, fmap, dropped):
+    """Eval logits with the blocks of the first ``dropped`` residuals off."""
+    with no_grad():
+        return model.forward_graph(fmap.values, dropped).values
+
+
 class TestDropoutDownsamplingIdentity:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
     def test_gated_prefix_equals_adapted_on_downsampled_input(self, k, seed):
         model = build_model(seed=seed)
         fmap = random_input(model, seed=seed + 30)
-        chain = tuple(0 if i < k else 1 for i in range(len(model.residuals)))
-        mask = DropoutMask(chain, chain)
-        gated = forward_full(model, fmap, mask=mask)
+        gated_logits = gated(model, fmap, k)
         values = fmap.values
         for level in range(1, k + 1):
             values = downsample_array(
                 values, model.ladder[level].extents, PERFECT
             )
         adapted = forward_adapted(model, FeatureMap(model.ladder[k], values))
-        np.testing.assert_allclose(gated, adapted, atol=1e-9)
+        np.testing.assert_allclose(gated_logits, adapted, atol=1e-9)
 
-    def test_zero_input_logits_independent_of_mask(self):
+    def test_zero_input_logits_independent_of_dropped(self):
         model = build_model(seed=40)
         zero = FeatureMap(model.ladder[0], np.zeros((1, 1, 32)))
         reference = forward_full(model, zero)
-        for chain in [(0, 0), (0, 1), (1, 1)]:
-            out = forward_full(model, zero, mask=DropoutMask(chain, chain))
+        for dropped in (2, 1, 0):
+            out = gated(model, zero, dropped)
             np.testing.assert_allclose(out, reference, atol=1e-12)
 
     def test_gated_prefix_equals_full_on_bandlimited_input(self):
@@ -258,8 +269,7 @@ class TestDropoutDownsamplingIdentity:
         model = build_model(seed=41)
         fmap = random_input(model, seed=42)
         for k in (1, 2):
-            chain = tuple(0 if i < k else 1 for i in range(2))
-            gated = forward_full(model, fmap, mask=DropoutMask(chain, chain))
+            gated_logits = gated(model, fmap, k)
             values = fmap.values
             for level in range(1, k + 1):
                 values = downsample_array(
@@ -267,7 +277,7 @@ class TestDropoutDownsamplingIdentity:
                 )
             values = resample_perfect_array(values, model.ladder[0].extents)
             full = forward_full(model, FeatureMap(model.ladder[0], values))
-            np.testing.assert_allclose(gated, full, atol=1e-9)
+            np.testing.assert_allclose(gated_logits, full, atol=1e-9)
 
 
 class TestEquivalenceReport:
@@ -319,13 +329,26 @@ class TestComposedProjection:
         )
         np.testing.assert_allclose(model.composed_projection(2), expected, atol=0)
 
-    def test_cache_invalidation_on_version_bump(self):
+    @pytest.mark.parametrize("write", ["state", "assign"])
+    def test_cast_after_a_parameter_write_needs_no_other_call(self, write):
+        # Casts taken before the write must leave nothing a later cast reuses.
         model = build_model(seed=51)
-        first = model.composed_projection(1)
-        model.input_projection.assign(model.input_projection.values * 2.0)
-        model.bump_version()
-        second = model.composed_projection(1)
-        np.testing.assert_allclose(second, first * 2.0, atol=1e-12)
+        rng = np.random.default_rng(52)
+        for u in range(len(model.ladder)):
+            forward_adapted(model, random_input(model, seed=53, level=u))
+        if write == "state":
+            model.state()["input.proj"][...] *= 2.0
+            model.state()["res0.proj"][...] *= -1.5
+        else:
+            model.input_projection.assign(model.input_projection.values * 2.0)
+            res = model.residuals[0]
+            res.projection.assign(res.projection.values * -1.5)
+        for u in range(len(model.ladder)):
+            coarse = rng.standard_normal((2, 1) + model.ladder[u].extents)
+            fine = resample_perfect_array(coarse, model.ladder[0].extents)
+            full = forward_full(model, FeatureMap(model.ladder[0], fine))
+            adapted = forward_adapted(model, FeatureMap(model.ladder[u], coarse))
+            np.testing.assert_allclose(adapted, full, rtol=0, atol=1e-9)
 
 
 class TestCast:
@@ -347,7 +370,8 @@ class TestCast:
             assert cast.terminal_norm is model.terminal_norm
             assert cast.terminal_projection is model.terminal_projection
             assert cast.head is model.head
-            assert cast.input_projection.values is model.composed_projection(u)
+            np.testing.assert_array_equal(cast.input_projection.values,
+                                          model.composed_projection(u))
             assert model.base_lowpass and not cast.base_lowpass
 
     def test_cast_after_an_update_reflects_it(self):
@@ -356,7 +380,6 @@ class TestCast:
         before = forward_full(model.cast(1), fmap)
         for p in model.parameters():
             p.assign(p.values * 1.5)
-        model.bump_version()
         after = forward_full(model.cast(1), fmap)
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(after, forward_adapted(model, fmap))
@@ -422,15 +445,16 @@ class TestInputValidation:
         with pytest.raises(ShapeError):
             forward_full(model, FeatureMap(GridSpec((32,)), np.zeros((1, 2, 32))))
 
-    def test_wrong_mask_length(self):
+    def test_dropped_count_outside_the_chain(self):
         model = build_model(seed=62)
         fmap = random_input(model)
-        with pytest.raises(ShapeError):
-            forward_full(model, fmap, mask=DropoutMask((1,), (1,)))
-        # A cast has fewer residuals: the model's mask would shift its gates.
+        for dropped in (-1, len(model.residuals) + 1):
+            with pytest.raises(ShapeError):
+                model.forward_graph(fmap.values, dropped)
+        # A cast has fewer residuals: the model's count would overrun them.
         coarse = random_input(model, level=1)
         with pytest.raises(ShapeError):
-            model.cast(1).forward_graph(coarse.values, DropoutMask.all_on(2))
+            model.cast(1).forward_graph(coarse.values, len(model.residuals))
 
 
 class TestDeterminism:
@@ -462,8 +486,7 @@ class TestGraphFreeEval:
         for entry in range(len(model.ladder)):
             fmap = random_input(model, seed=91 + entry, level=entry)
             cast = model.cast(entry)
-            mask = DropoutMask.all_on(len(cast.residuals))
-            graph = cast.forward_graph(fmap.values, mask)
+            graph = cast.forward_graph(fmap.values)
             assert graph._vjp is not None
             bare = forward_full(model, fmap) if entry == 0 else forward_adapted(
                 model, fmap)
@@ -515,7 +538,7 @@ class TestGraphFreeEval:
                 nodes.append(tensor)
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        model.forward_graph(fmap.values, DropoutMask.all_on(2))
+        model.forward_graph(fmap.values)
         assert nodes
         nodes.clear()
         forward_full(model, fmap)
@@ -534,11 +557,10 @@ class TestGraphFreeEval:
         for entry in range(len(model.ladder)):
             fmap = random_input(model, seed=97, batch=1, level=entry)
             cast = model.cast(entry)
-            mask = DropoutMask.all_on(len(cast.residuals))
             with macs.recording() as bare, no_grad():
-                cast.forward_graph(fmap.values, mask)
+                cast.forward_graph(fmap.values)
             with macs.recording() as graph:
-                cast.forward_graph(fmap.values, mask)
+                cast.forward_graph(fmap.values)
             assert bare.total == graph.total == count_macs(model, entry, ADAPTED)
 
     def test_training_on_a_worker_ignores_the_callers_no_grad(self):
@@ -586,8 +608,7 @@ class TestBlockedEval:
     @staticmethod
     def unblocked(cast, fmap):
         with no_grad():
-            return cast.forward_graph(
-                fmap.values, DropoutMask.all_on(len(cast.residuals))).values
+            return cast.forward_graph(fmap.values).values
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
@@ -762,7 +783,7 @@ class TestCheckpoint:
             fmap = random_input(model, seed=71)
             before = forward_full(model, fmap)
             path = tmp_path / f"model_{np.dtype(dtype).name}.arnn"
-            save_checkpoint(path, model, dropout=DropoutConfig.uniform(0.3, 2))
+            save_checkpoint(path, model, dropout=0.3)
             again, manifest = load_checkpoint(path)
             assert manifest["dropout"] == [0.3, 0.3]
             after = forward_full(again, fmap)
@@ -830,11 +851,26 @@ class TestCheckpoint:
             (lambda manifest: {**manifest, "kernel": {
                 "variant": "truncated_gaussian", "sigma_factor": float("nan"),
                 "radius_factor": 2.0}}, 0),
+            # dropout is null or one probability in [0, 1] per residual.
+            (lambda manifest: {**manifest, "dropout": [1.5, 1.5]}, 0),
+            (lambda manifest: {**manifest, "dropout": "garbage"}, 0),
+            (lambda manifest: {**manifest, "dropout": [0.3]}, 0),
+            (lambda manifest: {**manifest, "dropout": [0.3, 0.3, 0.3]}, 0),
+            (lambda manifest: {**manifest, "dropout": {"a": 1}}, 0),
+            (lambda manifest: {**manifest, "dropout": -1}, 0),
+            (lambda manifest: {**manifest, "dropout": [True, False]}, 0),
+            (lambda manifest: {**manifest, "dropout": [float("nan"), 0.3]}, 0),
+            (lambda manifest: {**manifest, "dropout": ["0.3", 0.3]}, 0),
+            (lambda manifest: {k: v for k, v in manifest.items()
+                               if k != "dropout"}, 0),
         ],
         ids=["list-manifest", "unknown-residual", "non-norm-layer",
              "dropped-last-array", "transposed-shape", "unknown-dtype",
              "zero-padded-block-1", "extra-block", "no-blocks",
-             "zero-last-width", "nan-sigma-factor"],
+             "zero-last-width", "nan-sigma-factor", "dropout-above-one",
+             "dropout-string", "dropout-too-short", "dropout-too-long",
+             "dropout-object", "dropout-negative-number", "dropout-bools",
+             "dropout-nan", "dropout-string-entry", "no-dropout-field"],
     )
     def test_malformed_array_table(self, tmp_path, edit, trim):
         model = build_model(seed=74)
@@ -844,6 +880,22 @@ class TestCheckpoint:
         path.write_bytes(rewrite_manifest(path.read_bytes(), edit, trim))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dropout", [None, [0, 1], [0.0, 0.25]])
+    def test_valid_dropout_field_loads(self, tmp_path, dropout):
+        path = tmp_path / "model.arnn"
+        save_checkpoint(path, build_model(seed=74))
+        path.write_bytes(rewrite_manifest(
+            path.read_bytes(), lambda manifest: {**manifest, "dropout": dropout}))
+        assert load_checkpoint(path)[1]["dropout"] == dropout
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.5, float("nan")])
+    def test_save_refuses_a_dropout_outside_the_unit_interval(
+        self, tmp_path, dropout
+    ):
+        with pytest.raises(ValueError, match=r"dropout probability"):
+            save_checkpoint(tmp_path / "model.arnn", build_model(seed=74), dropout)
+        assert not any(tmp_path.iterdir())
 
     @settings(
         max_examples=60,
