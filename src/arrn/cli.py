@@ -425,7 +425,7 @@ def cmd_eval(args) -> int:
     dataset = _realize_dataset(
         args, *_dataset_plan(args, model.ladder, need_test=True)
     )
-    dropout_label = "on" if manifest.get("dropout") else "off"
+    dropout_label = "on" if any(manifest.get("dropout") or ()) else "off"
     result = evaluate_sweep(
         model,
         dataset.test.inputs,

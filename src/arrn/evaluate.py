@@ -26,14 +26,14 @@ import numpy as np
 
 from . import macs
 from .data import SynthDatasetSpec, generate_dataset
-from .errors import GridError, ShapeError
+from .errors import GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import VARIANTS, SmoothingKernelSpec
 from .layers import FeatureMap, InnerBlockSpec
 from .model import PREFER_FINER, ArrnModel, entry_level, forward_adapted
 from .resample import resample_perfect_array
 from .signal import write_csv
-from .training import TrainConfig, train
+from .training import TrainConfig, check_labels, train
 
 SWEEP_CSV_HEADER = "resolution,mode,kernel,dropout,accuracy,macs,wall_ms"
 
@@ -117,7 +117,7 @@ def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
         base.num_samples, model.input_features, model.features[0]
     )
     lowpass, downsample = macs.lowpass_perfect_macs, macs.spectral_resample_macs
-    if model.base_lowpass:
+    if not model.skipped:
         channels = model.input_features
         total += _band_reduction(lowpass, model.kernel, base, base, channels)
     for res in model.residuals:
@@ -156,13 +156,9 @@ def evaluate_sweep(
     """Accuracy / MAC / time table over synthetic lower resolutions.
 
     ``inputs`` are base-resolution test signals ``(n, channels, *extents)``
-    and ``labels`` their ``n`` classes.
+    and ``labels`` their ``n`` classes, each in ``[0, model.classes)``.
     """
-    if np.shape(labels) != np.shape(inputs)[:1]:
-        raise ShapeError(
-            f"labels have shape {np.shape(labels)}, the {len(inputs)} input "
-            f"rows need ({len(inputs)},)"
-        )
+    check_labels(labels, len(inputs), model.classes)
     base = model.ladder[0]
     grids = [_resolution_grid(resolution, base.dims) for resolution in resolutions]
     for grid in grids:

@@ -12,9 +12,10 @@ input that is bandlimited to level ``u``'s grid can skip residuals
 ``0..u-1`` entirely: their combined effect is the single matrix
 ``P_{u-1} ... P_0 A`` (``A`` being the input projection), the input
 projection of the cast model :meth:`ArrnModel.cast` over ``ladder[u:]``.
-With the perfect smoothing kernel the model and its cast agree to
+The cast forms that product from the model's parameters, so training it
+trains the model. With the perfect smoothing kernel the two agree to
 floating-point accuracy; approximate kernels perturb every skipped level
-by a small error signal, which is measured (never asserted away) by
+by a small error signal, measured (never asserted away) by
 :func:`equivalence_report`.
 
 Laplacian dropout reuses the same collapse. A training step draws one
@@ -37,6 +38,7 @@ from .autodiff import (
     Tensor,
     decimate_op,
     lowpass_op,
+    matmul,
     mean_reject_op,
     no_grad,
     project_channels,
@@ -215,13 +217,13 @@ class ArrnModel:
         self.head = GlobalPoolHead(
             features[-1], classes, rng, dtype, dropout_p=head_dropout
         )
-        self.base_lowpass = True
+        self.skipped: list[LaplacianResidual] = []  # a cast's omitted prefix
         self.version = 0  # never changes; the benchmark tracer reads it
 
     # -- parameters and state ------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        out = [self.input_projection]
+        out = [self.input_projection] + [res.projection for res in self.skipped]
         for res in self.residuals:
             out += res.parameters()
         out += self.terminal_norm.parameters()
@@ -247,36 +249,32 @@ class ArrnModel:
         values are the model's live arrays: writing into one updates it.
         """
         state = {p.name: p.values for p in self.parameters()}
-        for i, res in enumerate(self.residuals):
+        for res in self.residuals:
             for j, layer in enumerate(res.block.layers):
                 if isinstance(layer, BatchNorm):
-                    state[f"res{i}.bn{j}.mean"] = layer.running_mean
-                    state[f"res{i}.bn{j}.var"] = layer.running_var
+                    state[f"res{res.level}.bn{j}.mean"] = layer.running_mean
+                    state[f"res{res.level}.bn{j}.var"] = layer.running_var
         state["terminal.bn.mean"] = self.terminal_norm.running_mean
         state["terminal.bn.var"] = self.terminal_norm.running_var
         return state
 
-    def composed_projection(self, entry_level: int) -> np.ndarray:
-        """The matrix equal to all projections of the skipped prefix.
-
-        For entry at ladder level ``u`` this is
-        ``P_{u-1} @ ... @ P_0 @ A`` mapping raw input channels directly to
-        the width of level ``u``, formed from the current values on every
-        call.
-        """
-        matrix = self.input_projection.values
-        for res in self.residuals[:entry_level]:
-            matrix = res.projection.values @ matrix
-        return np.ascontiguousarray(matrix, dtype=self.dtype)
+    def composed_projection(self, entry_level: int) -> Tensor:
+        """The graph node ``P_{u-1} @ ... @ P_0 @ A`` mapping raw input
+        channels to the width of entry level ``u``; on a cast the product
+        starts with the projections the cast skips."""
+        matrix = self.input_projection
+        for res in self.skipped + self.residuals[:entry_level]:
+            matrix = matmul(res.projection, matrix)
+        return matrix
 
     def cast(self, entry: int) -> "ArrnModel":
         """This model without residuals ``0..entry-1``: the ARRN over
         ``ladder[entry:]`` with input projection :meth:`composed_projection`.
 
-        It shares its residuals, terminal stage and head with this model;
-        take a new cast after an update. Its input is the running low band,
-        so it applies no base low-pass (the Gaussian's blurs even at factor
-        1). It lives in memory only: :func:`save_checkpoint` refuses it.
+        A view owning no parameter: it stays current, and training it trains
+        this model but not its skipped blocks. Its input is the running low
+        band, so it applies no base low-pass (the Gaussian's blurs even at
+        factor 1). It lives in memory only: :func:`save_checkpoint` refuses it.
         """
         if entry == 0:
             return self
@@ -285,11 +283,8 @@ class ArrnModel:
         cast = copy.copy(self)
         cast.ladder = ResolutionLadder(self.ladder.levels[entry:])
         cast.features = self.features[entry:]
+        cast.skipped = self.skipped + self.residuals[:entry]
         cast.residuals = self.residuals[entry:]
-        cast.input_projection = Parameter(
-            self.composed_projection(entry), name="input.proj"
-        )
-        cast.base_lowpass = False
         return cast
 
     # -- forward paths ---------------------------------------------------------
@@ -313,7 +308,7 @@ class ArrnModel:
     ) -> Tensor:
         """Graph from input values on ``ladder[0]`` to logits; every residual
         runs, the first ``dropped`` without their blocks (Laplacian dropout),
-        and a :meth:`cast` skips the base low-pass.
+        and a :meth:`cast` enters unsmoothed, through :meth:`composed_projection`.
 
         Eval mode runs the same ops with folded parameters: each block batch
         norm folded into the convolution before it, and the terminal
@@ -325,9 +320,10 @@ class ArrnModel:
                 f"cannot drop {dropped} of {len(self.residuals)} residuals"
             )
         x = Tensor(values)
-        if self.base_lowpass:
+        if not self.skipped:
             x = lowpass_op(x, self.ladder[0].extents, self.kernel)
-        r = project_channels(x, self.input_projection)
+        weight = self.composed_projection(0) if self.skipped else self.input_projection
+        r = project_channels(x, weight)
         for i, res in enumerate(self.residuals):
             r = res.forward(r, i >= dropped, mode=mode, rng=rng)
         return self._terminal_and_head(r, mode, rng)
@@ -498,7 +494,7 @@ def save_checkpoint(
     ``dropout`` is the Laplacian dropout probability the model trained
     with, stored once per residual; ``None`` stores ``null``.
     """
-    if not model.base_lowpass:  # its residuals keep their levels in the model
+    if model.skipped:  # its residuals keep their levels in the model
         raise ValueError("a cast has no ARNN1 form; save the model it came from")
     if dropout is not None and not 0.0 <= dropout <= 1.0:
         raise ValueError("dropout probability must lie in [0, 1]")

@@ -134,11 +134,12 @@ def train(
 ) -> TrainResult:
     """Optimize the model in place on ``(inputs, labels)``.
 
-    ``inputs`` is ``(n, channels, *finest_extents)``; any other per-sample
-    shape raises :class:`~arrn.errors.ShapeError`. Each minibatch drops
-    the blocks of :func:`draw_dropped` fine residuals (Laplacian
-    dropout). A non-finite loss, or an overflow or invalid value in any
-    step, aborts immediately with :class:`~arrn.errors.NumericError`
+    ``inputs`` is ``(n, channels, *extents)`` on the model's finest grid, so
+    level-``u`` data trains ``model.cast(u)``; another per-sample shape, or a
+    label outside ``[0, classes)``, raises :class:`~arrn.errors.ShapeError`.
+    Each minibatch drops the blocks of :func:`draw_dropped` fine residuals
+    (Laplacian dropout). A non-finite loss, or an overflow or invalid value
+    in any step, aborts immediately with :class:`~arrn.errors.NumericError`
     rather than training through it.
     """
     try:
@@ -161,12 +162,8 @@ def _fit(model, inputs, labels, config) -> TrainResult:
         )
     if inputs.shape[0] == 0:
         raise ShapeError("training needs at least one sample")
+    check_labels(labels, inputs.shape[0], model.classes)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != inputs.shape[:1]:
-        raise ShapeError(
-            f"labels have shape {labels.shape}, the {inputs.shape[0]} input "
-            f"rows need ({inputs.shape[0]},)"
-        )
     streams = np.random.SeedSequence(config.seed).spawn(3)
     shuffle_rng = np.random.default_rng(streams[0])
     gate_rng = np.random.default_rng(streams[1])
@@ -224,8 +221,19 @@ def draw_dropped(rng: np.random.Generator, p: float, levels: int) -> int:
     return int(kept.argmax()) if kept.any() else levels
 
 
+def check_labels(labels, rows: int, classes: int) -> None:
+    """Raise ShapeError unless there is one label in ``[0, classes)`` per row."""
+    if np.shape(labels) != (rows,):
+        raise ShapeError(
+            f"labels have shape {np.shape(labels)}, the {rows} input rows need ({rows},)"
+        )
+    if not np.isin(labels, np.arange(classes)).all():
+        raise ShapeError(f"labels must be integers in [0, {classes})")
+
+
 def predict_classes(model: ArrnModel, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode class predictions for finest-grid inputs."""
+    """Eval-mode class predictions for inputs on the model's finest grid
+    (predict level-``u`` data with ``model.cast(u)``)."""
     from .model import forward_full  # looked up per call, so a patched one is seen
 
     fmap = FeatureMap(model.ladder[0], np.asarray(inputs, dtype=model.dtype))

@@ -226,6 +226,17 @@ class TestCriterion5GradientChecks:
             return softmax_cross_entropy(logits, labels)
 
         check(full_loss, params)
+
+        # The cast to level 1 owns no parameter: its gradients reach the
+        # model's, the input projection and res0's through their product.
+        cast = small.cast(1)
+        coarse = batch[..., ::2]
+
+        def cast_loss():
+            logits = cast.forward_graph(coarse, mode="eval")
+            return softmax_cross_entropy(logits, labels)
+
+        check(cast_loss, cast.parameters())
         elapsed = time.perf_counter() - start
         report(
             5,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from arrn.cli import build_parser, main
 from arrn.grids import GridSpec
+from arrn.model import load_checkpoint, save_checkpoint
 from arrn.signal import DiscreteSignal, read_arsg, write_arsg
 
 
@@ -487,6 +488,19 @@ def test_zero_dropout_checkpoint_evaluates_as_dropout_off(tmp_path):
                "--samples-per-class", "4", "--out", sweep, "--no-timing") == 0
     rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
     assert rows and all(row[3] == "off" for row in rows)
+
+
+@pytest.mark.parametrize("dropout, label", [(0.0, "off"), (0.3, "on")])
+def test_stored_dropout_probability_sets_the_eval_label(tmp_path, dropout, label):
+    ckpt, sweep = tmp_path / "model.arnn", tmp_path / "sweep.csv"
+    assert run(*TINY_TRAIN, "--dropout", "none", "--out", ckpt) == 0
+    model, _ = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, model, dropout)
+    assert load_checkpoint(ckpt)[1]["dropout"] == [dropout]
+    assert run("eval", "--checkpoint", ckpt, "--resolutions", "16,8",
+               "--samples-per-class", "4", "--out", sweep, "--no-timing") == 0
+    rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
+    assert rows and all(row[3] == label for row in rows)
 
 
 def test_input_features_unlike_the_data_exits_3(tmp_path, capsys):

@@ -205,6 +205,14 @@ class TestSweep:
             evaluate_sweep(model, inputs, np.zeros(count, dtype=np.int64), [32],
                            measure_time=False)
 
+    @pytest.mark.parametrize("label", [-1, 4, 1.5])
+    def test_label_outside_the_classes_rejected(self, label):
+        model = ArrnModel(ResolutionLadder.from_extents([16, 8]), 1, (2, 2), 4,
+                          SmoothingKernelSpec.perfect(), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=r"labels must be integers in \[0, 4\)"):
+            evaluate_sweep(model, np.zeros((4, 1, 16)), np.array([0, 1, 2, label]),
+                           [16, 8], measure_time=False)
+
     def test_integer_resolution_broadcasts_to_every_axis(self):
         model = ArrnModel(
             ResolutionLadder.from_extents([(8, 8), (4, 4)]), 1, (2, 2), 2,

@@ -16,7 +16,14 @@ from arrn.errors import FormatError, GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
 from arrn.evaluate import ADAPTED, FULL, count_macs, evaluate_sweep
-from arrn.layers import EVAL, FeatureMap, InnerBlock, silu_op, zero_constancy_check
+from arrn.layers import (
+    EVAL,
+    FeatureMap,
+    InnerBlock,
+    silu_op,
+    softmax_cross_entropy,
+    zero_constancy_check,
+)
 from arrn.model import (
     ARNN_MAGIC,
     ArrnModel,
@@ -327,7 +334,8 @@ class TestComposedProjection:
             @ model.residuals[0].projection.values
             @ model.input_projection.values
         )
-        np.testing.assert_allclose(model.composed_projection(2), expected, atol=0)
+        np.testing.assert_allclose(model.composed_projection(2).values, expected,
+                                   atol=0)
 
     @pytest.mark.parametrize("write", ["state", "assign"])
     def test_cast_after_a_parameter_write_needs_no_other_call(self, write):
@@ -370,9 +378,9 @@ class TestCast:
             assert cast.terminal_norm is model.terminal_norm
             assert cast.terminal_projection is model.terminal_projection
             assert cast.head is model.head
-            np.testing.assert_array_equal(cast.input_projection.values,
-                                          model.composed_projection(u))
-            assert model.base_lowpass and not cast.base_lowpass
+            assert cast.input_projection is model.input_projection
+            assert cast.skipped == model.residuals[:u]
+            assert model.skipped == []
 
     def test_cast_after_an_update_reflects_it(self):
         model = build_model(seed=102)
@@ -403,7 +411,7 @@ class TestCast:
         # a cast skips the base low-pass its own finest grid would get.
         if kernel is GAUSS:
             coarse = model.cast(1)
-            assert not coarse.base_lowpass
+            assert coarse.skipped
             own = ArrnModel(coarse.ladder, 1, coarse.features, 3, GAUSS,
                             np.random.default_rng(0))
             assert count_macs(own, 0, FULL) > count_macs(coarse, 0, FULL)
@@ -430,6 +438,94 @@ class TestCast:
         with pytest.raises(ValueError):
             save_checkpoint(path, model.cast(1))
         assert not any(tmp_path.iterdir())
+
+    def test_cast_taken_before_an_update_reads_it(self):
+        model = build_model(seed=120)
+        fmap = random_input(model, seed=121, level=1)
+        cast = model.cast(1)
+        before = forward_full(cast, fmap)
+        for p in model.parameters():
+            p.assign(p.values * 1.5)
+        after = forward_full(cast, fmap)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, forward_adapted(model, fmap))
+
+    def test_cast_state_is_the_models_under_the_same_names(self):
+        model = build_model(seed=126)
+        state = model.state()
+        for u in range(1, len(model.ladder)):
+            for name, values in model.cast(u).state().items():
+                assert values is state[name], name
+
+    def test_cast_of_a_cast_is_the_deeper_cast(self):
+        model = build_model(seed=122)
+        fmap = random_input(model, seed=123, level=2)
+        twice = model.cast(1).cast(1)
+        assert twice.skipped == model.residuals[:2]
+        assert [p.name for p in twice.parameters()] == [
+            p.name for p in model.cast(2).parameters()]
+        np.testing.assert_array_equal(forward_full(twice, fmap),
+                                      forward_full(model.cast(2), fmap))
+
+    def test_training_a_cast_trains_the_model(self):
+        model = build_model(seed=124, ladder=DESK, features=(4, 8, 8))
+        rng = np.random.default_rng(125)
+        coarse = rng.standard_normal((24, 1, 32))
+        labels = np.arange(24) % 3
+        state = {name: values.copy() for name, values in model.state().items()}
+        cast = model.cast(1)
+        train(cast, coarse, labels, TrainConfig(epochs=3, batch_size=8, dtype="f64"))
+        fmap = FeatureMap(model.ladder[1], coarse)
+        np.testing.assert_array_equal(forward_full(cast, fmap),
+                                      forward_full(model.cast(1), fmap))
+        after = model.state()
+        for name in ("input.proj", "res0.proj", "res1.proj", "head.w"):
+            assert not np.array_equal(after[name], state[name]), name
+        # The skipped block never runs: its weights and statistics stay.
+        for name in state:
+            if name.startswith("res0.") and name != "res0.proj":
+                np.testing.assert_array_equal(after[name], state[name])
+        assert any(n.startswith("res0.bn") for n in state)
+
+
+class TestCastGradients:
+    """The skip theorem holds for training gradients: the loss of ``cast(u)``
+    on coarse input and every parameter gradient through it equal those of
+    the full path on the perfectly upsampled input (eval-mode graphs; in
+    train mode the full path's batch norms see an all-zero band difference
+    and drift, so it is no oracle there)."""
+
+    @pytest.mark.parametrize("extents", [[64, 32, 16], [(24, 16), (12, 8), (6, 4)]],
+                             ids=["1d", "2d"])
+    def test_loss_and_every_gradient_match_the_full_path(self, extents):
+        ladder = ResolutionLadder.from_extents(extents)
+        rng = np.random.default_rng(130)
+        model = ArrnModel(ladder, 2, (4, 8, 8), 3, PERFECT, rng, head_dropout=0.0)
+        randomize_for_verification(model, rng)
+        params = model.parameters()
+        labels = np.array([0, 1, 2, 1])
+
+        def loss_and_grads(net, values):
+            for p in params:
+                p.zero_grad()
+            loss = softmax_cross_entropy(net.forward_graph(values, mode=EVAL), labels)
+            loss.backward()
+            return float(loss.values), [
+                np.zeros_like(p.values) if p.grad is None else p.grad for p in params]
+
+        for u in range(1, len(ladder)):
+            coarse = rng.standard_normal((4, 2) + ladder[u].extents)
+            fine = resample_perfect_array(coarse, ladder[0].extents)
+            full_loss, full = loss_and_grads(model, fine)
+            cast_loss, cast = loss_and_grads(model.cast(u), coarse)
+            assert abs(cast_loss - full_loss) <= 1e-9 * abs(full_loss)
+            bound = 1e-9 * max(float(np.abs(g).max()) for g in full)
+            for p, a, b in zip(params, full, cast):
+                gap = float(np.abs(a - b).max())
+                assert gap <= bound, (u, p.name, gap, bound)
+            # The skipped projections learn through the composed product.
+            for p in params[:1] + [res.projection for res in model.residuals[:u]]:
+                assert np.abs(p.grad).max() > 1e3 * bound, p.name
 
 
 class TestInputValidation:

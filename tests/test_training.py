@@ -149,6 +149,15 @@ class TestTrain:
             train(model, np.zeros((4, 1, 64), dtype=np.float32),
                   np.zeros(labels, dtype=np.int64), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("label", [-1, 4, 1.5])
+    def test_label_outside_the_classes_rejected(self, label):
+        # -1 would index the last logit column and 4 none at all.
+        model = ArrnModel(ResolutionLadder.from_extents([16, 8]), 1, (2, 2), 4,
+                          SmoothingKernelSpec.perfect(), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=r"labels must be integers in \[0, 4\)"):
+            train(model, np.zeros((4, 1, 16)),
+                  np.array([0, 1, 2, label]), TrainConfig(epochs=1, dtype="f64"))
+
     def test_dtype_mismatch_rejected(self):
         model = build_model(dtype=np.float64)
         ds = toy_dataset()
