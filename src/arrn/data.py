@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import json
 import math
 
 import numpy as np
 
-from .errors import FormatError, GridError
+from .errors import FormatError, GridError, ShapeError
 from .grids import GridSpec
 from .resample import lowpass_perfect_array
-from .signal import DiscreteSignal, atomic_write, read_arsg, write_arsg
+from .signal import DiscreteSignal, atomic_write, read_arsg, read_file, write_arsg
+from .signal import read_manifest, write_manifest
 
 
 @dataclass(frozen=True)
@@ -176,39 +176,37 @@ def generate_dataset(spec: SynthDatasetSpec) -> SynthDataset:
 
     total = spec.classes * spec.samples_per_class
     inputs = np.zeros((total, spec.features) + spec.base_extents)
-    labels = np.zeros(total, dtype=np.int64)
-    idx = 0
-    for cls in range(spec.classes):
-        for _ in range(spec.samples_per_class):
-            white = data_rng.standard_normal((spec.features,) + spec.base_extents)
-            shells = band_shells(white, spec.level_extents)
-            sample = np.zeros_like(white)
-            for b, shell in enumerate(shells):
-                rms = np.sqrt(np.mean(shell**2))
-                if rms > 0:
-                    sample += signatures[cls, b] * shell / rms
-            if spec.noise > 0:
-                sample += spec.noise * data_rng.standard_normal(sample.shape)
-            inputs[idx] = sample
-            labels[idx] = cls
-            idx += 1
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.samples_per_class)
+    for idx, cls in enumerate(labels):
+        white = data_rng.standard_normal((spec.features,) + spec.base_extents)
+        shells = band_shells(white, spec.level_extents)
+        sample = np.zeros_like(white)
+        for b, shell in enumerate(shells):
+            rms = np.sqrt(np.mean(shell**2))
+            if rms > 0:
+                sample += signatures[cls, b] * shell / rms
+        if spec.noise > 0:
+            sample += spec.noise * data_rng.standard_normal(sample.shape)
+        inputs[idx] = sample
 
     # Per-class split so both halves keep the class balance.
-    train_idx, test_idx = [], []
-    per_class = spec.samples_per_class
-    cut = spec.train_per_class
-    for cls in range(spec.classes):
-        start = cls * per_class
-        train_idx.extend(range(start, start + cut))
-        test_idx.extend(range(start + cut, start + per_class))
-    train_idx = np.array(train_idx, dtype=np.int64)
-    test_idx = np.array(test_idx, dtype=np.int64)
+    train = np.arange(total) % spec.samples_per_class < spec.train_per_class
     return SynthDataset(
         spec=spec,
         signatures=signatures,
-        train=LabeledSignals(inputs[train_idx], labels[train_idx]),
-        test=LabeledSignals(inputs[test_idx], labels[test_idx]),
+        train=LabeledSignals(inputs[train], labels[train]),
+        test=LabeledSignals(inputs[~train], labels[~train]),
     )
+
+
+def check_labels(labels, rows: int, classes: int) -> None:
+    """Raise ShapeError unless there is one label in ``[0, classes)`` per row."""
+    if np.shape(labels) != (rows,):
+        raise ShapeError(
+            f"labels have shape {np.shape(labels)}, the {rows} input rows need ({rows},)"
+        )
+    if not np.isin(labels, np.arange(classes)).all():
+        raise ShapeError(f"labels must be integers in [0, {classes})")
 
 
 def oracle_predict(
@@ -253,44 +251,37 @@ def save_dataset(directory: str | Path, dataset: SynthDataset) -> None:
         "spec": dataset.spec.describe(),
         "signatures": dataset.signatures.tolist(),
     }
-    atomic_write(
-        directory / "dataset.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    write_manifest(directory / "dataset.json", manifest)
 
 
 def load_dataset(directory: str | Path) -> SynthDataset:
+    """Read a cache :func:`save_dataset` wrote. Each split must hold
+    ``features`` rows per label on the spec's base grid, and its labels must
+    pass :func:`check_labels`; anything else raises FormatError."""
     directory = Path(directory)
-    manifest_path = directory / "dataset.json"
-    if not manifest_path.exists():
-        raise FormatError(f"{directory}: missing dataset.json")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_manifest(directory / "dataset.json")
         spec = SynthDatasetSpec.from_description(manifest["spec"])
         signatures = np.asarray(manifest["signatures"], dtype=np.float64)
+        extents = spec.base_extents
         splits = {}
         for name in ("train", "test"):
-            try:
-                packed = read_arsg(directory / f"{name}.arsg")
-                label_text = (directory / f"{name}_labels.txt").read_text()
-            except OSError as exc:
-                raise FormatError(f"{directory}: unreadable {name} split: {exc}") from exc
+            packed = read_arsg(directory / f"{name}.arsg")
+            label_text = read_file(directory / f"{name}_labels.txt", "labels", text=True)
             labels = np.array(
                 [int(line) for line in label_text.splitlines() if line.strip()],
                 dtype=np.int64,
             )
-            outside = labels[(labels < 0) | (labels >= spec.classes)]
-            if outside.size:
+            if packed.grid.extents != extents or packed.features % spec.features:
                 raise FormatError(
-                    f"{directory}: {name}_labels.txt holds label {outside[0]} "
-                    f"outside [0, {spec.classes})"
+                    f"{directory}: {name}.arsg holds {packed.features} rows of "
+                    f"{packed.grid.extents}, not {spec.features}-channel samples "
+                    f"of the base grid {extents}"
                 )
-            n = labels.shape[0]
-            inputs = packed.values.reshape(
-                (n, spec.features) + spec.base_extents
-            )
+            inputs = packed.values.reshape((-1, spec.features) + extents)
+            check_labels(labels, len(inputs), spec.classes)
             splits[name] = LabeledSignals(inputs, labels)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, ShapeError) as exc:
         raise FormatError(f"{directory}: malformed dataset cache: {exc}") from exc
     return SynthDataset(
         spec=spec, signatures=signatures, train=splits["train"], test=splits["test"]

@@ -25,15 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from . import macs
-from .data import SynthDatasetSpec, generate_dataset
-from .errors import GridError
+from .data import SynthDatasetSpec, check_labels, generate_dataset
 from .grids import GridSpec, ResolutionLadder
 from .kernels import VARIANTS, SmoothingKernelSpec
 from .layers import FeatureMap, InnerBlockSpec
 from .model import PREFER_FINER, ArrnModel, entry_level, forward_adapted
 from .resample import resample_perfect_array
 from .signal import write_csv
-from .training import TrainConfig, check_labels, train
+from .training import TrainConfig, train
 
 SWEEP_CSV_HEADER = "resolution,mode,kernel,dropout,accuracy,macs,wall_ms"
 
@@ -157,27 +156,24 @@ def evaluate_sweep(
 
     ``inputs`` are base-resolution test signals ``(n, channels, *extents)``
     and ``labels`` their ``n`` classes, each in ``[0, model.classes)``.
+    Every row is planned, its resolution routed by :func:`entry_level` and
+    its MACs counted, before any input is resampled.
     """
     check_labels(labels, len(inputs), model.classes)
     base = model.ladder[0]
-    grids = [_resolution_grid(resolution, base.dims) for resolution in resolutions]
-    for grid in grids:
-        if grid.dims != base.dims:
-            raise GridError(
-                f"resolution {grid} is {grid.dims}-D but the ladder is {base.dims}-D"
-            )
-        if any(g > b for g, b in zip(grid.extents, base.extents)):
-            raise GridError(f"resolution {grid} exceeds the base grid {base}")
-    rows = []
-    for grid in grids:
-        low = resample_perfect_array(inputs, grid.extents).astype(model.dtype)
+    plan = []
+    for resolution in resolutions:
+        grid = _resolution_grid(resolution, base.dims)
+        entry = entry_level(model.ladder, grid, policy)
+        runs = []
         for mode in modes:
-            if mode == FULL:
-                level, target = 0, base
-            elif mode == ADAPTED:
-                level, target = entry_level(model.ladder, grid, policy)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
+            level, target = entry if mode == ADAPTED else (0, base)
+            runs.append((mode, target, count_macs(model, level, mode)))
+        plan.append((grid, runs))
+    rows = []
+    for grid, runs in plan:
+        low = resample_perfect_array(inputs, grid.extents).astype(model.dtype)
+        for mode, target, mac_count in runs:
             fmap = FeatureMap(target, resample_perfect_array(low, target.extents))
             start = time.perf_counter()
             logits = forward_adapted(model, fmap)
@@ -190,7 +186,7 @@ def evaluate_sweep(
                     kernel=model.kernel.variant,
                     dropout=dropout_label,
                     accuracy=accuracy,
-                    macs=count_macs(model, level, mode),
+                    macs=mac_count,
                     wall_ms=elapsed * 1000.0 if measure_time else 0.0,
                 )
             )

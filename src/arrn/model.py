@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 import struct
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from .layers import (
     silu_op,
 )
 from .resample import resample_perfect_array
-from .signal import DTYPE_NAMES, DTYPES, atomic_write
+from .signal import DTYPE_NAMES, DTYPES, atomic_write, read_file
 
 ARNN_MAGIC = b"ARNN1\n"
 
@@ -387,15 +388,18 @@ def entry_level(
     input per axis (the skip guarantee requires the level band to contain
     the input band); ``prefer-coarser`` picks the finest level the input
     dominates, falling back to the coarsest level for very small inputs.
-    Returns ``(level index, grid to resample the input to)``.
+    Returns ``(level index, grid to resample the input to)``. A resolution
+    of another rank than the ladder's, or above its finest grid on some
+    axis, is a GridError; an unknown policy is a ValueError.
     """
-    if input_grid.dims != ladder[0].dims:
-        raise GridError("input dimensionality does not match the ladder")
-    if any(i > l0 for i, l0 in zip(input_grid.extents, ladder[0].extents)):
+    base = ladder[0]
+    if input_grid.dims != base.dims:
         raise GridError(
-            f"input {input_grid.extents} exceeds the finest level "
-            f"{ladder[0].extents}"
+            f"resolution {input_grid} is {input_grid.dims}-D but the ladder is "
+            f"{base.dims}-D"
         )
+    if any(i > b for i, b in zip(input_grid.extents, base.extents)):
+        raise GridError(f"resolution {input_grid} exceeds the base grid {base}")
     if policy == PREFER_FINER:
         chosen = 0
         for n, grid in enumerate(ladder.levels):
@@ -448,12 +452,10 @@ def equivalence_report(
     the finest grid. Reports the worst absolute, mean absolute, and worst
     normalized (sup-norm relative) logit discrepancies.
     """
-    if not 0 <= level <= model.ladder.top_level:
-        raise GridError(f"entry level {level} outside the ladder")
+    grid = model.cast(level).ladder[0]  # the cast rejects a level off the ladder
     for name, count in (("repetitions", repetitions), ("batch", batch)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    grid = model.ladder[level]
     max_abs = 0.0
     mean_abs = 0.0
     max_rel = 0.0
@@ -483,6 +485,11 @@ def equivalence_report(
 # ---------------------------------------------------------------------------
 
 
+def is_probability(p) -> bool:
+    """Whether ``p`` is a dropout probability: a number in ``[0, 1]``, not a bool."""
+    return isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 <= p <= 1
+
+
 def save_checkpoint(
     path: str | Path,
     model: ArrnModel,
@@ -496,7 +503,7 @@ def save_checkpoint(
     """
     if model.skipped:  # its residuals keep their levels in the model
         raise ValueError("a cast has no ARNN1 form; save the model it came from")
-    if dropout is not None and not 0.0 <= dropout <= 1.0:
+    if dropout is not None and not is_probability(dropout):
         raise ValueError("dropout probability must lie in [0, 1]")
     state = model.state()
     params = {p.name for p in model.parameters()}
@@ -534,10 +541,7 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
     """Rebuild a model from an ARNN1 file; returns (model, manifest)."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"{path}: unreadable checkpoint file: {exc}") from exc
+    raw = read_file(path, "checkpoint")
     if not raw.startswith(ARNN_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARNN1 checkpoint)")
     off = len(ARNN_MAGIC)
@@ -546,7 +550,7 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
         off += 4
         manifest = json.loads(raw[off : off + header_len].decode())
         off += header_len
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "ARNN1":
         raise FormatError(f"{path}: unsupported checkpoint format")
@@ -578,7 +582,7 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
         if dropout is not None and not (
             isinstance(dropout, list)
             and len(dropout) == len(model.residuals)
-            and all(type(p) in (int, float) and 0 <= p <= 1 for p in dropout)
+            and all(is_probability(p) for p in dropout)
         ):
             raise FormatError(
                 f"{path}: dropout {dropout!r} is neither null nor one "

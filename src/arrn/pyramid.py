@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import json
-
 from .errors import FormatError, GridError
 from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
 from .resample import decimate, lowpass, upsample
-from .signal import DTYPE_NAMES, DiscreteSignal, atomic_write, read_arsg, write_arsg
+from .signal import DTYPE_NAMES, DiscreteSignal, read_arsg, write_arsg
+from .signal import read_manifest, write_manifest
 
 PYRAMID_MANIFEST = "manifest.json"
 
@@ -147,19 +146,13 @@ def save_pyramid(directory: str | Path, decomp: PyramidDecomposition) -> None:
         "diffs": diff_names,
         "low": "low.arsg",
     }
-    atomic_write(
-        directory / PYRAMID_MANIFEST,
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    write_manifest(directory / PYRAMID_MANIFEST, manifest)
 
 
 def load_pyramid(directory: str | Path) -> PyramidDecomposition:
     directory = Path(directory)
-    manifest_path = directory / PYRAMID_MANIFEST
-    if not manifest_path.exists():
-        raise FormatError(f"{directory}: missing {PYRAMID_MANIFEST}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_manifest(directory / PYRAMID_MANIFEST)
         ladder = ResolutionLadder.from_extents(
             [tuple(e) for e in manifest["levels"]]
         )

@@ -16,6 +16,7 @@ with dtype code 0 for 32-bit IEEE floats and 1 for 64-bit.
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 import struct
@@ -124,6 +125,29 @@ def atomic_write(path: str | Path, data: bytes | str) -> None:
         raise
 
 
+def read_file(path: str | Path, kind: str, text: bool = False) -> bytes | str:
+    """The bytes of ``path``, or with ``text`` its UTF-8 text; a file that
+    cannot be read or decoded raises FormatError naming its ``kind``."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw.decode() if text else raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable {kind} file: {exc}") from exc
+
+
+def write_manifest(path: str | Path, manifest: dict) -> None:
+    """Write a directory's JSON manifest: indented, keys sorted, one final newline."""
+    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def read_manifest(path: str | Path):
+    """The JSON value :func:`write_manifest` wrote; its caller checks the fields."""
+    try:
+        return json.loads(read_file(path, "manifest", text=True))
+    except RecursionError as exc:
+        raise FormatError(f"{path}: manifest nested too deeply") from exc
+
+
 def write_csv(path: str | Path, header: str, lines) -> None:
     """Write ``header`` then each of ``lines``, one per row, atomically."""
     atomic_write(path, "".join(f"{line}\n" for line in (header, *lines)))
@@ -146,10 +170,7 @@ def write_arsg(path: str | Path, signal: DiscreteSignal) -> None:
 
 def read_arsg(path: str | Path) -> DiscreteSignal:
     """Read an ARSG container, raising FormatError on any malformation."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"{path}: unreadable signal file: {exc}") from exc
+    raw = read_file(path, "signal")
     if not raw.startswith(ARSG_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARSG file)")
     off = len(ARSG_MAGIC)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter
+from .data import check_labels
 from .errors import NumericError, ShapeError
 from .layers import TRAIN, FeatureMap, softmax_cross_entropy
-from .model import ArrnModel
+from .model import ArrnModel, forward_full, is_probability
 from .signal import DTYPES
 
 
@@ -41,7 +42,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        if self.dropout is not None and not 0.0 <= self.dropout <= 1.0:
+        if self.dropout is not None and not is_probability(self.dropout):
             raise ValueError("dropout probability must lie in [0, 1]")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
@@ -221,20 +222,8 @@ def draw_dropped(rng: np.random.Generator, p: float, levels: int) -> int:
     return int(kept.argmax()) if kept.any() else levels
 
 
-def check_labels(labels, rows: int, classes: int) -> None:
-    """Raise ShapeError unless there is one label in ``[0, classes)`` per row."""
-    if np.shape(labels) != (rows,):
-        raise ShapeError(
-            f"labels have shape {np.shape(labels)}, the {rows} input rows need ({rows},)"
-        )
-    if not np.isin(labels, np.arange(classes)).all():
-        raise ShapeError(f"labels must be integers in [0, {classes})")
-
-
 def predict_classes(model: ArrnModel, inputs: np.ndarray) -> np.ndarray:
     """Eval-mode class predictions for inputs on the model's finest grid
     (predict level-``u`` data with ``model.cast(u)``)."""
-    from .model import forward_full  # looked up per call, so a patched one is seen
-
     fmap = FeatureMap(model.ladder[0], np.asarray(inputs, dtype=model.dtype))
     return np.argmax(forward_full(model, fmap), axis=1)

@@ -607,6 +607,54 @@ def test_cache_label_outside_the_classes_exits_2(tmp_path, capsys, split, label)
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "train", "eval"])
+def test_unreadable_manifest_exits_2(tmp_path, capsys, noise_signal, command):
+    """A pyramid's or a dataset cache's manifest that cannot be read (here a
+    directory) is a format error, like an unreadable ARSG or ARNN1 file."""
+    pyramid, cache, ckpt = tmp_path / "pyr", tmp_path / "cache", tmp_path / "a.arnn"
+    assert run("decompose", "--input", noise_signal, "--levels", "64,32",
+               "--out", pyramid) == 0
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", ckpt) == 0
+    for manifest in (pyramid / "manifest.json", cache / "dataset.json"):
+        manifest.unlink()
+        manifest.mkdir()
+    argv = {
+        "reconstruct": ("reconstruct", "--pyramid", pyramid, "--level", "1",
+                        "--out", tmp_path / "r.arsg"),
+        "train": (*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "b.arnn"),
+        "eval": ("eval", "--checkpoint", ckpt, "--resolutions", "16",
+                 "--data-cache", cache, "--out", tmp_path / "s.csv"),
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", ["manifest", "checkpoint"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, noise_signal, target):
+    """JSON too deep for the decoder's recursion limit is a format error."""
+    deep = b"[" * 100_000
+    if target == "manifest":
+        pyramid = tmp_path / "pyr"
+        assert run("decompose", "--input", noise_signal, "--levels", "64,32",
+                   "--out", pyramid) == 0
+        (pyramid / "manifest.json").write_bytes(deep)
+        argv = ("reconstruct", "--pyramid", pyramid, "--level", "1",
+                "--out", tmp_path / "r.arsg")
+    else:
+        ckpt = tmp_path / "a.arnn"
+        ckpt.write_bytes(b"ARNN1\n" + struct.pack("<I", len(deep)) + deep)
+        argv = ("bench", "--checkpoint", ckpt, "--resolutions", "16",
+                "--out", tmp_path / "b.csv")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command, flag, path", [
     ("decompose", "--out", "file"),
     ("reconstruct", "--out", "dir"),

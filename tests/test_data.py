@@ -11,8 +11,10 @@ from arrn.data import (
     oracle_predict,
     save_dataset,
 )
-from arrn.errors import GridError
+from arrn.errors import FormatError, GridError
+from arrn.grids import GridSpec
 from arrn.resample import resample_perfect_array
+from arrn.signal import DiscreteSignal, read_arsg, write_arsg
 
 
 class TestGeneration:
@@ -107,3 +109,29 @@ class TestCache:
         np.testing.assert_array_equal(again.train.labels, ds.train.labels)
         np.testing.assert_array_equal(again.test.inputs, ds.test.inputs)
         np.testing.assert_array_equal(again.signatures, ds.signatures)
+
+    def test_split_on_another_grid_rejected(self, tmp_path):
+        # Twice the rows on half the grid: the element count is unchanged.
+        save_dataset(tmp_path, generate_dataset(
+            SynthDatasetSpec(classes=3, samples_per_class=6, seed=11)))
+        train = read_arsg(tmp_path / "train.arsg")
+        assert train.grid == GridSpec((64,))
+        write_arsg(tmp_path / "train.arsg",
+                   DiscreteSignal(GridSpec((32,)), train.values.reshape(-1, 32)))
+        with pytest.raises(FormatError, match=r"train\.arsg holds 30 rows"):
+            load_dataset(tmp_path)
+
+    def test_split_rows_unlike_its_labels_rejected(self, tmp_path):
+        save_dataset(tmp_path, generate_dataset(
+            SynthDatasetSpec(classes=3, samples_per_class=6, seed=11)))
+        labels = tmp_path / "test_labels.txt"
+        labels.write_text(labels.read_text() + "0\n")
+        with pytest.raises(FormatError, match="labels have shape"):
+            load_dataset(tmp_path)
+
+    def test_label_too_large_for_int64_rejected(self, tmp_path):
+        save_dataset(tmp_path, generate_dataset(
+            SynthDatasetSpec(classes=3, samples_per_class=6, seed=11)))
+        (tmp_path / "train_labels.txt").write_text("99999999999999999999\n")
+        with pytest.raises(FormatError, match="malformed dataset cache"):
+            load_dataset(tmp_path)

@@ -197,6 +197,23 @@ class TestSweep:
                 )
         assert counter.total == 0
 
+    @pytest.mark.parametrize("modes, policy, message", [
+        ((FULL, "sideways"), "prefer-finer", "unknown mode 'sideways'"),
+        ((FULL, ADAPTED), "sideways", "unknown entry policy 'sideways'"),
+    ])
+    def test_unknown_mode_or_policy_rejected_before_any_mac(
+        self, modes, policy, message
+    ):
+        model = build_model("perfect")
+        ds = self._dataset()
+        with macs.recording() as counter:
+            with pytest.raises(ValueError, match=message):
+                evaluate_sweep(
+                    model, ds.test.inputs, ds.test.labels, [32, 16],
+                    modes=modes, policy=policy, measure_time=False,
+                )
+        assert counter.total == 0
+
     @pytest.mark.parametrize("count", [1, 7])
     def test_label_count_unlike_the_inputs_rejected(self, count):
         model = build_model("perfect")

@@ -993,6 +993,12 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / "model.arnn", build_model(seed=74), dropout)
         assert not any(tmp_path.iterdir())
 
+    def test_save_refuses_a_bool_dropout(self, tmp_path):
+        # load_checkpoint refuses a stored bool, so save must not write one.
+        with pytest.raises(ValueError, match=r"dropout probability"):
+            save_checkpoint(tmp_path / "model.arnn", build_model(seed=74), True)
+        assert not any(tmp_path.iterdir())
+
     @settings(
         max_examples=60,
         deadline=None,

@@ -126,6 +126,10 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    def test_bool_dropout_rejected(self):
+        with pytest.raises(ValueError, match="dropout probability"):
+            TrainConfig(dropout=True)
+
     def test_zero_optimiser_settings_allowed(self):
         TrainConfig(learning_rate=0.0, min_learning_rate=0.0, weight_decay=0.0)
 
