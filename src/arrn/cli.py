@@ -114,13 +114,9 @@ def _parse_resolutions(text: str) -> list[tuple[int, ...]]:
     return resolutions
 
 
-def _parse_features(text: str, ladder: ResolutionLadder) -> tuple[int, ...]:
-    """One width per ladder level. The count is checked here: ArrnModel
-    raises ShapeError (exit 3) for it, and ``ablate`` builds on pool threads."""
-    features = _parse_ints((p for p in text.split(",") if p.strip()), text)
-    if len(features) != len(ladder):
-        raise UsageError(f"--features needs {len(ladder)} entries for this ladder")
-    return features
+def _parse_features(text: str) -> tuple[int, ...]:
+    """One width per ladder level; :class:`ArrnModel` checks the count."""
+    return _parse_ints((p for p in text.split(",") if p.strip()), text)
 
 
 def _output_path(text: str, directory: bool = False) -> Path:
@@ -296,7 +292,7 @@ def _model_from_args(args, ladder, kernel, classes, dtype, seed) -> ArrnModel:
         ArrnModel,
         ladder=ladder,
         input_features=args.input_features,
-        features=_parse_features(args.features, ladder),
+        features=_parse_features(args.features),
         classes=classes,
         kernel=kernel,
         rng=np.random.default_rng(seed),
@@ -352,7 +348,7 @@ def cmd_verify_adaptation(args) -> int:
     _require_seed(args.seed)
     ladder = _parse_ladder(args.levels)
     kernel = _kernel_from_args(args)
-    features = _parse_features(args.features, ladder)
+    features = _parse_features(args.features)
     worst = 0.0
     failures = 0
     for trial in range(args.trials):
@@ -490,7 +486,7 @@ def cmd_bench(args) -> int:
 
 def cmd_ablate(args) -> int:
     ladder = _parse_ladder(args.levels)
-    features = _parse_features(args.features, ladder)
+    features = _parse_features(args.features)
     dropout = _dropout_from_args(args)
     if not dropout:
         raise UsageError("ablation needs a nonzero --dropout probability")

@@ -25,7 +25,7 @@ from .errors import FormatError, GridError, ShapeError
 from .grids import GridSpec
 from .resample import lowpass_perfect_array
 from .signal import DiscreteSignal, atomic_write, read_arsg, read_file, write_arsg
-from .signal import read_manifest, write_manifest
+from .signal import malformed, read_manifest, write_manifest
 
 
 @dataclass(frozen=True)
@@ -175,19 +175,21 @@ def generate_dataset(spec: SynthDatasetSpec) -> SynthDataset:
         signatures = _default_signatures(spec, sig_rng)
 
     total = spec.classes * spec.samples_per_class
-    inputs = np.zeros((total, spec.features) + spec.base_extents)
     labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.samples_per_class)
-    for idx, cls in enumerate(labels):
-        white = data_rng.standard_normal((spec.features,) + spec.base_extents)
-        shells = band_shells(white, spec.level_extents)
-        sample = np.zeros_like(white)
-        for b, shell in enumerate(shells):
-            rms = np.sqrt(np.mean(shell**2))
-            if rms > 0:
-                sample += signatures[cls, b] * shell / rms
-        if spec.noise > 0:
-            sample += spec.noise * data_rng.standard_normal(sample.shape)
-        inputs[idx] = sample
+    # Per sample, the stream gives its white noise, then its extra noise.
+    draws = data_rng.standard_normal(
+        (total, 1 + (spec.noise > 0), spec.features) + spec.base_extents
+    )
+    inputs = np.zeros(draws.shape[:1] + draws.shape[2:])
+    lead = (slice(None),) + (None,) * (inputs.ndim - 1)
+    for b, shell in enumerate(band_shells(draws[:, 0], spec.level_extents)):
+        # Each sample's shell is scaled by its own RMS; a zero shell adds nothing.
+        rms = np.sqrt(np.mean(shell.reshape(total, -1) ** 2, axis=1))[lead]
+        nonzero = rms > 0
+        scaled = signatures[labels, b][lead] * shell / np.where(nonzero, rms, 1.0)
+        np.add(inputs, scaled, out=inputs, where=nonzero)
+    if spec.noise > 0:
+        inputs += spec.noise * draws[:, 1]
 
     # Per-class split so both halves keep the class balance.
     train = np.arange(total) % spec.samples_per_class < spec.train_per_class
@@ -259,7 +261,7 @@ def load_dataset(directory: str | Path) -> SynthDataset:
     ``features`` rows per label on the spec's base grid, and its labels must
     pass :func:`check_labels`; anything else raises FormatError."""
     directory = Path(directory)
-    try:
+    with malformed(directory, "dataset cache"):
         manifest = read_manifest(directory / "dataset.json")
         spec = SynthDatasetSpec.from_description(manifest["spec"])
         signatures = np.asarray(manifest["signatures"], dtype=np.float64)
@@ -281,8 +283,6 @@ def load_dataset(directory: str | Path) -> SynthDataset:
             inputs = packed.values.reshape((-1, spec.features) + extents)
             check_labels(labels, len(inputs), spec.classes)
             splits[name] = LabeledSignals(inputs, labels)
-    except (KeyError, ValueError, TypeError, OverflowError, ShapeError) as exc:
-        raise FormatError(f"{directory}: malformed dataset cache: {exc}") from exc
     return SynthDataset(
         spec=spec, signatures=signatures, train=splits["train"], test=splits["test"]
     )

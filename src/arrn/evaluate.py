@@ -29,7 +29,7 @@ from .data import SynthDatasetSpec, check_labels, generate_dataset
 from .grids import GridSpec, ResolutionLadder
 from .kernels import VARIANTS, SmoothingKernelSpec
 from .layers import FeatureMap, InnerBlockSpec
-from .model import PREFER_FINER, ArrnModel, entry_level, forward_adapted
+from .model import PREFER_FINER, ArrnModel, check_inputs, entry_level, forward_adapted
 from .resample import resample_perfect_array
 from .signal import write_csv
 from .training import TrainConfig, train
@@ -159,6 +159,7 @@ def evaluate_sweep(
     Every row is planned, its resolution routed by :func:`entry_level` and
     its MACs counted, before any input is resampled.
     """
+    check_inputs(model, inputs)
     check_labels(labels, len(inputs), model.classes)
     base = model.ladder[0]
     plan = []

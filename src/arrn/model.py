@@ -60,7 +60,7 @@ from .layers import (
     silu_op,
 )
 from .resample import resample_perfect_array
-from .signal import DTYPE_NAMES, DTYPES, atomic_write, read_file
+from .signal import DTYPE_NAMES, DTYPES, atomic_write, malformed, read_file
 
 ARNN_MAGIC = b"ARNN1\n"
 
@@ -168,7 +168,7 @@ class ArrnModel:
         dtype=np.float64,
     ):
         if len(features) != len(ladder):
-            raise ShapeError("need one feature width per ladder level")
+            raise ValueError(f"features need one width for each of {len(ladder)} levels")
         if min(input_features, classes, *features) < 1:
             raise ValueError(
                 f"input_features, classes and features must be >= 1, got "
@@ -349,6 +349,20 @@ def eval_block_rows(model: ArrnModel) -> int:
     return max(1, EVAL_BLOCK_BYTES // (max(widths) * model.dtype.itemsize))
 
 
+def check_inputs(model: ArrnModel, inputs: np.ndarray) -> None:
+    """Raise ShapeError unless ``inputs`` is a non-empty batch of samples of
+    shape ``(input_features, *extents)`` on the model's finest grid: the one
+    rule for what evaluation, training and sweeps take."""
+    expected = (model.input_features,) + model.ladder[0].extents
+    if np.shape(inputs)[1:] != expected:
+        raise ShapeError(
+            f"inputs have per-sample shape {np.shape(inputs)[1:]}, the model "
+            f"expects {expected}"
+        )
+    if len(inputs) == 0:
+        raise ShapeError("an empty batch: the model needs at least one sample")
+
+
 def forward_full(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
     """Evaluate every residual, each with its block.
 
@@ -360,13 +374,7 @@ def forward_full(model: ArrnModel, fmap: FeatureMap) -> np.ndarray:
     grid = model.ladder[0]
     if fmap.grid != grid:
         raise GridError(f"input grid {fmap.grid.extents} does not match {grid.extents}")
-    if fmap.features != model.input_features:
-        raise ShapeError(
-            f"input has {fmap.features} channels, model expects "
-            f"{model.input_features}"
-        )
-    if fmap.batch == 0:
-        raise ShapeError("cannot evaluate an empty batch")
+    check_inputs(model, fmap.values)
     values = np.asarray(fmap.values, model.dtype)
     blocks = np.array_split(values, -(-fmap.batch // eval_block_rows(model)))
     with no_grad():
@@ -516,7 +524,9 @@ def save_checkpoint(
         "kernel": model.kernel.describe(),
         "blocks": [res.block.spec.describe() for res in model.residuals],
         "head_dropout": model.head_dropout,
-        "dropout": None if dropout is None else [dropout] * len(model.residuals),
+        "dropout": (
+            None if dropout is None else [float(dropout)] * len(model.residuals)
+        ),
         "dtype": DTYPE_NAMES[model.dtype],
         "arrays": [
             {
@@ -545,16 +555,13 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
     if not raw.startswith(ARNN_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARNN1 checkpoint)")
     off = len(ARNN_MAGIC)
-    try:
+    with malformed(path, "checkpoint"):
         (header_len,) = struct.unpack_from("<I", raw, off)
         off += 4
         manifest = json.loads(raw[off : off + header_len].decode())
         off += header_len
-    except (struct.error, ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint header") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != "ARNN1":
-        raise FormatError(f"{path}: unsupported checkpoint format")
-    try:
+        if not isinstance(manifest, dict) or manifest.get("format") != "ARNN1":
+            raise FormatError(f"{path}: unsupported checkpoint format")
         dtype = DTYPES.get(manifest["dtype"])
         if dtype is None:
             raise FormatError(f"{path}: unknown dtype {manifest['dtype']!r}")
@@ -605,8 +612,6 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
                 raise FormatError(f"{path}: truncated parameter blob")
             target[...] = np.frombuffer(blob, dtype=stored).reshape(target.shape)
             off += target.nbytes
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint manifest: {exc}") from exc
     if unread:
         raise FormatError(f"{path}: missing arrays {sorted(unread)}")
     if off != len(raw):

@@ -29,7 +29,7 @@ from .grids import GridSpec, ResolutionLadder
 from .kernels import SmoothingKernelSpec
 from .resample import decimate, lowpass, upsample
 from .signal import DTYPE_NAMES, DiscreteSignal, read_arsg, write_arsg
-from .signal import read_manifest, write_manifest
+from .signal import malformed, read_manifest, write_manifest
 
 PYRAMID_MANIFEST = "manifest.json"
 
@@ -151,7 +151,7 @@ def save_pyramid(directory: str | Path, decomp: PyramidDecomposition) -> None:
 
 def load_pyramid(directory: str | Path) -> PyramidDecomposition:
     directory = Path(directory)
-    try:
+    with malformed(directory, "pyramid manifest"):
         manifest = read_manifest(directory / PYRAMID_MANIFEST)
         ladder = ResolutionLadder.from_extents(
             [tuple(e) for e in manifest["levels"]]
@@ -161,8 +161,6 @@ def load_pyramid(directory: str | Path) -> PyramidDecomposition:
         terms = tuple(read_arsg(directory / name) for name in names)
         start_level = manifest["start_level"]
         dtype = manifest["dtype"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"{directory}: malformed pyramid manifest: {exc}") from exc
     if type(start_level) is not int or not 0 <= start_level <= ladder.top_level:
         raise FormatError(
             f"{directory}: start_level {start_level!r} is not an integer in "

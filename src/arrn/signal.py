@@ -20,12 +20,13 @@ import json
 import os
 import secrets
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError
+from .errors import FormatError, GridError, NumericError, ShapeError
 from .grids import GridSpec
 
 ARSG_MAGIC = b"ARSG1\n"
@@ -127,12 +128,26 @@ def atomic_write(path: str | Path, data: bytes | str) -> None:
 
 def read_file(path: str | Path, kind: str, text: bool = False) -> bytes | str:
     """The bytes of ``path``, or with ``text`` its UTF-8 text; a file that
-    cannot be read or decoded raises FormatError naming its ``kind``."""
+    cannot be read raises FormatError naming its ``kind``."""
     try:
         raw = Path(path).read_bytes()
-        return raw.decode() if text else raw
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise FormatError(f"{path}: unreadable {kind} file: {exc}") from exc
+    return raw.decode() if text else raw
+
+
+@contextmanager
+def malformed(path: str | Path, what: str):
+    """Decode the content of ``path`` in this block: a lookup, value, type,
+    overflow, recursion, struct, grid, shape or numeric error raised in it
+    becomes ``FormatError("<path>: malformed <what>: <reason>")``. A
+    FormatError passes unchanged; an OSError (:func:`read_file`'s
+    "unreadable") or a MemoryError is not caught."""
+    try:
+        yield
+    except (LookupError, ValueError, TypeError, OverflowError, RecursionError,
+            struct.error, GridError, ShapeError, NumericError) as exc:
+        raise FormatError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
@@ -142,10 +157,8 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 def read_manifest(path: str | Path):
     """The JSON value :func:`write_manifest` wrote; its caller checks the fields."""
-    try:
+    with malformed(path, "manifest"):
         return json.loads(read_file(path, "manifest", text=True))
-    except RecursionError as exc:
-        raise FormatError(f"{path}: manifest nested too deeply") from exc
 
 
 def write_csv(path: str | Path, header: str, lines) -> None:
@@ -174,7 +187,7 @@ def read_arsg(path: str | Path) -> DiscreteSignal:
     if not raw.startswith(ARSG_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARSG file)")
     off = len(ARSG_MAGIC)
-    try:
+    with malformed(path, "signal"):
         (dims,) = struct.unpack_from("<I", raw, off)
         off += 4
         if not 1 <= dims <= 2:
@@ -183,23 +196,15 @@ def read_arsg(path: str | Path) -> DiscreteSignal:
         off += 4 * dims
         features, code = struct.unpack_from("<2I", raw, off)
         off += 8
-    except struct.error as exc:
-        raise FormatError(f"{path}: truncated header") from exc
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"{path}: unknown dtype code {code}")
-    dtype = _DTYPE_CODES[code]
-    try:
-        grid = GridSpec(tuple(int(e) for e in extents))
-    except Exception as exc:
-        raise FormatError(f"{path}: invalid extents {extents}") from exc
-    expected = features * grid.num_samples * dtype.itemsize
-    blob = raw[off:]
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(blob, dtype=dtype).astype(dtype.newbyteorder("="))
-    try:
+        if code not in _DTYPE_CODES:
+            raise FormatError(f"{path}: unknown dtype code {code}")
+        dtype = _DTYPE_CODES[code]
+        grid = GridSpec(extents)
+        expected = features * grid.num_samples * dtype.itemsize
+        blob = raw[off:]
+        if len(blob) != expected:
+            raise FormatError(
+                f"{path}: payload is {len(blob)} bytes, expected {expected}"
+            )
+        flat = np.frombuffer(blob, dtype=dtype).astype(dtype.newbyteorder("="))
         return DiscreteSignal.from_flat(grid, features, flat)
-    except NumericError as exc:
-        raise FormatError(f"{path}: non-finite payload values") from exc

@@ -15,9 +15,9 @@ import numpy as np
 
 from .autodiff import Parameter
 from .data import check_labels
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 from .layers import TRAIN, FeatureMap, softmax_cross_entropy
-from .model import ArrnModel, forward_full, is_probability
+from .model import ArrnModel, check_inputs, forward_full, is_probability
 from .signal import DTYPES
 
 
@@ -155,14 +155,7 @@ def _fit(model, inputs, labels, config) -> TrainResult:
             f"model dtype {model.dtype} does not match config {config.dtype}"
         )
     inputs = np.asarray(inputs, dtype=model.dtype)
-    expected = (model.input_features,) + model.ladder[0].extents
-    if inputs.shape[1:] != expected:
-        raise ShapeError(
-            f"inputs have per-sample shape {inputs.shape[1:]}, the model "
-            f"expects {expected}"
-        )
-    if inputs.shape[0] == 0:
-        raise ShapeError("training needs at least one sample")
+    check_inputs(model, inputs)
     check_labels(labels, inputs.shape[0], model.classes)
     labels = np.asarray(labels, dtype=np.int64)
     streams = np.random.SeedSequence(config.seed).spawn(3)
@@ -225,5 +218,6 @@ def draw_dropped(rng: np.random.Generator, p: float, levels: int) -> int:
 def predict_classes(model: ArrnModel, inputs: np.ndarray) -> np.ndarray:
     """Eval-mode class predictions for inputs on the model's finest grid
     (predict level-``u`` data with ``model.cast(u)``)."""
+    check_inputs(model, inputs)
     fmap = FeatureMap(model.ladder[0], np.asarray(inputs, dtype=model.dtype))
     return np.argmax(forward_full(model, fmap), axis=1)

@@ -13,8 +13,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from arrn.cli import build_parser, main
-from arrn.grids import GridSpec
-from arrn.model import load_checkpoint, save_checkpoint
+from arrn.grids import GridSpec, ResolutionLadder
+from arrn.kernels import SmoothingKernelSpec
+from arrn.model import ArrnModel, load_checkpoint, save_checkpoint
 from arrn.signal import DiscreteSignal, read_arsg, write_arsg
 
 
@@ -561,6 +562,11 @@ HUGE = "100000000000000000000"  # 10**20, more than any array dimension
     (*TINY_BENCH, "--batch", HUGE),
     (*TINY_ABLATE, "--seeds", "0,-1"),
     (*TINY_ABLATE, "--noise", "inf"),
+    # One width for a two-level ladder: ArrnModel owns the count rule.
+    (*TINY_VERIFY, "--features", "2"),
+    (*TINY_TRAIN, "--features", "2"),
+    (*TINY_BENCH, "--features", "2"),
+    (*TINY_ABLATE, "--features", "2"),
 ])
 def test_rejected_size_or_seed_is_usage_error(tmp_path, capsys, argv):
     outputs = {
@@ -691,6 +697,73 @@ def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert run(*argv) == 64
     assert capsys.readouterr().err.startswith("usage error: argument")
     assert not any(tmp_path.iterdir())
+
+
+THREE_D = [[8, 8, 8], [4, 4, 4], [2, 2, 2]]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_features", float("inf")),  # the JSON number 1e400
+    ("classes", float("inf")),
+    ("features", [8, 16]),
+    ("ladder", [[64], [30], [16]]),
+    ("ladder", THREE_D),
+])
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_checkpoint_value_the_model_refuses_exits_2(
+    tmp_path, capsys, command, field, value
+):
+    ckpt = tmp_path / "model.arnn"
+    save_checkpoint(ckpt, ArrnModel(
+        ResolutionLadder.from_extents([64, 32, 16]), 1, (8, 16, 32), 4,
+        SmoothingKernelSpec.perfect(), np.random.default_rng(0)))
+    raw = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 6)
+    manifest = {**json.loads(raw[10 : 10 + length]), field: value}
+    header = json.dumps(manifest).encode()
+    ckpt.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header
+                     + raw[10 + length :])
+    tiny = ("--samples-per-class", "4") if command == "eval" else ("--batch", "2")
+    before = sorted(tmp_path.rglob("*"))
+    assert run(command, "--checkpoint", ckpt, "--resolutions", "16", *tiny,
+               "--out", tmp_path / "out.csv") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("levels", [
+    [[float("inf")], [32], [16]], [[64], [30], [16]], THREE_D,
+])
+def test_pyramid_levels_the_ladder_refuses_exit_2(
+    tmp_path, capsys, noise_signal, levels
+):
+    pyramid = tmp_path / "pyr"
+    assert run("decompose", "--input", noise_signal, "--levels", "64,32,16",
+               "--out", pyramid) == 0
+    manifest = json.loads((pyramid / "manifest.json").read_text())
+    (pyramid / "manifest.json").write_text(json.dumps({**manifest, "levels": levels}))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run("reconstruct", "--pyramid", pyramid, "--level", "1",
+               "--out", tmp_path / "r.arsg") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_eval_on_a_cache_of_another_ladder_exits_3(tmp_path, capsys):
+    """Signals on a coarser grid than the model's finest are refused, as
+    ``train`` refuses them, not upsampled into rows under the wrong name."""
+    cache, ckpt = tmp_path / "cache", tmp_path / "model.arnn"
+    tiny = ("--samples-per-class", "4", "--epochs", "1")
+    assert run("train", "--levels", "32,16,8", *tiny, "--data-cache", cache,
+               "--out", tmp_path / "other.arnn") == 0
+    assert run("train", "--levels", "64,32,16", *tiny, "--out", ckpt) == 0
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--resolutions", "64,32",
+               "--data-cache", cache, "--out", tmp_path / "sweep.csv") == 3
+    assert capsys.readouterr().err.startswith("shape error:")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_rejected_model_leaves_an_existing_cache_as_is(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from arrn.data import (
     SynthDatasetSpec,
     band_rms,
+    band_shells,
     generate_dataset,
     load_dataset,
     oracle_predict,
@@ -54,6 +55,40 @@ class TestGeneration:
         rms = band_rms(ds.train.inputs, spec.level_extents).mean(axis=1)
         for i, label in enumerate(ds.train.labels):
             np.testing.assert_allclose(rms[i], ds.signatures[label], atol=1e-10)
+
+    @pytest.mark.parametrize("spec", [
+        SynthDatasetSpec(samples_per_class=16),
+        SynthDatasetSpec(samples_per_class=16, noise=0.0),
+        SynthDatasetSpec(level_extents=((32, 32), (16, 16), (8, 8)), features=4,
+                         samples_per_class=4),
+        SynthDatasetSpec(level_extents=((27,), (9,), (3,)), noise=0.3,
+                         samples_per_class=8),
+        SynthDatasetSpec(level_extents=((24, 16), (12, 8), (6, 4)), features=2,
+                         noise=0.0, samples_per_class=4),
+        # A level repeated: its shell is zero and must add nothing.
+        SynthDatasetSpec(level_extents=((16,), (16,), (8,)), samples_per_class=4),
+    ], ids=["64", "64-noiseless", "32x32-4f", "27-9-3", "24x16-2f", "zero-shell"])
+    def test_matches_the_per_sample_loop_bit_for_bit(self, spec):
+        ds = generate_dataset(spec)
+        # The reference: one sample at a time from the same stream.
+        roots = np.random.SeedSequence(spec.seed).spawn(2)
+        rng = np.random.default_rng(roots[1])
+        shape = (spec.features,) + spec.base_extents
+        expected = []
+        for cls in np.repeat(np.arange(spec.classes), spec.samples_per_class):
+            white = rng.standard_normal(shape)
+            sample = np.zeros(shape)
+            for b, shell in enumerate(band_shells(white, spec.level_extents)):
+                rms = np.sqrt(np.mean(shell**2))
+                if rms > 0:
+                    sample += ds.signatures[cls, b] * shell / rms
+            if spec.noise > 0:
+                sample += spec.noise * rng.standard_normal(shape)
+            expected.append(sample)
+        expected = np.stack(expected)
+        train = np.arange(len(expected)) % spec.samples_per_class < spec.train_per_class
+        assert ds.train.inputs.tobytes() == expected[train].tobytes()
+        assert ds.test.inputs.tobytes() == expected[~train].tobytes()
 
     def test_signature_shape_validation(self):
         with pytest.raises(ValueError):

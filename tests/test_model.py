@@ -541,6 +541,24 @@ class TestInputValidation:
         with pytest.raises(ShapeError):
             forward_full(model, FeatureMap(GridSpec((32,)), np.zeros((1, 2, 32))))
 
+    def test_feature_count_unlike_the_ladder(self):
+        with pytest.raises(ValueError, match="one width for each of 3 levels"):
+            build_model(features=(4, 8))
+
+    def test_sweep_inputs_on_another_grid(self):
+        # The rule train applies: a sweep does not upsample them silently.
+        model = build_model(seed=63)
+        with pytest.raises(ShapeError, match=r"per-sample shape \(1, 16\)"):
+            evaluate_sweep(model, np.zeros((2, 1, 16)), np.zeros(2, np.int64), [16])
+
+    def test_empty_batch_message_names_both_rules(self):
+        model = build_model(seed=64)
+        for call in (lambda x: predict_classes(model, x),
+                     lambda x: evaluate_sweep(model, x, np.zeros(0, np.int64), [16])):
+            with pytest.raises(ShapeError, match="empty batch") as info:
+                call(np.zeros((0, 1, 32)))
+            assert "at least one sample" in str(info.value)
+
     def test_dropped_count_outside_the_chain(self):
         model = build_model(seed=62)
         fmap = random_input(model)
@@ -992,6 +1010,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"dropout probability"):
             save_checkpoint(tmp_path / "model.arnn", build_model(seed=74), dropout)
         assert not any(tmp_path.iterdir())
+
+    def test_numpy_dropout_is_stored_as_a_float(self, tmp_path):
+        path = tmp_path / "model.arnn"
+        save_checkpoint(path, build_model(seed=74), np.float32(0.3))
+        assert load_checkpoint(path)[1]["dropout"] == [float(np.float32(0.3))] * 2
 
     def test_save_refuses_a_bool_dropout(self, tmp_path):
         # load_checkpoint refuses a stored bool, so save must not write one.
