@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import FormatError, GridError, ShapeError
-from .grids import GridSpec
+from .grids import GridSpec, ResolutionLadder, is_integer
 from .resample import lowpass_perfect_array
 from .signal import DiscreteSignal, atomic_write, read_arsg, read_file, write_arsg
 from .signal import malformed, read_manifest, write_manifest
@@ -43,6 +43,16 @@ class SynthDatasetSpec:
     signatures: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
+        for name in ("classes", "samples_per_class", "features", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # A level repeated in place adds a zero shell; the levels must
+        # otherwise form a ladder.
+        levels = [tuple(e) for e in self.level_extents]
+        ResolutionLadder.from_extents(
+            [e for i, e in enumerate(levels) if i == 0 or e != levels[i - 1]]
+        )
         if self.classes < 2:
             raise ValueError("need at least two classes")
         for name in ("samples_per_class", "features"):
@@ -265,6 +275,11 @@ def load_dataset(directory: str | Path) -> SynthDataset:
         manifest = read_manifest(directory / "dataset.json")
         spec = SynthDatasetSpec.from_description(manifest["spec"])
         signatures = np.asarray(manifest["signatures"], dtype=np.float64)
+        if signatures.shape != (spec.classes, spec.bands):
+            raise FormatError(
+                f"{directory}: signatures of shape {signatures.shape}, not "
+                f"(classes, bands) = {(spec.classes, spec.bands)}"
+            )
         extents = spec.base_extents
         splits = {}
         for name in ("train", "test"):

@@ -8,12 +8,18 @@ at coordinate ``i / E``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import prod
 
 from .errors import GridError
 
 MAX_DIMS = 2
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (Python or numpy), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Three realizations of the anti-aliasing low-pass are supported:
 
 * ``perfect`` -- ideal spectral truncation. On the periodic domain the
   ideal interpolation kernel is the Dirichlet (periodic sinc) kernel, so
-  the convolution is realized exactly through the FFT; no spatial taps
-  exist.
+  the convolution is realized exactly in the Fourier domain (see
+  :mod:`arrn.resample`); no spatial taps exist.
 * ``windowed_sinc`` -- a Hann-windowed sinc with a fixed odd tap count
   per axis; a fair-quality separable approximation.
 * ``truncated_gaussian`` -- a hard-truncated sampled Gaussian whose width

@@ -23,14 +23,18 @@ Cost conventions (single sample, i.e. batch size 1):
   ``S*ceil(log2(S))``; spectral resampling costs one transform at the
   input grid plus one at the output grid, and the perfect low-pass one
   transform and its inverse at the input grid (0 when the band holds the
-  whole grid). The perfect kernel runs one real ``rfft``/``irfft`` pair
-  per axis; it is counted by this whole-grid convention, so the counts
-  stay independent of the transform layout
+  whole grid)
 * stride decimation, sample-preserving reshapes, normalization,
   activations, dropout, pooling, additions, and mean subtraction: 0
 * parameter folds (:func:`arrn.autodiff.scale_rows`,
   :func:`arrn.autodiff.matmul`): 0. They act on parameters, not on the
   sample, so their cost does not grow with the batch or the grid
+
+The band operators of :mod:`arrn.resample` run as one dense matrix
+product per axis on axes up to ``MATRIX_AXIS_MAX`` samples, and as a real
+FFT pair or tap convolution per axis on longer ones. They are still
+counted by the whole-grid transform and separable-tap conventions above,
+so the counts stay independent of how an axis is realized.
 """
 
 from __future__ import annotations

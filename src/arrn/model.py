@@ -47,7 +47,7 @@ from .autodiff import (
     sub,
 )
 from .errors import FormatError, GridError, ShapeError
-from .grids import GridSpec, ResolutionLadder
+from .grids import GridSpec, ResolutionLadder, is_integer
 from .kernels import SmoothingKernelSpec
 from .layers import (
     EVAL,
@@ -169,6 +169,11 @@ class ArrnModel:
     ):
         if len(features) != len(ladder):
             raise ValueError(f"features need one width for each of {len(ladder)} levels")
+        if not (is_integer(input_features) and is_integer(classes)):
+            raise ValueError(
+                f"input_features and classes must be integers, got "
+                f"{input_features!r} and {classes!r}"
+            )
         if min(input_features, classes, *features) < 1:
             raise ValueError(
                 f"input_features, classes and features must be >= 1, got "
@@ -570,9 +575,9 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
             ladder=ResolutionLadder.from_extents(
                 [tuple(e) for e in manifest["ladder"]]
             ),
-            input_features=int(manifest["input_features"]),
+            input_features=manifest["input_features"],
             features=tuple(manifest["features"]),
-            classes=int(manifest["classes"]),
+            classes=manifest["classes"],
             kernel=SmoothingKernelSpec.from_description(manifest["kernel"]),
             rng=np.random.default_rng(0),
             expansion=blocks[0].expansion if blocks else 2,

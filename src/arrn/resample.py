@@ -16,21 +16,27 @@ operation is truncate-then-embed:
   rejected). This keeps real inputs real, makes the low-pass an
   orthogonal projector, and makes decimation and interpolation exact
   inverses on the retained band;
-* the adjoint of downsampling embeds with full Nyquist copies.
-
-The band projector is a tensor product of 1-D projectors, so every
-operation runs as one ``scipy.fft.rfft``/``irfft`` pass per spatial
-axis, each mapping real samples to real samples. A pass holds only bins
-``0..n//2``, where the ``-m/2`` member of an even band's Nyquist pair is
-``conj(X[m/2])``: truncation folds the pair to ``2 Re X[m/2]``,
-embedding with a split halves the bin and the adjoint keeps it whole,
-the inverse real transform supplying the mirror. The band scales
-``m/n`` and ``n/m`` are carried by the transforms' normalisation, so no
-in-band bin is rescaled.
+* the adjoint of downsampling is the transpose of downsampling.
 
 Approximate kernels instead perform separable spatial circular
 convolution with the realized taps (see :mod:`arrn.kernels`), followed by
 stride decimation where a resolution change is requested.
+
+Every operator is a tensor product of 1-D operators, one per spatial
+axis, each mapping real samples to real samples. An axis of at most
+:data:`MATRIX_AXIS_MAX` samples runs its operator as a real
+``n_in x n_out`` matrix, built once in f64 per kernel, extents and dtype
+and cached read-only: the perfect kernel's by one real transform pair on
+the identity, an approximate kernel's as the circulant of its taps, every
+``f``-th column kept for a decimation by ``f``. The last axis is a
+product ``x @ M`` and the one before it ``M.T @ x``, one matrix product
+per trailing 2-D slice, so a sample's result does not depend on the rest
+of its batch. The adjoint is the transpose ``M.T``. A longer axis runs
+one ``scipy.fft.rfft``/``irfft`` pass (the band scales ``m/n`` and
+``n/m`` carried by the transforms' normalisation) or one
+``scipy.ndimage.convolve1d``; scipy is imported only there. MACs are
+still priced by the transform and tap conventions of :mod:`arrn.macs`,
+whichever way an axis runs.
 
 Array-level functions take the extents of the grid they map to, act on
 the trailing ``len(extents)`` axes of their array, read the source grid
@@ -40,17 +46,27 @@ axes. Signal-level wrappers enforce the grid-comparability contracts.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import ndimage
 
 from . import macs
 from .errors import GridError
 from .grids import GridSpec
 from .kernels import SmoothingKernelSpec
 from .signal import DiscreteSignal
+
+# Axes of at most this many samples (input or output) run their operator as
+# a cached dense matrix; longer ones keep the FFT pair or tap convolution,
+# whose cost grows as n log n or n * taps instead of n * n_out. Measured per
+# call (2-core Xeon, f32, median of 30, matrix vs FFT pair in us) on a 1-D
+# (16, 8, n) perfect low-pass to band n/2: n=64 23 vs 106; 128 69 vs 151;
+# 192 141 vs 200; 256 238 vs 244; 320 290 vs 281; 384 865 vs 347; 512 1151
+# vs 451. A windowed-sinc downsample by 2 crosses between 384 and 512 (274
+# vs 358, 704 vs 451), and a 2-D (2, 4, n, n) one stays faster as a matrix
+# up to 512 (25 vs 47 ms for the low-pass); the 1-D low-pass sets the bound.
+MATRIX_AXIS_MAX = 256
 
 
 def _spatial(x: np.ndarray, extents: tuple[int, ...]) -> tuple[int, ...]:
@@ -63,18 +79,22 @@ def _leading(x: np.ndarray, extents: tuple[int, ...]) -> int:
 
 
 def _spectral_axis(
-    x: np.ndarray, axis: int, m: int, n: int, adjoint: bool
+    x: np.ndarray, axis: int, m: int, n: int, adjoint: bool, fft
 ) -> np.ndarray:
     """Keep the band of extent m on one axis, then resample it to extent n.
 
-    The spectrum is edited in place where the axis shrinks or keeps its
-    extent, and zero-padded explicitly where it grows.
+    One real transform pair from the ``fft`` module (``numpy.fft`` or
+    ``scipy.fft``). A pass holds only bins ``0..n//2``, where the ``-m/2``
+    member of an even band's Nyquist pair is ``conj(X[m/2])``: truncation
+    folds the pair to ``2 Re X[m/2]``, embedding with a split halves the
+    bin and the ``adjoint`` of truncation keeps it whole. ``norm="forward"``
+    divides by the input extent, so samples are preserved; the adjoint
+    uses ``norm="backward"``. The spectrum is edited in place where the
+    axis shrinks or keeps its extent, and zero-padded where it grows.
     """
     extent = x.shape[axis]
-    if m >= extent and n == extent:
-        return x
     norm = "backward" if adjoint else "forward"
-    spectrum = sfft.rfft(np.moveaxis(x, axis, -1), norm=norm)
+    spectrum = fft.rfft(np.moveaxis(x, axis, -1), norm=norm)
     band = min(m, extent)
     nyq = band // 2
     if band < extent:
@@ -87,26 +107,116 @@ def _spectral_axis(
         spectrum = padded
     if band % 2 == 0 and band < n and not adjoint:
         spectrum[..., nyq] /= 2
-    return np.moveaxis(sfft.irfft(spectrum, n=n, norm=norm), -1, axis)
+    return np.moveaxis(fft.irfft(spectrum, n=n, norm=norm), -1, axis)
 
 
-def _spectral(
+@lru_cache(maxsize=128)
+def _taps(kernel: SmoothingKernelSpec, factor: int) -> np.ndarray:
+    """The kernel's taps at one decimation factor, read-only."""
+    taps = kernel.realize(factor)
+    taps.flags.writeable = False
+    return taps
+
+
+@lru_cache(maxsize=128)
+def _axis_matrix(
+    kernel: SmoothingKernelSpec | None, n: int, m: int, k: int, dtype: np.dtype
+) -> np.ndarray:
+    """One axis's operator as a read-only ``n x k`` matrix ``M``, ``y = x @ M``.
+
+    It keeps the band of extent ``m`` of an extent-``n`` axis and yields
+    extent ``k``. ``kernel`` None is the perfect kernel: the spectral pass
+    run on the identity. Otherwise ``M`` is the circulant of the taps at
+    factor ``n // m``, which wraps taps longer than the axis onto it, with
+    every ``n // k``-th column kept.
+    """
+    if kernel is None:
+        mat = _spectral_axis(np.eye(n), -1, m, k, False, np.fft)
+    else:
+        taps = _taps(kernel, n // m)
+        half = len(taps) // 2
+        # y[i] = sum_t taps[t] x[(i - t) % n]: x[j] enters y[i] with the sum
+        # of the taps whose offset t is i - j modulo n.
+        column = np.bincount(np.arange(-half, half + 1) % n, taps, minlength=n)
+        sites = np.arange(n)
+        mat = column[(sites[None, :] - sites[:, None]) % n][:, :: n // k]
+    mat = np.ascontiguousarray(mat, dtype=dtype)
+    mat.flags.writeable = False
+    return mat
+
+
+def _long_axis(
     x: np.ndarray,
+    axis: int,
+    kernel: SmoothingKernelSpec | None,
+    n: int,
+    m: int,
+    k: int,
+    adjoint: bool,
+) -> np.ndarray:
+    """:func:`_axis_matrix`'s operator (or its adjoint), without the matrix."""
+    from scipy import fft, ndimage
+
+    if kernel is None:
+        if adjoint:
+            return _spectral_axis(x, axis, k, n, True, fft)
+        return _spectral_axis(x, axis, m, k, False, fft)
+    stride = (..., slice(None, None, n // k)) + (slice(None),) * (-1 - axis)
+    if adjoint:
+        fine = np.zeros(x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1 :], x.dtype)
+        fine[stride] = x
+        x = fine
+    taps = _taps(kernel, n // m)
+    if len(taps) > 1:
+        x = ndimage.convolve1d(x, taps, axis=axis, mode="wrap")
+    return x if adjoint else x[stride]
+
+
+def _band_op(
+    x: np.ndarray,
+    kernel: SmoothingKernelSpec | None,
+    fine: tuple[int, ...],
     band: tuple[int, ...],
     out: tuple[int, ...],
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Truncate each trailing axis to its band, then embed it at the output extent.
+    """Run one axis operator per trailing axis; always a new C-ordered array.
 
-    One real transform pair per axis. The band scales live in the
-    transforms' normalisation: ``norm="forward"`` divides by the input
-    extent, so samples are preserved; the ``adjoint`` of downsampling uses
-    ``norm="backward"`` with whole Nyquist bins.
+    Axis ``a`` keeps band ``band[a]`` of extent ``fine[a]`` and yields
+    extent ``out[a]``; the ``adjoint`` maps ``out`` back to ``fine``.
+    ``kernel`` None is the perfect kernel. An axis whose operator is the
+    identity is skipped.
     """
+    dtype = np.result_type(x.dtype, np.float32)
     y = x
-    for axis, m, n in zip(range(-len(out), 0), band, out):
-        y = _spectral_axis(y, axis, m, n, adjoint)
+    for axis, n, m, k in zip(range(-len(out), 0), fine, band, out):
+        if k == n and (
+            m >= n if kernel is None else len(_taps(kernel, n // m)) == 1
+        ):
+            continue
+        if max(n, k) > MATRIX_AXIS_MAX:
+            y = _long_axis(y, axis, kernel, n, m, k, adjoint)
+            continue
+        mat = _axis_matrix(kernel, n, m, k, dtype)
+        if adjoint:
+            mat = mat.T
+        if axis == -1:
+            y = y @ mat
+        else:
+            y = np.swapaxes(np.matmul(mat.T, np.swapaxes(y, axis, -2)), axis, -2)
+    if y is x:
+        return x.copy()
     return np.ascontiguousarray(y, dtype=x.dtype)
+
+
+def _add_tap_macs(
+    x: np.ndarray,
+    fine: tuple[int, ...],
+    band: tuple[int, ...],
+    kernel: SmoothingKernelSpec,
+) -> None:
+    counts = tuple(len(_taps(kernel, n // m)) for n, m in zip(fine, band))
+    macs.add_macs(macs.separable_conv_macs(fine, counts, _leading(x, band)))
 
 
 def resample_perfect_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.ndarray:
@@ -118,21 +228,18 @@ def resample_perfect_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.nda
     """
     to_extents = tuple(to_extents)
     from_extents = _spatial(x, to_extents)
-    if from_extents == to_extents:
-        return x.copy()
     lead = _leading(x, to_extents)
     macs.add_macs(macs.spectral_resample_macs(from_extents, to_extents, lead))
-    return _spectral(x, to_extents, to_extents)
+    return _band_op(x, None, from_extents, to_extents, to_extents)
 
 
 def lowpass_perfect_array(x: np.ndarray, band_extents: tuple[int, ...]) -> np.ndarray:
     """Orthogonal projection onto the band of ``band_extents``, same grid."""
+    band_extents = tuple(band_extents)
     from_extents = _spatial(x, band_extents)
-    if all(m >= n for m, n in zip(band_extents, from_extents)):
-        return x.copy()
     lead = _leading(x, band_extents)
     macs.add_macs(macs.lowpass_perfect_macs(from_extents, band_extents, lead))
-    return _spectral(x, tuple(band_extents), from_extents)
+    return _band_op(x, None, from_extents, band_extents, from_extents)
 
 
 def convolve_taps_array(
@@ -143,18 +250,10 @@ def convolve_taps_array(
     Each trailing axis of extent ``n`` gets the taps of the decimation
     factor ``n // m`` down to its band extent ``m``.
     """
+    band_extents = tuple(band_extents)
     from_extents = _spatial(x, band_extents)
-    taps_per_axis = [
-        kernel.realize(n // m) for n, m in zip(from_extents, band_extents)
-    ]
-    counts = tuple(len(t) for t in taps_per_axis)
-    lead = _leading(x, band_extents)
-    macs.add_macs(macs.separable_conv_macs(from_extents, counts, lead))
-    out = x
-    for axis, taps in zip(range(-len(band_extents), 0), taps_per_axis):
-        if len(taps) > 1:
-            out = ndimage.convolve1d(out, taps, axis=axis, mode="wrap")
-    return np.ascontiguousarray(out, dtype=x.dtype)
+    _add_tap_macs(x, from_extents, band_extents, kernel)
+    return _band_op(x, kernel, from_extents, band_extents, from_extents)
 
 
 def lowpass_array(
@@ -197,13 +296,17 @@ def downsample_array(
 ) -> np.ndarray:
     """Fused band reduction plus decimation as one linear operator.
 
-    With the perfect kernel the coarse samples are assembled directly in
-    the spectral domain (one transform per grid); approximate kernels
-    convolve spatially and then take the stride subset.
+    With the perfect kernel this is spectral resampling; an approximate
+    kernel's axis matrix keeps only the circulant's stride columns, so the
+    dropped samples are never computed.
     """
     if kernel.is_perfect:
         return resample_perfect_array(x, to_extents)
-    return decimate_array(convolve_taps_array(x, to_extents, kernel), to_extents)
+    to_extents = tuple(to_extents)
+    fine = _spatial(x, to_extents)
+    _strides(fine, to_extents)
+    _add_tap_macs(x, fine, to_extents, kernel)
+    return _band_op(x, kernel, fine, to_extents, to_extents)
 
 
 def downsample_adjoint_array(
@@ -211,19 +314,19 @@ def downsample_adjoint_array(
 ) -> np.ndarray:
     """Adjoint of :func:`downsample_array` (for reverse-mode gradients).
 
-    The perfect spectral downsample embeds the coarse spectrum back into
-    the fine layout with unit weights (full copies on the even-extent
-    Nyquist pair, where the forward summed the aliases). The approximate
-    path (symmetric convolution then stride) has adjoint zero-insertion
-    followed by the same convolution.
+    Each axis runs the transpose of the forward axis operator. For the
+    perfect kernel that embeds the coarse spectrum back into the fine
+    layout with unit weights (full copies on the even-extent Nyquist pair,
+    where the forward summed the aliases); for an approximate kernel it is
+    zero-insertion followed by the same symmetric convolution.
     """
     fine_extents = tuple(fine_extents)
     coarse = _spatial(g, fine_extents)
-    if not kernel.is_perfect:
-        return convolve_taps_array(zero_insert_array(g, fine_extents), coarse, kernel)
-    if coarse == fine_extents:
-        return g.copy()
-    return _spectral(g, coarse, fine_extents, adjoint=True)
+    if kernel.is_perfect:
+        return _band_op(g, None, fine_extents, coarse, coarse, adjoint=True)
+    _strides(fine_extents, coarse)
+    _add_tap_macs(g, fine_extents, coarse, kernel)
+    return _band_op(g, kernel, fine_extents, coarse, coarse, adjoint=True)
 
 
 # ---------------------------------------------------------------------------

@@ -916,3 +916,46 @@ def test_hostile_argv_ends_in_a_documented_exit_code(given_files, case):
             assert _tree(work) == before
     finally:
         shutil.rmtree(work)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_features", 1.5), ("input_features", True), ("classes", 4.5),
+])
+def test_checkpoint_count_that_is_no_integer_exits_2(tmp_path, capsys, field, value):
+    ckpt = tmp_path / "model.arnn"
+    save_checkpoint(ckpt, ArrnModel(
+        ResolutionLadder.from_extents([16, 8]), 1, (2, 2), 4,
+        SmoothingKernelSpec.perfect(), np.random.default_rng(0)))
+    raw = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 6)
+    manifest = {**json.loads(raw[10 : 10 + length]), field: value}
+    header = json.dumps(manifest).encode()
+    ckpt.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header
+                     + raw[10 + length :])
+    capsys.readouterr()
+    assert run("bench", "--checkpoint", ckpt, "--resolutions", "8", "--batch", "2",
+               "--out", tmp_path / "out.csv") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spec.level_extents", [[16], [6]]),
+    ("spec.samples_per_class", 1.5),
+    ("spec.seed", 1.5),
+    ("spec.classes", 1.5),
+    ("spec.features", 1.5),
+    ("signatures", None),
+    ("signatures", [[1.0, 1.0]]),
+])
+def test_cache_field_the_spec_refuses_exits_2(tmp_path, capsys, field, value):
+    cache = tmp_path / "cache"
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "a.arnn") == 0
+    manifest = json.loads((cache / "dataset.json").read_text())
+    *outer, key = field.split(".")
+    (manifest[outer[0]] if outer else manifest)[key] = value
+    (cache / "dataset.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "b.arnn") == 2
+    assert capsys.readouterr().err.startswith("format error:")
+    assert not (tmp_path / "b.arnn").exists()

@@ -170,3 +170,17 @@ class TestCache:
         (tmp_path / "train_labels.txt").write_text("99999999999999999999\n")
         with pytest.raises(FormatError, match="malformed dataset cache"):
             load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("classes", 2.5), ("samples_per_class", 1.5), ("features", True), ("seed", 1.5),
+])
+def test_spec_count_that_is_no_integer_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SynthDatasetSpec(**{"samples_per_class": 2, field: value})
+
+
+@pytest.mark.parametrize("levels", [((64,), (30,), (16,)), ((16,), (32,)), ((16,), (8, 8))])
+def test_spec_levels_that_form_no_ladder_are_rejected(levels):
+    with pytest.raises(GridError):
+        SynthDatasetSpec(level_extents=levels, samples_per_class=2)

@@ -155,3 +155,38 @@ def test_hostile_manifest_value_loads_or_is_a_format_error(
             pass
     finally:
         shutil.rmtree(work)
+
+
+# ---------------------------------------------------------------------------
+# Values a reader must refuse rather than load as something else.
+# ---------------------------------------------------------------------------
+
+REFUSED = [
+    ("checkpoint", "input_features", 1.5),  # int() would load a 1-channel model
+    ("checkpoint", "input_features", True),
+    ("checkpoint", "classes", 1.5),
+    ("checkpoint", "classes", True),
+    ("dataset", "spec.level_extents", [[64], [30], [16]]),
+    ("dataset", "spec.samples_per_class", 1.5),
+    ("dataset", "spec.seed", 1.5),
+    ("dataset", "spec.classes", 1.5),
+    ("dataset", "spec.features", 1.5),
+    ("dataset", "signatures", None),
+    ("dataset", "signatures", float("inf")),
+    ("dataset", "signatures", []),
+    ("dataset", "signatures", [[64], [30], [16]]),
+    ("dataset", "signatures", [[1.0, 1.0, 1.0]]),  # one row for two classes
+]
+
+
+@pytest.mark.parametrize("reader, field, value", REFUSED)
+def test_value_the_reader_refuses_is_a_format_error(valid_files, reader, field, value):
+    _, filename, edit, load, _ = READERS[reader]
+    work = Path(tempfile.mkdtemp(dir=valid_files))
+    try:
+        shutil.copytree(valid_files / reader, work, dirs_exist_ok=True)
+        edit(work / filename, _replace(field, value))
+        with pytest.raises(FormatError, match="malformed|signatures"):
+            load(work / filename if reader == "checkpoint" else work)
+    finally:
+        shutil.rmtree(work)

@@ -1041,3 +1041,13 @@ class TestCheckpoint:
             load_checkpoint(path)
         except (FormatError, GridError, ShapeError):
             pass
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_features", 1.5), ("input_features", True), ("classes", 4.0), ("classes", True),
+])
+def test_count_that_is_no_integer_is_rejected(field, value):
+    counts = {"input_features": 1, "classes": 4, field: value}
+    with pytest.raises(ValueError, match="must be integers"):
+        ArrnModel(LADDER, features=(2, 2, 2), kernel=PERFECT,
+                  rng=np.random.default_rng(0), **counts)

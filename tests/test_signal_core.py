@@ -9,6 +9,8 @@ circular convolution.
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from arrn.errors import FormatError, GridError, NumericError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import MAX_TAPS, SmoothingKernelSpec
 from arrn.resample import (
+    MATRIX_AXIS_MAX,
+    _axis_matrix,
     check_bandlimited,
     decimate,
     decimate_array,
@@ -26,6 +30,7 @@ from arrn.resample import (
     downsample_adjoint_array,
     downsample_array,
     lowpass,
+    lowpass_array,
     lowpass_perfect_array,
     resample_perfect_array,
     resample_to,
@@ -496,6 +501,174 @@ class TestSpectralCoreProperties:
             down
         ) * np.linalg.norm(y)
         assert abs(lhs - rhs) <= SPECTRAL_TOL[dtype] * scale
+
+
+# Steps whose axes exceed MATRIX_AXIS_MAX run the FFT pair and tap
+# convolution instead of a matrix; the 2-D one mixes a long and a short axis.
+LONG_STEPS = [((300,), (100,)), ((260, 8), (130, 4))]
+
+
+class TestLongAxisPath:
+    """The spectral properties above, on axes too long for a matrix."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fine, band", LONG_STEPS)
+    def test_resample_matches_complex_dft_oracle(self, fine, band, dtype):
+        assert max(fine) > MATRIX_AXIS_MAX
+        x = np.random.default_rng(1).standard_normal((2,) + fine).astype(dtype)
+        tol = SPECTRAL_TOL[dtype]
+        for source, target in ((x, band), (resample_perfect_array(x, band), fine)):
+            out = resample_perfect_array(source, target)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            np.testing.assert_allclose(
+                out, dft_oracle_resample(source, target), rtol=tol, atol=tol
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fine, band", LONG_STEPS)
+    def test_lowpass_matches_dft_matrix_oracle(self, fine, band, dtype):
+        x = np.random.default_rng(2).standard_normal((2,) + fine).astype(dtype)
+        out = lowpass_perfect_array(x, band)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        tol = SPECTRAL_TOL[dtype]
+        np.testing.assert_allclose(
+            out, dft_oracle_lowpass(x, band), rtol=tol, atol=tol
+        )
+
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS], ids=["perfect", "sinc", "gauss"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fine, band", LONG_STEPS)
+    def test_downsample_adjoint_inner_products(self, fine, band, dtype, kernel):
+        check_downsample_adjoint(fine, band, (2,), dtype, 3, kernel)
+
+    @pytest.mark.parametrize("kernel", [SINC, GAUSS], ids=["sinc", "gauss"])
+    @pytest.mark.parametrize("fine, band", LONG_STEPS)
+    def test_approx_lowpass_matches_convolution_oracle(self, fine, band, kernel):
+        x = np.random.default_rng(4).standard_normal((2,) + fine)
+        np.testing.assert_allclose(
+            lowpass_array(x, band, kernel),
+            separable_convolve_oracle(x, band, kernel),
+            atol=1e-12,
+        )
+
+
+def check_downsample_adjoint(fine, band, lead, dtype, seed, kernel):
+    """<downsample x, y> equals <x, adjoint y> to the dtype's tolerance."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(lead + fine).astype(dtype)
+    y = rng.standard_normal(lead + band).astype(dtype)
+    down = downsample_array(x, band, kernel)
+    adj = downsample_adjoint_array(y, fine, kernel)
+    assert down.dtype == adj.dtype == dtype
+    assert down.shape == lead + band and adj.shape == lead + fine
+    assert down.flags.c_contiguous and adj.flags.c_contiguous
+    lhs = np.vdot(down.astype(np.float64), y.astype(np.float64))
+    rhs = np.vdot(x.astype(np.float64), adj.astype(np.float64))
+    scale = np.linalg.norm(x) * np.linalg.norm(adj) + np.linalg.norm(
+        down
+    ) * np.linalg.norm(y)
+    assert abs(lhs - rhs) <= SPECTRAL_TOL[dtype] * scale
+
+
+def separable_convolve_oracle(x, band, kernel):
+    """The double-loop convolution along each trailing axis, with the taps of
+    that axis's factor down to its band."""
+    out = np.asarray(x, dtype=np.float64)
+    for a, m in enumerate(band):
+        axis = out.ndim - len(band) + a
+        taps = kernel.realize(out.shape[axis] // m)
+        out = np.apply_along_axis(circular_convolve_oracle, axis, out, taps)
+    return out
+
+
+# (fine extents, band extents) whose taps outrun the axis and wrap onto it:
+# the Gaussian realizes 11 taps at factor 4 and 5 at factor 1.
+WRAPPING_STEPS = [((8,), (2,)), ((4,), (1,)), ((3,), (3,)), ((8, 4), (2, 1))]
+
+APPROX_CASE = dict(
+    step=st.one_of(st.sampled_from(WRAPPING_STEPS + LISTED_STEPS), drawn_step()),
+    lead=st.sampled_from([(), (2,), (2, 3)]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    kernel=st.sampled_from([SINC, GAUSS, SmoothingKernelSpec.windowed_sinc(3)]),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestApproximateKernelProperties:
+    """Windowed-sinc and Gaussian low-pass and adjoint on randomly drawn steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**APPROX_CASE)
+    def test_lowpass_matches_convolution_oracle(self, step, lead, dtype, kernel, seed):
+        fine, band = step
+        x = np.random.default_rng(seed).standard_normal(lead + fine).astype(dtype)
+        out = lowpass_array(x, band, kernel)
+        assert out.dtype == dtype and out.shape == x.shape
+        assert out.flags.c_contiguous
+        tol = SPECTRAL_TOL[dtype]
+        np.testing.assert_allclose(
+            out, separable_convolve_oracle(x, band, kernel), rtol=tol, atol=tol
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**APPROX_CASE)
+    def test_downsample_adjoint_inner_products(self, step, lead, dtype, kernel, seed):
+        fine, band = step
+        check_downsample_adjoint(fine, band, lead, dtype, seed, kernel)
+
+    def test_taps_longer_than_the_axis_wrap(self):
+        taps = GAUSS.realize(4)
+        assert len(taps) > 8
+        x = np.random.default_rng(5).standard_normal((1, 8))
+        np.testing.assert_allclose(
+            lowpass_array(x, (2,), GAUSS)[0],
+            circular_convolve_oracle(x[0], taps),
+            atol=1e-12,
+        )
+
+
+# -- band operators as cached matrices ----------------------------------------
+
+
+def _slices_match(op, x):
+    whole = op(x)
+    assert whole.tobytes() == np.stack([op(row) for row in x]).tobytes()
+
+
+class TestBandMatrices:
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC], ids=["perfect", "sinc"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fine, band", [((36,), (12,)), ((24, 16), (12, 8))])
+    def test_a_stack_equals_its_slices_bitwise(self, fine, band, dtype, kernel):
+        # Each slice carries channels, as a batch row of a feature map does.
+        x = np.random.default_rng(6).standard_normal((5, 3) + fine).astype(dtype)
+        y = downsample_array(x, band, kernel)
+        _slices_match(lambda v: lowpass_array(v, band, kernel), x)
+        _slices_match(lambda v: downsample_array(v, band, kernel), x)
+        _slices_match(lambda v: downsample_adjoint_array(v, fine, kernel), y)
+        _slices_match(lambda v: resample_perfect_array(v, fine), y)
+
+    @pytest.mark.parametrize("kernel", [None, SINC, GAUSS], ids=["perfect", "sinc", "gauss"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_matrices_are_read_only(self, kernel, dtype):
+        mat = _axis_matrix(kernel, 16, 8, 8, np.dtype(dtype))
+        assert mat is _axis_matrix(kernel, 16, 8, 8, np.dtype(dtype))
+        assert mat.shape == (16, 8) and mat.dtype == dtype
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+    def test_import_loads_no_scipy_module(self):
+        import arrn
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arrn.__file__)))
+        code = ("import sys, arrn; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "[]"
 
 
 # -- bandlimited membership -------------------------------------------------
