@@ -30,13 +30,15 @@ and cached read-only: the perfect kernel's by one real transform pair on
 the identity, an approximate kernel's as the circulant of its taps, every
 ``f``-th column kept for a decimation by ``f``. The last axis is a
 product ``x @ M`` and the one before it ``M.T @ x``, one matrix product
-per trailing 2-D slice, so a sample's result does not depend on the rest
-of its batch. The adjoint is the transpose ``M.T``. A longer axis runs
-one ``scipy.fft.rfft``/``irfft`` pass (the band scales ``m/n`` and
-``n/m`` carried by the transforms' normalisation) or one
-``scipy.ndimage.convolve1d``; scipy is imported only there. MACs are
-still priced by the transform and tap conventions of :mod:`arrn.macs`,
-whichever way an axis runs.
+per trailing 2-D slice. On a 2-D grid, or on a 1-D grid with a channel
+axis, such a slice lies within one sample, so a sample's result is the
+same bit for bit whatever batch it is in; a 1-D ``(batch, n)`` stack is
+one slice, whose rows share one matrix product. The adjoint is the
+transpose ``M.T``. A longer axis runs one ``scipy.fft.rfft``/``irfft``
+pass (the band scales ``m/n`` and ``n/m`` carried by the transforms'
+normalisation) or one ``scipy.ndimage.convolve1d``; scipy is imported
+only there. MACs are still priced by the transform and tap conventions
+of :mod:`arrn.macs`, whichever way an axis runs.
 
 Array-level functions take the extents of the grid they map to, act on
 the trailing ``len(extents)`` axes of their array, read the source grid
@@ -59,14 +61,17 @@ from .signal import DiscreteSignal
 
 # Axes of at most this many samples (input or output) run their operator as
 # a cached dense matrix; longer ones keep the FFT pair or tap convolution,
-# whose cost grows as n log n or n * taps instead of n * n_out. Measured per
-# call (2-core Xeon, f32, median of 30, matrix vs FFT pair in us) on a 1-D
-# (16, 8, n) perfect low-pass to band n/2: n=64 23 vs 106; 128 69 vs 151;
-# 192 141 vs 200; 256 238 vs 244; 320 290 vs 281; 384 865 vs 347; 512 1151
-# vs 451. A windowed-sinc downsample by 2 crosses between 384 and 512 (274
-# vs 358, 704 vs 451), and a 2-D (2, 4, n, n) one stays faster as a matrix
-# up to 512 (25 vs 47 ms for the low-pass); the 1-D low-pass sets the bound.
-MATRIX_AXIS_MAX = 256
+# whose cost grows as n log n or n * taps instead of n * n_out. On its own
+# the matrix wins further out (2-core Xeon, f32, median of 30 calls, matrix
+# vs FFT pair in us, 1-D (16, 8, n) perfect low-pass to band n/2: n=64 13 vs
+# 58; 128 36 vs 81; 256 106 vs 131; 320 343 vs 266). But OpenBLAS splits a
+# product of m * n * k > 2**18 multiplies over threads, and those stall on a
+# loaded machine: a 256x256 decompose, whose 128-point axes are 128^3
+# products, read 32 ms in 2 of 40 processes against 1.6-3.0 ms otherwise.
+# At 64 the products of a 2-D map of up to 64x64, or of a 1-D one of up to 64
+# channels, stay on the calling thread; 64 is also the longest axis the
+# benchmark workloads run.
+MATRIX_AXIS_MAX = 64
 
 
 def _spatial(x: np.ndarray, extents: tuple[int, ...]) -> tuple[int, ...]:
@@ -154,7 +159,11 @@ def _long_axis(
     k: int,
     adjoint: bool,
 ) -> np.ndarray:
-    """:func:`_axis_matrix`'s operator (or its adjoint), without the matrix."""
+    """:func:`_axis_matrix`'s operator (or its adjoint), without the matrix.
+
+    ``scipy.fft`` rather than ``numpy.fft``: along the second-to-last axis
+    of a 512x512 map its pass takes about a fifth less time.
+    """
     from scipy import fft, ndimage
 
     if kernel is None:
