@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -253,6 +252,8 @@ def ablation_grid(
     parent node. Cells train on ``threads`` worker threads, by default one
     per CPU; the results do not depend on the count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off `import arrn`
+
     if resolutions is None:
         resolutions = [g.extents if g.dims > 1 else g.extents[0] for g in ladder.levels]
     dropouts = {"on": dropout_p, "off": None}

@@ -82,21 +82,21 @@ def _slice_at(ndim: int, axis: int, index) -> tuple:
 
 
 def silu_op(x: Tensor) -> Tensor:
-    # s = 1 / (1 + exp(-x)), built in one buffer.
-    s = np.negative(x.values)
-    with np.errstate(over="ignore"):  # an overflow only rounds s to 0
-        np.exp(s, out=s)
-    s += 1.0
-    np.reciprocal(s, out=s)
-    out = x.values * s
+    # x / d with d = 1 + exp(-x), built in one buffer: four passes, one rounding.
+    d = np.negative(x.values)
+    with np.errstate(over="ignore"):  # an overflow makes d inf and the output -0
+        np.exp(d, out=d)
+    d += 1.0
+    out = x.values / d
 
     def vjp(g):
-        d = 1.0 - s  # g * s * (1 + x * (1 - s)), built in one buffer
-        d *= x.values
-        d += 1.0
-        d *= s
-        d *= g
-        return (d,)
+        s = np.reciprocal(d)  # the sigmoid
+        gx = 1.0 - s  # g * s * (1 + x * (1 - s)), built in one buffer
+        gx *= x.values
+        gx += 1.0
+        gx *= s
+        gx *= g
+        return (gx,)
 
     return node(out, (x,), vjp)
 
@@ -106,9 +106,22 @@ pointwise_conv_op = project_channels
 
 
 def _pad_spatial(values: np.ndarray, spatial_ndim: int, mode: str) -> np.ndarray:
-    widths = [(0, 0)] * (values.ndim - spatial_ndim) + [(1, 1)] * spatial_ndim
-    np_mode = "edge" if mode == "replicate" else "constant"
-    return np.pad(values, widths, mode=np_mode)
+    """``values`` with one sample of edge replication (or zeros) around each
+    spatial axis: ``np.pad``'s result, filled by slicing into one buffer."""
+    lead = values.ndim - spatial_ndim
+    shape = values.shape[:lead] + tuple(n + 2 for n in values.shape[lead:])
+    out = np.empty(shape, values.dtype)
+    out[(Ellipsis,) + (slice(1, -1),) * spatial_ndim] = values
+    for a in range(spatial_ndim):  # the borders of earlier axes come along
+        rest = (slice(None),) * (spatial_ndim - 1 - a)
+        first, last = (Ellipsis, 0) + rest, (Ellipsis, -1) + rest
+        if mode == "replicate":
+            out[first] = out[(Ellipsis, 1) + rest]
+            out[last] = out[(Ellipsis, -2) + rest]
+        else:
+            out[first] = 0
+            out[last] = 0
+    return out
 
 
 def _unpad_fold(gpad: np.ndarray, spatial_ndim: int, mode: str) -> np.ndarray:

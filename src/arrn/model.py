@@ -69,11 +69,14 @@ PREFER_COARSER = "prefer-coarser"
 
 # Evaluation runs a batch in blocks of rows whose widest activation takes at
 # most this many bytes, so every pass over a block stays in a core's 2 MiB L2
-# cache. Measured on eval-ladder (desk model, f32, batch 256, 4 KiB widest
-# per sample; 2-core Xeon, 10 s runs, seeds 0-3, median samples/s): no
-# blocking 11.8k; 128 KiB 11.0k (each forward_graph call costs a fixed
-# ~0.6 ms); 256 KiB 13.3k; 384 KiB 14.2k; 512 KiB 14.1k; 768 KiB 14.5k
-# (the same 128-row blocks as 512 KiB); 1 MiB 11.2k (one block).
+# cache; equivalence_report groups its repetitions by the same budget.
+# Swept with benchmarks/run.py on the band-matrix operators (2-core Xeon,
+# 10 s runs, seeds 0-2, the order of the values rotated each round; median
+# normalised throughput for 256 KiB, 384 KiB, 512 KiB and 1 MiB):
+# eval-ladder (f32, batch 256, 4 KiB widest per sample) 22.3k, 22.4k, 22.6k
+# and 15.0k/s (one 256-row block); verify-2d (f64, 10-row reports, 128 KiB
+# widest per sample) 21.2, 21.6, 22.0 and 16.1 trials/s. The first three
+# are within run-to-run noise of each other; at 1 MiB the blocks spill L2.
 EVAL_BLOCK_BYTES = 512 * 1024
 
 
@@ -460,30 +463,47 @@ def equivalence_report(
 ) -> dict:
     """Compare full and adapted logits on identical coarse inputs.
 
-    For each repetition a random signal is drawn directly on the entry
-    level's grid; the full path sees its perfect interpolation back to
-    the finest grid. Reports the worst absolute, mean absolute, and worst
-    normalized (sup-norm relative) logit discrepancies.
+    Each of ``repetitions`` draws ``batch`` random signals directly on the
+    entry level's grid; the full path sees their perfect interpolation
+    back to the finest grid. Reports the worst absolute, mean absolute,
+    and worst normalized (sup-norm relative) logit discrepancies, each
+    repetition's taken over its own rows.
+
+    Whole repetitions run together, as many as keep their fine input
+    within :data:`EVAL_BLOCK_BYTES` (at least one): one ``rng`` draw, one
+    :func:`forward_full` and one :func:`forward_adapted` call per group,
+    so memory stays flat however many repetitions are asked for. The
+    draws are sequential and every eval op acts on each sample alone, so
+    the report and the generator's state afterwards are bitwise those of
+    drawing and comparing one repetition at a time.
     """
     grid = model.cast(level).ladder[0]  # the cast rejects a level off the ladder
     for name, count in (("repetitions", repetitions), ("batch", batch)):
+        if not is_integer(count):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
+    finest = model.ladder[0]
+    shape = (model.input_features,) + grid.extents
+    row_bytes = model.input_features * finest.num_samples * model.dtype.itemsize
+    group = max(1, EVAL_BLOCK_BYTES // (batch * row_bytes))  # repetitions per draw
     max_abs = 0.0
     mean_abs = 0.0
     max_rel = 0.0
-    for _ in range(repetitions):
-        coarse = rng.standard_normal(
-            (batch, model.input_features) + grid.extents
-        ).astype(model.dtype)
-        fine = resample_perfect_array(coarse, model.ladder[0].extents)
-        full = forward_full(model, FeatureMap(model.ladder[0], fine))
+    for start in range(0, repetitions, group):
+        reps = min(group, repetitions - start)
+        coarse = rng.standard_normal((reps * batch,) + shape).astype(model.dtype)
+        fine = resample_perfect_array(coarse, finest.extents)
+        full = forward_full(model, FeatureMap(finest, fine))
         adapted = forward_adapted(model, FeatureMap(grid, coarse))
-        diff = np.abs(full - adapted)
-        max_abs = max(max_abs, float(diff.max()))
-        mean_abs += float(diff.mean()) / repetitions
-        denom = max(float(np.max(np.abs(full))), 1e-30)
-        max_rel = max(max_rel, float(diff.max()) / denom)
+        diffs = np.abs(full - adapted)
+        for r in range(reps):
+            rows = slice(r * batch, (r + 1) * batch)
+            diff = diffs[rows]
+            max_abs = max(max_abs, float(diff.max()))
+            mean_abs += float(diff.mean()) / repetitions
+            denom = max(float(np.max(np.abs(full[rows]))), 1e-30)
+            max_rel = max(max_rel, float(diff.max()) / denom)
     return {
         "level": level,
         "repetitions": repetitions,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -114,7 +113,7 @@ def atomic_write(path: str | Path, data: bytes | str) -> None:
     path = Path(path)
     if isinstance(data, str):
         data = data.encode()
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     # Opened outside the try: on a name clash the file is another writer's.
     fh = open(tmp, "xb")
     try:

@@ -1,5 +1,7 @@
 """Layer forward semantics, gradients, and the constancy certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from arrn.layers import (
     InnerBlockSpec,
     PointwiseConv,
     SiLU,
+    _pad_spatial,
     depthwise_conv_op,
     silu_op,
     softmax_cross_entropy,
@@ -40,9 +43,23 @@ class TestSiLU:
         out.backward(np.ones(1))
         assert x.grad[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_gradcheck(self):
-        p = Parameter(rng_for(0).standard_normal((2, 3, 4)))
+    @pytest.mark.parametrize("scale", [1.0, 12.0])
+    def test_gradcheck(self, scale):
+        p = Parameter(scale * rng_for(0).standard_normal((2, 3, 4)))
         assert gradient_check(lambda: silu_op(p), [p]) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_x_over_one_plus_exp_bitwise(self, dtype):
+        extremes = [-1e4, -800.0, -100.0, -89.0, -0.0, 0.0, 50.0, 1e4]
+        x = np.concatenate([30.0 * rng_for(24).standard_normal(200), extremes])
+        x = x.astype(dtype)
+        with np.errstate(over="ignore"):
+            expected = x / (1 + np.exp(-x))
+        out = silu_op(Tensor(x)).values
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+        # exp(1e4) overflows: the output of a large negative input is -0.
+        assert out[-8] == 0.0 and np.signbit(out[-8])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradient_equals_the_textbook_expression(self, dtype):
@@ -78,6 +95,20 @@ class TestPointwiseConv:
         x = Parameter(rng_for(7).standard_normal((2, 3, 5)))
         params = [x, layer.weight, layer.bias]
         assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+
+
+class TestPadSpatial:
+    @pytest.mark.parametrize("padding", ["replicate", "zero"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_equals_np_pad_bitwise(self, dims, dtype, padding):
+        mode = "edge" if padding == "replicate" else "constant"
+        for extents in itertools.product(range(1, 5), repeat=dims):
+            x = rng_for(sum(extents)).standard_normal((2, 3) + extents).astype(dtype)
+            out = _pad_spatial(x, dims, padding)
+            expected = np.pad(x, [(0, 0)] * 2 + [(1, 1)] * dims, mode=mode)
+            assert out.dtype == dtype and out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes(), extents
 
 
 class TestDepthwiseConv:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -287,6 +288,43 @@ class TestDropoutDownsamplingIdentity:
             np.testing.assert_allclose(gated_logits, full, atol=1e-9)
 
 
+def oracle_report(model, level, rng, repetitions, batch):
+    """The report one repetition at a time: a draw and a forward pair each."""
+    grid = model.cast(level).ladder[0]
+    max_abs = mean_abs = max_rel = 0.0
+    for _ in range(repetitions):
+        coarse = rng.standard_normal(
+            (batch, model.input_features) + grid.extents
+        ).astype(model.dtype)
+        fine = resample_perfect_array(coarse, model.ladder[0].extents)
+        full = forward_full(model, FeatureMap(model.ladder[0], fine))
+        adapted = forward_adapted(model, FeatureMap(grid, coarse))
+        diff = np.abs(full - adapted)
+        max_abs = max(max_abs, float(diff.max()))
+        mean_abs += float(diff.mean()) / repetitions
+        denom = max(float(np.max(np.abs(full))), 1e-30)
+        max_rel = max(max_rel, float(diff.max()) / denom)
+    return {"level": level, "repetitions": repetitions, "max_abs": max_abs,
+            "mean_abs": mean_abs, "max_rel": max_rel}
+
+
+class CountingRng:
+    """A generator that counts its ``standard_normal`` draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return self.rng.standard_normal(shape)
+
+
+def report_and_next_draw(report, model, level, seed, repetitions, batch):
+    rng = np.random.default_rng(seed)
+    return report(model, level, rng, repetitions, batch), rng.random()
+
+
 class TestEquivalenceReport:
     @pytest.mark.parametrize("name", ["repetitions", "batch"])
     @pytest.mark.parametrize("count", [0, -1])
@@ -296,6 +334,74 @@ class TestEquivalenceReport:
             equivalence_report(
                 model, 1, np.random.default_rng(0), **{name: count}
             )
+
+    @pytest.mark.parametrize("name", ["repetitions", "batch"])
+    @pytest.mark.parametrize("count", [True, 2.5, 1.0, "2", None])
+    def test_count_that_is_no_integer_is_rejected(self, name, count):
+        model = build_model(seed=51)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            equivalence_report(
+                model, 1, np.random.default_rng(0), **{name: count}
+            )
+
+    def test_numpy_integer_counts_are_accepted(self):
+        model = build_model(seed=52)
+        report = equivalence_report(model, 1, np.random.default_rng(0),
+                                    repetitions=np.int64(2), batch=np.int32(3))
+        assert report["repetitions"] == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("extents", [[64, 32, 16], [27, 9, 3],
+                                         [(24, 16), (12, 8), (6, 4)]],
+                             ids=["64", "27", "24x16"])
+    def test_batched_report_equals_the_per_repetition_loop_bitwise(
+        self, extents, kernel, dtype
+    ):
+        model = build_model(seed=53, kernel=kernel, dtype=dtype, input_features=2,
+                            ladder=ResolutionLadder.from_extents(extents))
+        for level in (1, 2):
+            for seed, (repetitions, batch) in enumerate(
+                [(1, 1), (3, 2), (5, 2), (2, 7)]
+            ):
+                args = (model, level, seed, repetitions, batch)
+                assert report_and_next_draw(equivalence_report, *args) == (
+                    report_and_next_draw(oracle_report, *args)
+                ), (level, repetitions, batch)
+
+    def test_repetitions_past_the_byte_budget_run_in_groups(self):
+        model = build_model(seed=54, kernel=SINC, ladder=DESK)
+        batch = model_module.EVAL_BLOCK_BYTES // (2 * 64 * 8)  # two a group
+        rng = CountingRng(55)
+        report = equivalence_report(model, 1, rng, repetitions=5, batch=batch)
+        assert rng.draws == 3
+        assert (report, rng.rng.random()) == report_and_next_draw(
+            oracle_report, model, 1, 55, 5, batch)
+
+    def test_a_verification_trial_draws_once(self):
+        model = build_model(seed=56, ladder=ResolutionLadder.from_extents(
+            [(32, 32), (16, 16), (8, 8)]))
+        rng = CountingRng(57)
+        equivalence_report(model, 2, rng, repetitions=5, batch=2)
+        assert rng.draws == 1
+
+    def test_peak_allocation_does_not_grow_with_repetitions(self):
+        model = build_model(seed=58, kernel=GAUSS, ladder=DESK)
+        batch = model_module.EVAL_BLOCK_BYTES // (2 * 64 * 8)  # two a group
+
+        def peak(repetitions):
+            tracemalloc.start()
+            try:
+                equivalence_report(model, 2, np.random.default_rng(59),
+                                   repetitions=repetitions, batch=batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # builds the cached band matrices
+        two, twelve = peak(2), peak(12)
+        assert twelve <= 1.1 * two, (two, twelve)
 
 
 class TestEntryLevel:

@@ -659,11 +659,12 @@ class TestBandMatrices:
             mat[0, 0] = 1.0
 
     def test_import_loads_no_scipy_module(self):
+        # Nor concurrent.futures, which only ablation_grid needs, or secrets.
         import arrn
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(arrn.__file__)))
-        code = ("import sys, arrn; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code = ("import sys, arrn; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'concurrent', 'secrets')))")
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
