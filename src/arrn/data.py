@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import FormatError, GridError, ShapeError
 from .grids import GridSpec, ResolutionLadder, is_integer
-from .resample import lowpass_perfect_array
+from .kernels import SmoothingKernelSpec
+from .resample import lowpass_array
 from .signal import DiscreteSignal, atomic_write, read_arsg, read_file, write_arsg
 from .signal import malformed, read_manifest, write_manifest
 
@@ -139,7 +140,7 @@ def band_shells(values: np.ndarray, level_extents) -> list[np.ndarray]:
     shells: list[np.ndarray] = []
     current = values
     for coarse in extents[1:]:
-        smoothed = lowpass_perfect_array(current, tuple(coarse))
+        smoothed = lowpass_array(current, tuple(coarse), SmoothingKernelSpec.perfect())
         shells.append(current - smoothed)
         current = smoothed
     shells.append(current)

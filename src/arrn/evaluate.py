@@ -70,20 +70,6 @@ class EvalSweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _band_reduction(
-    spectral, kernel: SmoothingKernelSpec, fine: GridSpec, band: GridSpec, channels: int
-) -> int:
-    """One low-pass or downsample from ``fine`` to ``band``'s cutoff.
-
-    The perfect kernel runs the ``spectral`` op; any other convolves with
-    the kernel's taps for each axis's decimation factor.
-    """
-    if kernel.is_perfect:
-        return spectral(fine.extents, band.extents, channels)
-    taps = tuple(len(kernel.realize(f)) for f in fine.stride_factors(band))
-    return macs.separable_conv_macs(fine.extents, taps, channels)
-
-
 def _block_macs(spec: InnerBlockSpec, grid: GridSpec) -> int:
     """The inner block: expand, ``depth`` depthwise 3-per-axis convolutions
     with ``depth - 1`` pointwise mixes between them, then contract."""
@@ -114,16 +100,15 @@ def count_macs(model: ArrnModel, entry: int = 0, mode: str = ADAPTED) -> int:
     total = macs.pointwise_macs(
         base.num_samples, model.input_features, model.features[0]
     )
-    lowpass, downsample = macs.lowpass_perfect_macs, macs.spectral_resample_macs
     if not model.skipped:
-        channels = model.input_features
-        total += _band_reduction(lowpass, model.kernel, base, base, channels)
+        grid, channels = base.extents, model.input_features
+        total += macs.band_macs(model.kernel, grid, grid, grid, channels)
     for res in model.residuals:
-        fine, coarse, width = res.in_grid, res.out_grid, res.in_features
-        total += _band_reduction(lowpass, res.kernel, fine, coarse, width)
-        total += _block_macs(res.block.spec, fine)
-        total += _band_reduction(downsample, res.kernel, fine, coarse, width)
-        total += macs.pointwise_macs(coarse.num_samples, width, res.out_features)
+        fine, coarse, width = res.in_grid.extents, res.out_grid.extents, res.in_features
+        total += macs.band_macs(res.kernel, fine, coarse, fine, width)
+        total += _block_macs(res.block.spec, res.in_grid)
+        total += macs.band_macs(res.kernel, fine, coarse, coarse, width)
+        total += macs.pointwise_macs(res.out_grid.num_samples, width, res.out_features)
     # The terminal projection is folded into the head.
     return total + macs.pointwise_macs(1, model.features[-1], model.classes)
 

@@ -54,14 +54,6 @@ class GridSpec:
             o % s == 0 and s <= o for s, o in zip(self.extents, other.extents)
         )
 
-    def stride_factors(self, coarse: "GridSpec") -> tuple[int, ...]:
-        """Per-axis decimation factors from this grid down to ``coarse``."""
-        if not coarse.is_coarser_equal(self):
-            raise GridError(
-                f"grid {coarse.extents} is not a per-axis divisor of {self.extents}"
-            )
-        return tuple(f // c for f, c in zip(self.extents, coarse.extents))
-
     def __str__(self):
         return "x".join(str(e) for e in self.extents)
 

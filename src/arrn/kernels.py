@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,6 +127,15 @@ class SmoothingKernelSpec:
         kwargs = dict(desc)
         variant = kwargs.pop("variant")
         return cls(variant=variant, **kwargs)
+
+
+@lru_cache(maxsize=128)
+def realized_taps(kernel: SmoothingKernelSpec, factor: int) -> np.ndarray:
+    """``kernel.realize(factor)``, computed once per kernel and factor and
+    shared read-only by the band operators and their MAC prices."""
+    taps = kernel.realize(factor)
+    taps.flags.writeable = False
+    return taps
 
 
 def _windowed_sinc_taps(num_taps: int, factor: int) -> np.ndarray:

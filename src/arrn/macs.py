@@ -16,14 +16,19 @@ Cost conventions (single sample, i.e. batch size 1):
 * pointwise convolution / channel projection over S sites: ``S*cin*cout``
 * depthwise convolution over S sites, C channels, K taps: ``S*C*K``
 * dense layer: the pointwise convention at S = 1, i.e. ``cin*cout``
-* separable spatial convolution with per-axis tap counts T_a over S
-  sites and C channels: ``S*C*sum(T_a)``, where a 1-tap axis is the
-  identity and counts 0
 * one FFT (or inverse FFT) over a grid of S sites, per channel:
-  ``S*ceil(log2(S))``; spectral resampling costs one transform at the
-  input grid plus one at the output grid, and the perfect low-pass one
-  transform and its inverse at the input grid (0 when the band holds the
-  whole grid)
+  ``S*ceil(log2(S))``
+* a band operator (:func:`band_macs`, the only band convention) keeps
+  the band of a fine grid of S sites and yields an output grid, per
+  channel. With the perfect kernel a low-pass (output grid = fine grid)
+  costs one transform and its inverse at the fine grid, 0 when the band
+  holds the whole grid; a resampling (output grid != fine grid) costs one
+  transform at the fine grid plus one at the output grid. With any other
+  kernel it is a separable convolution over the S fine sites, with axis
+  ``a`` taking the T_a taps the kernel realizes at factor
+  ``fine[a] // band[a]``: ``S*sum(T_a)``, where a 1-tap axis is the
+  identity and counts 0. An adjoint is priced like its forward operator
+  (inside a backward pass that count is discarded, as above)
 * stride decimation, sample-preserving reshapes, normalization,
   activations, dropout, pooling, additions, and mean subtraction: 0
 * parameter folds (:func:`arrn.autodiff.scale_rows`,
@@ -32,9 +37,9 @@ Cost conventions (single sample, i.e. batch size 1):
 
 The band operators of :mod:`arrn.resample` run as one dense matrix
 product per axis on axes up to ``MATRIX_AXIS_MAX`` samples, and as a real
-FFT pair or tap convolution per axis on longer ones. They are still
-counted by the whole-grid transform and separable-tap conventions above,
-so the counts stay independent of how an axis is realized.
+FFT pair or tap convolution per axis on longer ones. Each is priced by
+:func:`band_macs` whichever way an axis runs, so the counts stay
+independent of how an axis is realized.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import prod
+
+from .kernels import SmoothingKernelSpec, realized_taps
 
 
 class MacCounter:
@@ -83,29 +90,27 @@ def fft_macs(extents: tuple[int, ...]) -> int:
     return sites * math.ceil(math.log2(sites))
 
 
-def spectral_resample_macs(
-    in_extents: tuple[int, ...], out_extents: tuple[int, ...], channels: int
+def band_macs(
+    kernel: SmoothingKernelSpec,
+    fine: tuple[int, ...],
+    band: tuple[int, ...],
+    out: tuple[int, ...],
+    leading: int,
 ) -> int:
-    """Forward transform at the input grid plus inverse at the output grid."""
-    if tuple(in_extents) == tuple(out_extents):
+    """The one price of a band operator, or of its adjoint.
+
+    It keeps band ``band`` of the ``fine`` grid and yields the ``out``
+    grid, over ``leading`` channels (see the module docstring).
+    """
+    fine, band, out = tuple(fine), tuple(band), tuple(out)
+    if not kernel.is_perfect:
+        counts = (len(realized_taps(kernel, n // m)) for n, m in zip(fine, band))
+        return leading * prod(fine) * sum(t for t in counts if t > 1)
+    if out != fine:
+        return leading * (fft_macs(fine) + fft_macs(out))
+    if all(m >= n for n, m in zip(fine, band)):
         return 0
-    return channels * (fft_macs(tuple(in_extents)) + fft_macs(tuple(out_extents)))
-
-
-def lowpass_perfect_macs(
-    extents: tuple[int, ...], band: tuple[int, ...], channels: int
-) -> int:
-    """A transform and its inverse at the input grid; 0 if the band holds it."""
-    if all(m >= n for m, n in zip(band, extents)):
-        return 0
-    return channels * 2 * fft_macs(tuple(extents))
-
-
-def separable_conv_macs(
-    extents: tuple[int, ...], tap_counts: tuple[int, ...], channels: int
-) -> int:
-    """Per-axis convolutions; a 1-tap axis is the identity and costs 0."""
-    return channels * prod(extents) * sum(t for t in tap_counts if t > 1)
+    return leading * 2 * fft_macs(fine)
 
 
 def pointwise_macs(sites: int, cin: int, cout: int) -> int:

@@ -285,10 +285,10 @@ class ArrnModel:
         band, so it applies no base low-pass (the Gaussian's blurs even at
         factor 1). It lives in memory only: :func:`save_checkpoint` refuses it.
         """
+        if not (is_integer(entry) and 0 <= entry <= self.ladder.top_level):
+            raise GridError(f"entry level {entry} outside the ladder")
         if entry == 0:
             return self
-        if not 0 < entry <= self.ladder.top_level:
-            raise GridError(f"entry level {entry} outside the ladder")
         cast = copy.copy(self)
         cast.ladder = ResolutionLadder(self.ladder.levels[entry:])
         cast.features = self.features[entry:]

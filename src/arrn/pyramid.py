@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, GridError
-from .grids import GridSpec, ResolutionLadder
+from .grids import GridSpec, ResolutionLadder, is_integer
 from .kernels import SmoothingKernelSpec
 from .resample import decimate, lowpass, upsample
 from .signal import DTYPE_NAMES, DiscreteSignal, read_arsg, write_arsg
@@ -112,7 +112,7 @@ def reconstruct(decomp: PyramidDecomposition, to_band_level: int) -> DiscreteSig
     introduces no kernel-dependent error.
     """
     m = decomp.ladder.top_level
-    if not decomp.start_level <= to_band_level <= m:
+    if not (is_integer(to_band_level) and decomp.start_level <= to_band_level <= m):
         raise GridError(
             f"band level {to_band_level} outside [{decomp.start_level}, {m}]"
         )

@@ -37,8 +37,12 @@ one slice, whose rows share one matrix product. The adjoint is the
 transpose ``M.T``. A longer axis runs one ``scipy.fft.rfft``/``irfft``
 pass (the band scales ``m/n`` and ``n/m`` carried by the transforms'
 normalisation) or one ``scipy.ndimage.convolve1d``; scipy is imported
-only there. MACs are still priced by the transform and tap conventions
-of :mod:`arrn.macs`, whichever way an axis runs.
+only there.
+
+Every low-pass, downsample, resampling and adjoint is one call of one
+band operator, which takes the kernel spec, checks an approximate
+kernel's strides and adds :func:`arrn.macs.band_macs` to the MAC count,
+whichever way its axes run.
 
 Array-level functions take the extents of the grid they map to, act on
 the trailing ``len(extents)`` axes of their array, read the source grid
@@ -56,8 +60,10 @@ import numpy as np
 from . import macs
 from .errors import GridError
 from .grids import GridSpec
-from .kernels import SmoothingKernelSpec
+from .kernels import SmoothingKernelSpec, realized_taps
 from .signal import DiscreteSignal
+
+_PERFECT = SmoothingKernelSpec.perfect()
 
 # Axes of at most this many samples (input or output) run their operator as
 # a cached dense matrix; longer ones keep the FFT pair or tap convolution,
@@ -116,29 +122,21 @@ def _spectral_axis(
 
 
 @lru_cache(maxsize=128)
-def _taps(kernel: SmoothingKernelSpec, factor: int) -> np.ndarray:
-    """The kernel's taps at one decimation factor, read-only."""
-    taps = kernel.realize(factor)
-    taps.flags.writeable = False
-    return taps
-
-
-@lru_cache(maxsize=128)
 def _axis_matrix(
-    kernel: SmoothingKernelSpec | None, n: int, m: int, k: int, dtype: np.dtype
+    kernel: SmoothingKernelSpec, n: int, m: int, k: int, dtype: np.dtype
 ) -> np.ndarray:
     """One axis's operator as a read-only ``n x k`` matrix ``M``, ``y = x @ M``.
 
     It keeps the band of extent ``m`` of an extent-``n`` axis and yields
-    extent ``k``. ``kernel`` None is the perfect kernel: the spectral pass
-    run on the identity. Otherwise ``M`` is the circulant of the taps at
-    factor ``n // m``, which wraps taps longer than the axis onto it, with
-    every ``n // k``-th column kept.
+    extent ``k``. The perfect kernel's is the spectral pass run on the
+    identity. Any other kernel's is the circulant of its taps at factor
+    ``n // m``, which wraps taps longer than the axis onto it, with every
+    ``n // k``-th column kept.
     """
-    if kernel is None:
+    if kernel.is_perfect:
         mat = _spectral_axis(np.eye(n), -1, m, k, False, np.fft)
     else:
-        taps = _taps(kernel, n // m)
+        taps = realized_taps(kernel, n // m)
         half = len(taps) // 2
         # y[i] = sum_t taps[t] x[(i - t) % n]: x[j] enters y[i] with the sum
         # of the taps whose offset t is i - j modulo n.
@@ -153,7 +151,7 @@ def _axis_matrix(
 def _long_axis(
     x: np.ndarray,
     axis: int,
-    kernel: SmoothingKernelSpec | None,
+    kernel: SmoothingKernelSpec,
     n: int,
     m: int,
     k: int,
@@ -166,7 +164,7 @@ def _long_axis(
     """
     from scipy import fft, ndimage
 
-    if kernel is None:
+    if kernel.is_perfect:
         if adjoint:
             return _spectral_axis(x, axis, k, n, True, fft)
         return _spectral_axis(x, axis, m, k, False, fft)
@@ -175,7 +173,7 @@ def _long_axis(
         fine = np.zeros(x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1 :], x.dtype)
         fine[stride] = x
         x = fine
-    taps = _taps(kernel, n // m)
+    taps = realized_taps(kernel, n // m)
     if len(taps) > 1:
         x = ndimage.convolve1d(x, taps, axis=axis, mode="wrap")
     return x if adjoint else x[stride]
@@ -183,24 +181,31 @@ def _long_axis(
 
 def _band_op(
     x: np.ndarray,
-    kernel: SmoothingKernelSpec | None,
+    kernel: SmoothingKernelSpec,
     fine: tuple[int, ...],
     band: tuple[int, ...],
     out: tuple[int, ...],
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Run one axis operator per trailing axis; always a new C-ordered array.
+    """One priced band operator, or its ``adjoint``; always a new C-ordered array.
 
     Axis ``a`` keeps band ``band[a]`` of extent ``fine[a]`` and yields
-    extent ``out[a]``; the ``adjoint`` maps ``out`` back to ``fine``.
-    ``kernel`` None is the perfect kernel. An axis whose operator is the
-    identity is skipped.
+    extent ``out[a]``; the adjoint maps ``out`` back to ``fine``. An
+    approximate kernel needs ``out`` to divide ``fine`` on every axis. The
+    call adds :func:`arrn.macs.band_macs` to the MAC count, then runs one
+    axis operator per trailing axis, skipping an axis whose operator is
+    the identity.
     """
+    if kernel.is_perfect:
+        kernel = _PERFECT  # one cached matrix whatever the unused fields
+    else:
+        _strides(fine, out)
+    macs.add_macs(macs.band_macs(kernel, fine, band, out, _leading(x, out)))
     dtype = np.result_type(x.dtype, np.float32)
     y = x
     for axis, n, m, k in zip(range(-len(out), 0), fine, band, out):
         if k == n and (
-            m >= n if kernel is None else len(_taps(kernel, n // m)) == 1
+            m >= n if kernel.is_perfect else len(realized_taps(kernel, n // m)) == 1
         ):
             continue
         if max(n, k) > MATRIX_AXIS_MAX:
@@ -218,16 +223,6 @@ def _band_op(
     return np.ascontiguousarray(y, dtype=x.dtype)
 
 
-def _add_tap_macs(
-    x: np.ndarray,
-    fine: tuple[int, ...],
-    band: tuple[int, ...],
-    kernel: SmoothingKernelSpec,
-) -> None:
-    counts = tuple(len(_taps(kernel, n // m)) for n, m in zip(fine, band))
-    macs.add_macs(macs.separable_conv_macs(fine, counts, _leading(x, band)))
-
-
 def resample_perfect_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.ndarray:
     """Spectral resampling of the trailing axes to arbitrary new extents.
 
@@ -235,42 +230,20 @@ def resample_perfect_array(x: np.ndarray, to_extents: tuple[int, ...]) -> np.nda
     shrink (band truncation with Nyquist-pair aliasing) independently; no
     divisibility between old and new extents is required.
     """
-    to_extents = tuple(to_extents)
-    from_extents = _spatial(x, to_extents)
-    lead = _leading(x, to_extents)
-    macs.add_macs(macs.spectral_resample_macs(from_extents, to_extents, lead))
-    return _band_op(x, None, from_extents, to_extents, to_extents)
-
-
-def lowpass_perfect_array(x: np.ndarray, band_extents: tuple[int, ...]) -> np.ndarray:
-    """Orthogonal projection onto the band of ``band_extents``, same grid."""
-    band_extents = tuple(band_extents)
-    from_extents = _spatial(x, band_extents)
-    lead = _leading(x, band_extents)
-    macs.add_macs(macs.lowpass_perfect_macs(from_extents, band_extents, lead))
-    return _band_op(x, None, from_extents, band_extents, from_extents)
-
-
-def convolve_taps_array(
-    x: np.ndarray, band_extents: tuple[int, ...], kernel: SmoothingKernelSpec
-) -> np.ndarray:
-    """Separable circular convolution with the kernel's taps for each band.
-
-    Each trailing axis of extent ``n`` gets the taps of the decimation
-    factor ``n // m`` down to its band extent ``m``.
-    """
-    band_extents = tuple(band_extents)
-    from_extents = _spatial(x, band_extents)
-    _add_tap_macs(x, from_extents, band_extents, kernel)
-    return _band_op(x, kernel, from_extents, band_extents, from_extents)
+    return _band_op(x, _PERFECT, _spatial(x, to_extents), to_extents, to_extents)
 
 
 def lowpass_array(
     x: np.ndarray, band_extents: tuple[int, ...], kernel: SmoothingKernelSpec
 ) -> np.ndarray:
-    if kernel.is_perfect:
-        return lowpass_perfect_array(x, band_extents)
-    return convolve_taps_array(x, band_extents, kernel)
+    """Reduction to the band of ``band_extents``, on the input grid.
+
+    The perfect kernel's is the orthogonal band projector; an approximate
+    kernel convolves each axis of extent ``n`` with its taps for the
+    decimation factor ``n // m`` down to the band extent ``m``.
+    """
+    fine = _spatial(x, band_extents)
+    return _band_op(x, kernel, fine, band_extents, fine)
 
 
 def _strides(fine: tuple[int, ...], coarse: tuple[int, ...]) -> tuple[slice, ...]:
@@ -309,13 +282,7 @@ def downsample_array(
     kernel's axis matrix keeps only the circulant's stride columns, so the
     dropped samples are never computed.
     """
-    if kernel.is_perfect:
-        return resample_perfect_array(x, to_extents)
-    to_extents = tuple(to_extents)
-    fine = _spatial(x, to_extents)
-    _strides(fine, to_extents)
-    _add_tap_macs(x, fine, to_extents, kernel)
-    return _band_op(x, kernel, fine, to_extents, to_extents)
+    return _band_op(x, kernel, _spatial(x, to_extents), to_extents, to_extents)
 
 
 def downsample_adjoint_array(
@@ -329,12 +296,7 @@ def downsample_adjoint_array(
     where the forward summed the aliases); for an approximate kernel it is
     zero-insertion followed by the same symmetric convolution.
     """
-    fine_extents = tuple(fine_extents)
     coarse = _spatial(g, fine_extents)
-    if kernel.is_perfect:
-        return _band_op(g, None, fine_extents, coarse, coarse, adjoint=True)
-    _strides(fine_extents, coarse)
-    _add_tap_macs(g, fine_extents, coarse, kernel)
     return _band_op(g, kernel, fine_extents, coarse, coarse, adjoint=True)
 
 

@@ -84,7 +84,16 @@ class TestMacCounts:
         assert count_macs(model, 0, FULL) == instrumented_macs(model, 0, FULL)
 
     @pytest.mark.parametrize("kernel", list(KERNELS))
-    @pytest.mark.parametrize("extents", [[27, 9, 3], [(24, 16), (12, 8), (6, 4)]])
+    # The last two ladders have axes longer than MATRIX_AXIS_MAX.
+    @pytest.mark.parametrize(
+        "extents",
+        [
+            [27, 9, 3],
+            [(24, 16), (12, 8), (6, 4)],
+            [128, 64, 32],
+            [(96, 8), (48, 4), (24, 2)],
+        ],
+    )
     @pytest.mark.parametrize("expansion", [1, 3])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_analytic_equals_instrumented_for_every_block_shape(

@@ -538,6 +538,19 @@ class TestCast:
             with pytest.raises(GridError):
                 model.cast(entry)
 
+    @pytest.mark.parametrize("entry", [0.0, 1.0, np.float64(2.0), True, False, "1"])
+    def test_entry_that_is_not_an_integer(self, entry):
+        model = build_model(seed=108)
+        with pytest.raises(GridError):
+            model.cast(entry)
+        with pytest.raises(GridError):
+            equivalence_report(model, entry, np.random.default_rng(0))
+
+    def test_numpy_integer_entry_is_the_int_entry(self):
+        model = build_model(seed=108)
+        assert model.cast(np.int64(0)) is model
+        assert model.cast(np.int64(1)).ladder == model.cast(1).ladder
+
     def test_save_refuses_a_cast(self, tmp_path):
         model = build_model(seed=109)
         path = tmp_path / "cast.arnn"

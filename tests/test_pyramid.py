@@ -145,6 +145,15 @@ class TestReconstruct:
         with pytest.raises(GridError):
             reconstruct(adapted, 0)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, True, False])
+    def test_level_that_is_not_an_integer(self, level):
+        decomp = decompose(random_signal(LADDER[0]), LADDER, PERFECT)
+        with pytest.raises(GridError):
+            reconstruct(decomp, level)
+        np.testing.assert_array_equal(
+            reconstruct(decomp, np.int64(1)).values, reconstruct(decomp, 1).values
+        )
+
 
 class TestAdaptedEntry:
     def test_entry_zero_is_full_decompose(self):

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from arrn.errors import FormatError, GridError, NumericError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
-from arrn.kernels import MAX_TAPS, SmoothingKernelSpec
+from arrn import macs
+from arrn.kernels import MAX_TAPS, SmoothingKernelSpec, realized_taps
+from arrn.macs import band_macs
 from arrn.resample import (
     MATRIX_AXIS_MAX,
     _axis_matrix,
@@ -31,7 +33,6 @@ from arrn.resample import (
     downsample_array,
     lowpass,
     lowpass_array,
-    lowpass_perfect_array,
     resample_perfect_array,
     resample_to,
     upsample,
@@ -475,7 +476,7 @@ class TestSpectralCoreProperties:
     def test_lowpass_matches_dft_matrix_oracle(self, step, lead, dtype, seed):
         fine, band = step
         x = np.random.default_rng(seed).standard_normal(lead + fine).astype(dtype)
-        out = lowpass_perfect_array(x, band)
+        out = lowpass_array(x, band, PERFECT)
         assert out.dtype == dtype and out.shape == x.shape
         assert out.flags.c_contiguous
         tol = SPECTRAL_TOL[dtype]
@@ -528,7 +529,7 @@ class TestLongAxisPath:
     @pytest.mark.parametrize("fine, band", LONG_STEPS)
     def test_lowpass_matches_dft_matrix_oracle(self, fine, band, dtype):
         x = np.random.default_rng(2).standard_normal((2,) + fine).astype(dtype)
-        out = lowpass_perfect_array(x, band)
+        out = lowpass_array(x, band, PERFECT)
         assert out.dtype == dtype and out.flags.c_contiguous
         tol = SPECTRAL_TOL[dtype]
         np.testing.assert_allclose(
@@ -648,7 +649,7 @@ class TestBandMatrices:
         _slices_match(lambda v: downsample_adjoint_array(v, fine, kernel), y)
         _slices_match(lambda v: resample_perfect_array(v, fine), y)
 
-    @pytest.mark.parametrize("kernel", [None, SINC, GAUSS], ids=["perfect", "sinc", "gauss"])
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS], ids=["perfect", "sinc", "gauss"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cached_matrices_are_read_only(self, kernel, dtype):
         mat = _axis_matrix(kernel, 16, 8, 8, np.dtype(dtype))
@@ -657,6 +658,23 @@ class TestBandMatrices:
         assert not mat.flags.writeable
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_perfect_matrix_whatever_the_unused_fields(self, dtype):
+        other = SmoothingKernelSpec(PERFECT.variant, taps_per_axis=11)
+        x = np.random.default_rng(8).standard_normal((2, 20)).astype(dtype)
+        _axis_matrix.cache_clear()
+        same = lowpass_array(x, (10,), PERFECT)
+        assert lowpass_array(x, (10,), other).tobytes() == same.tobytes()
+        assert _axis_matrix.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("kernel", [SINC, GAUSS], ids=["sinc", "gauss"])
+    def test_realized_taps_are_cached_read_only(self, kernel):
+        taps = realized_taps(kernel, 3)
+        assert taps is realized_taps(kernel, 3)
+        np.testing.assert_array_equal(taps, kernel.realize(3))
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
 
     def test_import_loads_no_scipy_module(self):
         # Nor concurrent.futures, which only ablation_grid needs, or secrets.
@@ -670,6 +688,47 @@ class TestBandMatrices:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.strip() == "[]"
+
+
+# Short, odd, 2-D, long and long-by-short steps.
+PRICED_STEPS = [((27,), (9,)), ((24, 16), (12, 8)), ((128,), (64,)), ((256, 8), (64, 4))]
+
+
+class TestBandPricing:
+    """Every band operator records :func:`band_macs`, whichever way it runs."""
+
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS], ids=["perfect", "sinc", "gauss"])
+    @pytest.mark.parametrize("fine, band", PRICED_STEPS)
+    def test_each_call_records_its_band_price(self, fine, band, kernel):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 3) + fine)
+        y = rng.standard_normal((2, 3) + band)
+        down = band_macs(kernel, fine, band, band, 6)
+        priced = [
+            (lambda: lowpass_array(x, band, kernel), band_macs(kernel, fine, band, fine, 6)),
+            (lambda: downsample_array(x, band, kernel), down),
+            # The adjoint is priced like its forward operator.
+            (lambda: downsample_adjoint_array(y, fine, kernel), down),
+            (lambda: resample_perfect_array(x, band), band_macs(PERFECT, fine, band, band, 6)),
+            (lambda: resample_perfect_array(y, fine), band_macs(PERFECT, band, fine, fine, 6)),
+        ]
+        for op, price in priced:
+            with macs.recording() as counter:
+                op()
+            assert price > 0 and counter.total == price
+
+    def test_the_convention_by_hand(self):
+        # 27 sites, ceil(log2 27) = 5; 9 sites, ceil(log2 9) = 4.
+        assert band_macs(PERFECT, (27,), (9,), (27,), 2) == 2 * 2 * 27 * 5
+        assert band_macs(PERFECT, (27,), (27,), (27,), 2) == 0
+        assert band_macs(PERFECT, (27,), (9,), (9,), 2) == 2 * (27 * 5 + 9 * 4)
+        assert band_macs(PERFECT, (9,), (27,), (27,), 2) == 2 * (9 * 4 + 27 * 5)
+        # Taps at the factor fine // band on each axis; a 1-tap axis counts 0.
+        assert len(realized_taps(SINC, 1)) == 1
+        taps = len(realized_taps(SINC, 2))
+        assert band_macs(SINC, (24, 16), (12, 16), (24, 16), 3) == 3 * 24 * 16 * taps
+        assert band_macs(SINC, (24, 16), (12, 16), (12, 16), 3) == 3 * 24 * 16 * taps
+        assert band_macs(SINC, (24, 16), (24, 16), (24, 16), 3) == 0
 
 
 # -- bandlimited membership -------------------------------------------------
