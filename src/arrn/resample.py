@@ -76,7 +76,9 @@ _PERFECT = SmoothingKernelSpec.perfect()
 # products, read 32 ms in 2 of 40 processes against 1.6-3.0 ms otherwise.
 # At 64 the products of a 2-D map of up to 64x64, or of a 1-D one of up to 64
 # channels, stay on the calling thread; 64 is also the longest axis the
-# benchmark workloads run.
+# benchmark workloads run. Its second user, `layers.depthwise_conv_op`, runs
+# a 2-D map of at most 64x64 as banded (W, W) matrix products, which beat its
+# tap sum 2.5x at 64 but only 1.1x at 96 and 0.9x at 128 (f64, (2, 16, W, W)).
 MATRIX_AXIS_MAX = 64
 
 
@@ -191,7 +193,9 @@ def _band_op(
 
     Axis ``a`` keeps band ``band[a]`` of extent ``fine[a]`` and yields
     extent ``out[a]``; the adjoint maps ``out`` back to ``fine``. An
-    approximate kernel needs ``out`` to divide ``fine`` on every axis. The
+    approximate kernel needs ``band`` and ``out`` to divide ``fine`` on
+    every axis (:class:`GridError` otherwise); the perfect kernel takes
+    any band. The
     call adds :func:`arrn.macs.band_macs` to the MAC count, then runs one
     axis operator per trailing axis, skipping an axis whose operator is
     the identity.
@@ -199,6 +203,7 @@ def _band_op(
     if kernel.is_perfect:
         kernel = _PERFECT  # one cached matrix whatever the unused fields
     else:
+        _strides(fine, band)
         _strides(fine, out)
     macs.add_macs(macs.band_macs(kernel, fine, band, out, _leading(x, out)))
     dtype = np.result_type(x.dtype, np.float32)
@@ -240,7 +245,8 @@ def lowpass_array(
 
     The perfect kernel's is the orthogonal band projector; an approximate
     kernel convolves each axis of extent ``n`` with its taps for the
-    decimation factor ``n // m`` down to the band extent ``m``.
+    decimation factor ``n // m`` down to the band extent ``m``, which must
+    divide ``n``.
     """
     fine = _spatial(x, band_extents)
     return _band_op(x, kernel, fine, band_extents, fine)

@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import Parameter
 from .data import check_labels
 from .errors import NumericError
+from .grids import is_integer
 from .layers import TRAIN, FeatureMap, softmax_cross_entropy
 from .model import ArrnModel, check_inputs, forward_full, is_probability
 from .signal import DTYPES
@@ -34,6 +35,10 @@ class TrainConfig:
     dtype: str = "f32"
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.seed < 0:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from arrn.autodiff import Parameter, Tensor, gradient_check
+from arrn import layers
 from arrn.grids import GridSpec
 from arrn.layers import (
     BatchNorm,
@@ -23,10 +24,31 @@ from arrn.layers import (
     softmax_cross_entropy,
     zero_constancy_check,
 )
+from arrn.resample import MATRIX_AXIS_MAX
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def banded(extents):
+    """Whether a depthwise convolution over ``extents`` runs as matrices."""
+    return len(extents) == 2 and max(extents) <= MATRIX_AXIS_MAX
+
+
+def tap_sum(w, b, x, padding):
+    """The depthwise convolution as the padded shifted copies' sum, in offset
+    order, in the dtype of ``w``, ``b`` and ``x``."""
+    dims = x.ndim - 2
+    mode = "edge" if padding == "replicate" else "constant"
+    padded = np.pad(x, [(0, 0)] * 2 + [(1, 1)] * dims, mode=mode)
+    per_channel = (1, -1) + (1,) * dims
+    expected = np.zeros_like(x)
+    for off in np.ndindex(*(3,) * dims):
+        window = padded[(slice(None),) * 2 + tuple(
+            slice(o, o + n) for o, n in zip(off, x.shape[2:]))]
+        expected = expected + w[(slice(None),) + off].reshape(per_channel) * window
+    return expected + b.reshape(per_channel)
 
 
 class TestSiLU:
@@ -122,27 +144,97 @@ class TestDepthwiseConv:
 
     @pytest.mark.parametrize("padding", ["replicate", "zero"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dims", [1, 2])
-    def test_forward_equals_the_tap_sum(self, dims, dtype, padding):
+    @pytest.mark.parametrize("extents", [(5,), (5, 5), (65, 3)], ids=["1", "2", "65x3"])
+    def test_forward_equals_the_tap_sum(self, extents, dtype, padding):
+        dims = len(extents)
         layer = DepthwiseConv(3, dims, rng_for(20), dtype=dtype, padding=padding)
         layer.bias.assign(rng_for(21).standard_normal(3))
-        x = rng_for(22).standard_normal((2, 3) + (5,) * dims).astype(dtype)
-        mode = "edge" if padding == "replicate" else "constant"
-        padded = np.pad(x, [(0, 0)] * 2 + [(1, 1)] * dims, mode=mode)
-        expected = np.zeros_like(x)
-        for off in np.ndindex(*(3,) * dims):
-            window = padded[(slice(None),) * 2 + tuple(slice(o, o + 5) for o in off)]
-            tap = layer.weight.values[(slice(None),) + off]
-            expected = expected + tap.reshape((1, 3) + (1,) * dims) * window
-        expected = expected + layer.bias.values.reshape((1, 3) + (1,) * dims)
+        x = rng_for(22).standard_normal((2, 3) + extents).astype(dtype)
+        expected = tap_sum(layer.weight.values, layer.bias.values, x, padding)
         out = layer.forward(Tensor(x)).values
-        np.testing.assert_array_equal(out, expected)
+        if not banded(extents):
+            np.testing.assert_array_equal(out, expected)
+            return
+        # The banded matrix products sum in another order: each output lies
+        # within 8 eps of the magnitudes it sums, against an f64 tap sum.
+        w, b = layer.weight.values.astype(np.float64), layer.bias.values
+        exact = tap_sum(w, b.astype(np.float64), x.astype(np.float64), padding)
+        scale = tap_sum(np.abs(w), np.abs(b).astype(np.float64),
+                        np.abs(x).astype(np.float64), padding)
+        assert out.dtype == dtype
+        assert np.all(np.abs(out - exact) <= 8 * np.finfo(dtype).eps * scale)
+
+    @pytest.mark.parametrize("padding", ["replicate", "zero"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "extents", [(1, 1), (1, 5), (5, 1), (6, 4), (24, 16), (64, 64)],
+        ids=lambda e: "x".join(map(str, e)),
+    )
+    def test_banded_sample_is_bitwise_the_same_in_any_batch(
+        self, extents, dtype, padding
+    ):
+        assert banded(extents)
+        layer = DepthwiseConv(3, 2, rng_for(25), dtype=dtype, padding=padding)
+        layer.bias.assign(rng_for(26).standard_normal(3))
+        x = rng_for(27).standard_normal((5, 3) + extents).astype(dtype)
+        whole = layer.forward(Tensor(x)).values
+        for rows in (slice(0, 1), slice(4, 5), slice(1, 4)):
+            part = layer.forward(Tensor(x[rows])).values
+            assert part.tobytes() == whole[rows].tobytes(), rows
+
+    @pytest.mark.parametrize("extents", [(5, 5), (65, 3), (5,)])
+    def test_matrices_run_exactly_within_the_bound(self, extents, monkeypatch):
+        calls = []
+        banded_rows = layers._banded_rows
+        monkeypatch.setattr(
+            layers, "_banded_rows", lambda *a: calls.append(a) or banded_rows(*a)
+        )
+        layer = DepthwiseConv(2, len(extents), rng_for(28))
+        layer.forward(Tensor(rng_for(29).standard_normal((1, 2) + extents)))
+        assert len(calls) == banded(extents)
 
     def test_gradcheck_zero_padding(self):
         layer = DepthwiseConv(2, 1, rng_for(10), padding="zero")
         x = Parameter(rng_for(11).standard_normal((1, 2, 5)))
         params = [x, layer.weight, layer.bias]
         assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+
+    @pytest.mark.parametrize("padding", ["replicate", "zero"])
+    @pytest.mark.parametrize(
+        "extents", [(6, 4), (3, 5), (1, 4), (4, 1), (65, 3)],
+        ids=lambda e: "x".join(map(str, e)),
+    )
+    def test_gradcheck_2d(self, extents, padding):
+        layer = DepthwiseConv(2, 2, rng_for(30), padding=padding)
+        layer.bias.assign(rng_for(31).standard_normal(2))
+        x = Parameter(rng_for(32).standard_normal((2, 2) + extents))
+        params = [x, layer.weight, layer.bias]
+        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+
+    @pytest.mark.parametrize("padding", ["replicate", "zero"])
+    @pytest.mark.parametrize("extents", [(1, 1), (7, 5), (16, 24)])
+    def test_banded_vjp_equals_the_tap_vjp(self, extents, padding):
+        rng = rng_for(33)
+        x = rng.standard_normal((3, 4) + extents)
+        w = rng.standard_normal((4, 3, 3))
+        g = rng.standard_normal(x.shape)
+        out, vjp = layers._banded_rows(x, w, padding)
+        tap_out, tap_vjp = layers._tap_sum(x, w, padding)
+        np.testing.assert_allclose(out, tap_out, rtol=0, atol=1e-13)
+        for got, want in zip(vjp(g), tap_vjp(g)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_shift_matrices_are_cached_and_read_only(self):
+        s = layers._shift_matrices(4, "replicate", np.dtype(np.float64))
+        assert s is layers._shift_matrices(4, "replicate", np.dtype(np.float64))
+        assert not s.flags.writeable
+        row = np.arange(1.0, 5.0)
+        np.testing.assert_array_equal(np.stack([row @ m for m in s]),
+                                      [[1, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 4]])
+        zero = layers._shift_matrices(4, "zero", np.dtype(np.float64))
+        np.testing.assert_array_equal(np.stack([row @ m for m in zero]),
+                                      [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 0]])
 
     def test_replicate_padding_preserves_constancy(self):
         layer = DepthwiseConv(2, 2, rng_for(12))

@@ -310,6 +310,28 @@ class TestLowpass:
         with pytest.raises(GridError):
             lowpass(sig, GridSpec((16,)), PERFECT)
 
+    @pytest.mark.parametrize("kernel", [SINC, GAUSS])
+    def test_array_lowpass_refuses_a_band_that_does_not_divide(self, kernel):
+        # Bands 10 and 13 on 27 samples would both floor to the factor-2 taps.
+        x = np.random.default_rng(6).standard_normal((1, 27))
+        for band in ((10,), (13,)):
+            with pytest.raises(GridError, match="not a per-axis divisor"):
+                lowpass_array(x, band, kernel)
+        grid = np.random.default_rng(7).standard_normal((2, 27, 12))
+        with pytest.raises(GridError, match="not a per-axis divisor"):
+            lowpass_array(grid, (9, 5), kernel)
+        assert lowpass_array(grid, (9, 4), kernel).shape == grid.shape
+
+    def test_perfect_array_lowpass_takes_any_band(self):
+        x = np.random.default_rng(6).standard_normal((1, 27))
+        out = lowpass_array(x, (10,), PERFECT)
+        np.testing.assert_allclose(out, dft_oracle_lowpass(x, (10,)), atol=1e-12)
+        grid = np.random.default_rng(7).standard_normal((2, 27, 12))
+        np.testing.assert_allclose(
+            lowpass_array(grid, (9, 5), PERFECT),
+            dft_oracle_lowpass(grid, (9, 5)), atol=1e-12,
+        )
+
     def test_nonfinite_values_rejected_at_construction(self):
         with pytest.raises(NumericError):
             sig1d([1.0, np.nan, 0.0, 0.0])

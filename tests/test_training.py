@@ -126,6 +126,16 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True])
+    def test_count_that_is_no_integer_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
+    def test_numpy_integer_count_accepted(self, field):
+        assert getattr(TrainConfig(**{field: np.int64(2)}), field) == 2
+
     def test_bool_dropout_rejected(self):
         with pytest.raises(ValueError, match="dropout probability"):
             TrainConfig(dropout=True)
