@@ -58,14 +58,14 @@ class TrainConfig:
 
     def describe(self) -> dict:
         return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
+            "epochs": int(self.epochs),
+            "batch_size": int(self.batch_size),
             "learning_rate": self.learning_rate,
             "min_learning_rate": self.min_learning_rate,
             "betas": list(self.betas),
             "weight_decay": self.weight_decay,
             "dropout": self.dropout,
-            "seed": self.seed,
+            "seed": int(self.seed),
             "dtype": self.dtype,
         }
 

@@ -1,5 +1,7 @@
 """Optimizer mechanics, schedule, determinism, and run-to-convergence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
     def test_numpy_integer_count_accepted(self, field):
-        assert getattr(TrainConfig(**{field: np.int64(2)}), field) == 2
+        config = TrainConfig(**{field: np.int64(2)})
+        assert getattr(config, field) == 2
+        assert json.loads(json.dumps(config.describe()))[field] == 2
 
     def test_bool_dropout_rejected(self):
         with pytest.raises(ValueError, match="dropout probability"):
