@@ -19,9 +19,9 @@ by a small error signal, measured (never asserted away) by
 :func:`equivalence_report`.
 
 Laplacian dropout reuses the same collapse. A training step draws one
-count ``dropped`` and runs residuals ``0..dropped-1`` without their
-blocks, which is exactly evaluation at a randomly lowered resolution:
-the cast to level ``dropped`` omits the same prefix.
+count ``dropped`` and runs ``model.cast(dropped)`` on the batch after the
+base low-pass and one model-kernel downsample per skipped level, which is
+exactly evaluation at a randomly lowered resolution.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ EVAL_BLOCK_BYTES = 512 * 1024
 
 
 class LaplacianResidual:
-    """One level: band split, gated block, fold, move one grid coarser."""
+    """One level: band split, block, fold, move one grid coarser."""
 
     def __init__(
         self,
@@ -117,26 +117,17 @@ class LaplacianResidual:
             name=f"res{level}.proj",
         )
 
-    def forward(self, r_prev: Tensor, gate: bool, mode: str = EVAL, rng=None) -> Tensor:
-        """Advance the chain one level; a false ``gate`` bypasses the block exactly.
-
-        The bypass never evaluates the block (its contribution is exactly
-        zero after mean rejection), so a gated-off level costs only the
-        band reduction and the projection, and its output carries no
-        dependence on the block parameters.
-        """
+    def forward(self, r_prev: Tensor, mode: str = EVAL, rng=None) -> Tensor:
+        """Advance the chain one level, block included; a level that
+        Laplacian dropout skips is omitted by :meth:`ArrnModel.cast`."""
         coarse = self.out_grid.extents
         r_low = lowpass_op(r_prev, coarse, self.kernel)
         low_coarse = decimate_op(r_low, coarse)
-        if gate:
-            r_diff = sub(r_prev, r_low)
-            y = self.block.forward(r_diff, mode=mode, rng=rng)
-            y = mean_reject_op(y)
-            y = downsample_op(y, coarse, self.kernel)
-            folded = y + low_coarse
-        else:
-            folded = low_coarse
-        return project_channels(folded, self.projection)
+        r_diff = sub(r_prev, r_low)
+        y = self.block.forward(r_diff, mode=mode, rng=rng)
+        y = mean_reject_op(y)
+        y = downsample_op(y, coarse, self.kernel)
+        return project_channels(y + low_coarse, self.projection)
 
     def parameters(self):
         return self.block.parameters() + [self.projection]
@@ -315,27 +306,29 @@ class ArrnModel:
         mode: str = EVAL,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Graph from input values on ``ladder[0]`` to logits; every residual
-        runs, the first ``dropped`` without their blocks (Laplacian dropout),
-        and a :meth:`cast` enters unsmoothed, through :meth:`composed_projection`.
+        """Graph from input values on ``ladder[0]`` to logits through
+        ``model = self.cast(dropped)`` (Laplacian dropout omits the first
+        ``dropped`` residuals). An uncast model applies its base low-pass,
+        then one downsample with its kernel per skipped residual brings the
+        batch to ``model``'s finest grid, where ``model`` enters through
+        :meth:`composed_projection`; a cast's input is the running low band.
 
         Eval mode runs the same ops with folded parameters: each block batch
         norm folded into the convolution before it, and the terminal
         projection into the head. The folds are graph ops rebuilt on every
         call, so eval gradients reach every parameter; training is unfolded.
         """
-        if not 0 <= dropped <= len(self.residuals):
-            raise ShapeError(
-                f"cannot drop {dropped} of {len(self.residuals)} residuals"
-            )
+        model = self.cast(dropped)
         x = Tensor(values)
         if not self.skipped:
             x = lowpass_op(x, self.ladder[0].extents, self.kernel)
-        weight = self.composed_projection(0) if self.skipped else self.input_projection
+        for res in self.residuals[:dropped]:
+            x = downsample_op(x, res.out_grid.extents, self.kernel)
+        weight = model.composed_projection(0) if model.skipped else self.input_projection
         r = project_channels(x, weight)
-        for i, res in enumerate(self.residuals):
-            r = res.forward(r, i >= dropped, mode=mode, rng=rng)
-        return self._terminal_and_head(r, mode, rng)
+        for res in model.residuals:
+            r = res.forward(r, mode=mode, rng=rng)
+        return model._terminal_and_head(r, mode, rng)
 
 
 def eval_block_rows(model: ArrnModel) -> int:

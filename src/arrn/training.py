@@ -143,10 +143,12 @@ def train(
     ``inputs`` is ``(n, channels, *extents)`` on the model's finest grid, so
     level-``u`` data trains ``model.cast(u)``; another per-sample shape, or a
     label outside ``[0, classes)``, raises :class:`~arrn.errors.ShapeError`.
-    Each minibatch drops the blocks of :func:`draw_dropped` fine residuals
-    (Laplacian dropout). A non-finite loss, or an overflow or invalid value
-    in any step, aborts immediately with :class:`~arrn.errors.NumericError`
-    rather than training through it.
+    Each minibatch omits :func:`draw_dropped` fine residuals (Laplacian
+    dropout): it runs ``model.cast(dropped)`` on the batch after the base
+    low-pass and one downsample with the model's kernel per skipped level,
+    so the skipped blocks neither run nor train. A non-finite loss, or an
+    overflow or invalid value in any step, aborts immediately with
+    :class:`~arrn.errors.NumericError` rather than training through it.
     """
     try:
         return _fit(model, inputs, labels, config)

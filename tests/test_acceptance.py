@@ -156,7 +156,7 @@ class TestCriterion4ConstancyAndCancellation:
             model = desk_model(seed + 300)
             res = model.residuals[0]
             x = np.full((1, FEATURES[0], 64), 0.7 + 0.1 * seed)
-            out = res.forward(Tensor(x), gate=1).values
+            out = res.forward(Tensor(x)).values
             expected = np.einsum(
                 "oc,bcs->bos",
                 res.projection.values,

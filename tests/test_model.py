@@ -19,6 +19,8 @@ from arrn.kernels import SmoothingKernelSpec
 from arrn.evaluate import ADAPTED, FULL, count_macs, evaluate_sweep
 from arrn.layers import (
     EVAL,
+    TRAIN,
+    BatchNorm,
     FeatureMap,
     InnerBlock,
     silu_op,
@@ -79,8 +81,8 @@ def random_input(model, seed=0, batch=2, level=0):
 
 
 class TestDroppedCount:
-    """Laplacian dropout drops the blocks of a prefix of ``draw_dropped``
-    fine residuals per minibatch."""
+    """Laplacian dropout omits a prefix of ``draw_dropped`` fine residuals
+    per minibatch."""
 
     def test_stream_is_one_draw_per_level_finest_first(self):
         for seed in range(20):
@@ -182,30 +184,13 @@ class TestSkipTheorem:
 
 
 class TestResidualLevel:
-    def test_gate_zero_is_projected_downsample_and_param_independent(self):
-        from arrn.autodiff import project_channels
-
-        model = build_model(seed=5)
-        res = model.residuals[0]
-        x = np.random.default_rng(6).standard_normal((2, 4, 32))
-        out1 = res.forward(Tensor(x), gate=0).values
-        low = lowpass_array(x, (16,), PERFECT)
-        expected = project_channels(
-            Tensor(decimate_array(low, (16,))), res.projection
-        ).values
-        np.testing.assert_array_equal(out1, expected)
-        for p in res.block.parameters():
-            p.assign(p.values + 1.0)
-        out2 = res.forward(Tensor(x), gate=0).values
-        np.testing.assert_array_equal(out1, out2)
-
     def test_constant_input_collapses_to_projected_downsample(self):
         # A constant map has zero band difference, so the block contributes
-        # nothing beyond float dust even with gate 1.
+        # nothing beyond float dust.
         model = build_model(seed=7)
         res = model.residuals[0]
         x = np.full((1, 4, 32), 1.37)
-        out = res.forward(Tensor(x), gate=1).values
+        out = res.forward(Tensor(x)).values
         expected = np.einsum(
             "oc,bcs->bos",
             res.projection.values,
@@ -218,7 +203,7 @@ class TestResidualLevel:
         res = model.residuals[0]
         rng = np.random.default_rng(9)
         x = lowpass_array(rng.standard_normal((1, 4, 32)), (16,), PERFECT)
-        out = res.forward(Tensor(x), gate=1).values
+        out = res.forward(Tensor(x)).values
         expected = np.einsum(
             "oc,bcs->bos",
             res.projection.values,
@@ -231,7 +216,7 @@ class TestResidualLevel:
             model = build_model(seed=10, kernel=kernel)
             res = model.residuals[0]
             x = np.random.default_rng(11).standard_normal((2, 4, 32))
-            out = res.forward(Tensor(x), gate=1).values
+            out = res.forward(Tensor(x)).values
             # Reference: every operator applied separately at full rate.
             r_low = lowpass_array(x, (16,), kernel)
             y = res.block.forward(Tensor(x - r_low), mode="eval").values
@@ -243,12 +228,75 @@ class TestResidualLevel:
 
 
 def gated(model, fmap, dropped):
-    """Eval logits with the blocks of the first ``dropped`` residuals off."""
+    """Eval logits of a dropout step that omits the first ``dropped`` residuals."""
     with no_grad():
         return model.forward_graph(fmap.values, dropped).values
 
 
+def prefix_bypass(model, values, k, mode=EVAL, rng=None):
+    """A dropout step residual by residual at full resolution: residuals
+    ``< k`` run as ``project_channels(decimate(lowpass(r)), P)``, without
+    their blocks, and the rest in full. Channel mixes commute with the
+    per-channel band operators, so this is the function ``forward_graph``
+    computes by casting, up to rounding."""
+    r = lowpass_array(values, model.ladder[0].extents, model.kernel)
+    r = Tensor(np.einsum("oc,bc...->bo...", model.input_projection.values, r))
+    for res in model.residuals:
+        if res.level < k:
+            coarse = res.out_grid.extents
+            low = decimate_array(lowpass_array(r.values, coarse, model.kernel), coarse)
+            r = Tensor(np.einsum("oc,bc...->bo...", res.projection.values, low))
+        else:
+            r = res.forward(r, mode=mode, rng=rng)
+    return model._terminal_and_head(r, mode, rng).values
+
+
 class TestDropoutDownsamplingIdentity:
+    @pytest.mark.parametrize("mode", [EVAL, TRAIN])
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS], ids=lambda k: k.variant)
+    @pytest.mark.parametrize("extents", [[32, 16, 8], [(16, 16), (8, 8), (4, 4)]],
+                             ids=["1d", "2d"])
+    def test_dropout_step_equals_the_prefix_bypass(self, extents, kernel, mode):
+        model = build_model(seed=43, kernel=kernel,
+                            ladder=ResolutionLadder.from_extents(extents))
+        values = random_input(model, seed=44, batch=4).values
+        for k in (1, 2):
+            with no_grad():
+                cast = model.forward_graph(
+                    values, k, mode=mode, rng=np.random.default_rng(k)).values
+                bypass = prefix_bypass(model, values, k, mode, np.random.default_rng(k))
+            np.testing.assert_allclose(cast, bypass, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_train_step_leaves_the_skipped_blocks_alone(self, k):
+        model = build_model(seed=5)
+        values = random_input(model, seed=6, batch=6).values
+        skipped = model.residuals[:k]
+        norms = [layer for res in skipped for layer in res.block.layers
+                 if isinstance(layer, BatchNorm)]
+        assert norms
+        stats = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in norms]
+
+        def step():
+            logits = model.forward_graph(
+                values, k, mode=TRAIN, rng=np.random.default_rng(7))
+            softmax_cross_entropy(logits, np.arange(6) % 3).backward()
+            return logits.values
+
+        logits = step()
+        for res in skipped:
+            for p in res.block.parameters():
+                assert p.grad is None, p.name
+        for bn, (mean, var) in zip(norms, stats):
+            np.testing.assert_array_equal(bn.running_mean, mean)
+            np.testing.assert_array_equal(bn.running_var, var)
+        for p in [model.input_projection] + [res.projection for res in skipped]:
+            assert p.grad is not None and np.abs(p.grad).max() > 0, p.name
+        for res in skipped:
+            for p in res.block.parameters():
+                p.assign(p.values + 1.0)
+        np.testing.assert_array_equal(step(), logits)
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
     def test_gated_prefix_equals_adapted_on_downsampled_input(self, k, seed):
@@ -272,8 +320,8 @@ class TestDropoutDownsamplingIdentity:
             np.testing.assert_allclose(out, reference, atol=1e-12)
 
     def test_gated_prefix_equals_full_on_bandlimited_input(self):
-        # Gating off the first k levels also equals an all-gates-on full
-        # evaluation of the k-times-downsampled-then-upsampled input.
+        # Omitting the first k levels also equals a full evaluation of the
+        # k-times-downsampled-then-upsampled input.
         model = build_model(seed=41)
         fmap = random_input(model, seed=42)
         for k in (1, 2):
@@ -681,12 +729,12 @@ class TestInputValidation:
     def test_dropped_count_outside_the_chain(self):
         model = build_model(seed=62)
         fmap = random_input(model)
-        for dropped in (-1, len(model.residuals) + 1):
-            with pytest.raises(ShapeError):
+        for dropped in (-1, len(model.residuals) + 1, True, 1.0):
+            with pytest.raises(GridError):
                 model.forward_graph(fmap.values, dropped)
         # A cast has fewer residuals: the model's count would overrun them.
         coarse = random_input(model, level=1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(GridError):
             model.cast(1).forward_graph(coarse.values, len(model.residuals))
 
 
