@@ -196,7 +196,9 @@ def _add_ladder_flags(parser):
 
 def _add_model_flags(parser):
     _add_ladder_flags(parser)
-    parser.add_argument("--input-features", type=int, default=1)
+    parser.add_argument("--input-features", type=int, default=1,
+                        help="channels per input sample; train generates "
+                             "its dataset with this many")
     parser.add_argument("--expansion", type=int, default=2)
     parser.add_argument("--depth", type=int, default=1)
     parser.add_argument("--head-dropout", type=float, default=0.2)
@@ -213,20 +215,24 @@ def _add_train_flags(parser):
     parser.add_argument("--dtype", choices=tuple(DTYPES), default="f32")
 
 
-def _dataset_spec_from_args(args, ladder: ResolutionLadder, seed: int):
+def _dataset_spec_from_args(args, ladder: ResolutionLadder, seed: int,
+                            features: int = 1):
     return _build(
         SynthDatasetSpec,
         classes=args.classes,
         level_extents=tuple(g.extents for g in ladder.levels),
         samples_per_class=args.samples_per_class,
         noise=args.noise,
+        features=features,
         seed=seed,
     )
 
 
-def _dataset_plan(args, ladder: ResolutionLadder, need_test: bool = False):
+def _dataset_plan(args, ladder: ResolutionLadder, features: int,
+                  need_test: bool = False):
     """``(spec, dataset)``: the ``--data-cache`` dataset as is if one exists,
-    else the spec of the one to generate and ``None``; nothing is written.
+    else the spec of the one to generate, with ``features`` input features,
+    and ``None``; nothing is written.
 
     With ``need_test`` an empty test split is refused.
     """
@@ -236,7 +242,7 @@ def _dataset_plan(args, ladder: ResolutionLadder, need_test: bool = False):
         if need_test:
             _require_test_split(dataset.spec, f"dataset cache {cache}")
         return dataset.spec, dataset
-    spec = _dataset_spec_from_args(args, ladder, args.data_seed)
+    spec = _dataset_spec_from_args(args, ladder, args.data_seed, features)
     if need_test:
         _require_test_split(spec)
     return spec, None
@@ -287,11 +293,13 @@ def _train_config_from_args(args, dropout, seed: int) -> TrainConfig:
     )
 
 
-def _model_from_args(args, ladder, kernel, classes, dtype, seed) -> ArrnModel:
+def _model_from_args(
+    args, ladder, kernel, input_features, classes, dtype, seed
+) -> ArrnModel:
     return _build(
         ArrnModel,
         ladder=ladder,
-        input_features=args.input_features,
+        input_features=input_features,
         features=_parse_features(args.features),
         classes=classes,
         kernel=kernel,
@@ -387,10 +395,11 @@ def cmd_train(args) -> int:
     kernel = _kernel_from_args(args)
     dropout = _dropout_from_args(args)
     config = _train_config_from_args(args, dropout, args.seed)
-    spec, dataset = _dataset_plan(args, ladder)
+    spec, dataset = _dataset_plan(args, ladder, args.input_features)
     # The model is built, and its values checked, before a cache is written.
     model = _model_from_args(
-        args, ladder, kernel, spec.classes, config.numpy_dtype, args.seed
+        args, ladder, kernel, spec.features, spec.classes, config.numpy_dtype,
+        args.seed,
     )
     dataset = _realize_dataset(args, spec, dataset)
     result = train(model, dataset.train.inputs, dataset.train.labels, config)
@@ -418,9 +427,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
     resolutions = _parse_resolutions(args.resolutions)
-    dataset = _realize_dataset(
-        args, *_dataset_plan(args, model.ladder, need_test=True)
-    )
+    plan = _dataset_plan(args, model.ladder, model.input_features, need_test=True)
+    dataset = _realize_dataset(args, *plan)
     dropout_label = "on" if any(manifest.get("dropout") or ()) else "off"
     result = evaluate_sweep(
         model,
@@ -456,7 +464,8 @@ def cmd_bench(args) -> int:
         ladder = _parse_ladder(args.levels)
         kernel = _kernel_from_args(args)
         model = _model_from_args(
-            args, ladder, kernel, args.classes, DTYPES[args.dtype], args.seed
+            args, ladder, kernel, args.input_features, args.classes,
+            DTYPES[args.dtype], args.seed,
         )
         randomize_for_verification(model, np.random.default_rng(args.seed))
     inputs = _build(

@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .grids import is_integer
+
 PERFECT = "perfect"
 WINDOWED_SINC = "windowed_sinc"
 TRUNCATED_GAUSSIAN = "truncated_gaussian"
@@ -58,6 +60,10 @@ class SmoothingKernelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
+        if not is_integer(self.taps_per_axis):
+            raise ValueError(
+                f"taps_per_axis must be an integer, got {self.taps_per_axis!r}"
+            )
         if self.taps_per_axis < 3 or self.taps_per_axis % 2 == 0:
             raise ValueError("taps_per_axis must be odd and >= 3")
         if self.taps_per_axis > MAX_TAPS:
@@ -116,7 +122,7 @@ class SmoothingKernelSpec:
         """JSON-serializable parameter record (manifests, checkpoints)."""
         out = {"variant": self.variant}
         if self.variant == WINDOWED_SINC:
-            out["taps_per_axis"] = self.taps_per_axis
+            out["taps_per_axis"] = int(self.taps_per_axis)
         elif self.variant == TRUNCATED_GAUSSIAN:
             out["sigma_factor"] = self.sigma_factor
             out["radius_factor"] = self.radius_factor

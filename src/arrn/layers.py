@@ -7,21 +7,24 @@ the block then produces a per-channel constant that the constant-rejection
 filter cancels exactly.
 
 Layers operate on batched feature maps of shape ``(batch, channels,
-*spatial)``. Depthwise convolutions keep resolution fixed and use
-edge-replication padding by default; zero padding is available only to
-construct counterexamples that violate the constancy condition.
+*spatial)``. Depthwise convolutions keep resolution fixed and replicate
+their edges, the only padding there is: a zero pad would feed zeros into
+the edge sites of a constant map, so a block would no longer map a
+constant to a constant. :func:`_pad_spatial` and its adjoint
+:func:`_unpad_fold` are the only code that knows this edge rule.
 
 A depthwise convolution over a 2-D map whose two extents are both at most
 :data:`arrn.resample.MATRIX_AXIS_MAX` runs as banded matrix products: row
 offset ``i`` of a channel's 3x3 taps is one ``(W, W)`` matrix ``M_i`` with
-the column padding folded in, and the output is ``x @ M_1`` plus ``x @
-M_0`` and ``x @ M_2`` shifted by one row, one GEMM per (sample, channel)
-slice, so a sample's output is bitwise the same in any batch. A 1-D map,
-or a 2-D map with a longer axis, runs the sum of shifted copies of its
-padded input. Per call (2-core Xeon, f64 ``(2, 16, W, W)``, median of 40,
-microseconds), matrices against the tap sum: W = 16 57 vs 174, 32 205 vs
-443, 64 973 vs 2403, 96 3551 vs 3926, 128 9172 vs 8179; on a 1-D
-``(128, 16, 64)`` f32 map the vector-matrix products lose, 482 vs 343.
+the column padding folded in, and the output is the sum of ``rows_i @
+M_i``, ``rows_i`` a window of the row-padded input, one GEMM per (sample,
+channel) slice, so a sample's output is bitwise the same in any batch. A
+1-D map, or a 2-D map with a longer axis, runs the sum of shifted copies
+of its padded input. Per call (2-core Xeon, one BLAS thread, f64 ``(2,
+16, W, W)``, median of 40, microseconds), matrices against the tap sum: W
+= 16 49 vs 195, 32 449 vs 811, 64 3984 vs 5497, 96 9596 vs 8232, 128
+18499 vs 12371; on a 1-D ``(128, 16, 64)`` f32 map the vector-matrix
+products lose, 482 vs 343.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .autodiff import (
     sub,
 )
 from .errors import NumericError, ShapeError
-from .grids import GridSpec
+from .grids import GridSpec, is_integer
 from .resample import MATRIX_AXIS_MAX
 
 BN_EPS = 1e-5
@@ -119,46 +122,39 @@ def silu_op(x: Tensor) -> Tensor:
 pointwise_conv_op = project_channels
 
 
-def _pad_spatial(values: np.ndarray, spatial_ndim: int, mode: str) -> np.ndarray:
-    """``values`` with one sample of edge replication (or zeros) around each
-    spatial axis: ``np.pad``'s result, filled by slicing into one buffer."""
-    lead = values.ndim - spatial_ndim
-    shape = values.shape[:lead] + tuple(n + 2 for n in values.shape[lead:])
+def _pad_spatial(values: np.ndarray, axes) -> np.ndarray:
+    """``values`` with one sample of edge replication at both ends of each of
+    ``axes``: ``np.pad``'s ``"edge"`` result, filled by slicing into one
+    buffer. With :func:`_unpad_fold` the only code that knows the edge rule."""
+    axes = tuple(axes)
+    shape = tuple(n + 2 * (a in axes) for a, n in enumerate(values.shape))
     out = np.empty(shape, values.dtype)
-    out[(Ellipsis,) + (slice(1, -1),) * spatial_ndim] = values
-    for a in range(spatial_ndim):  # the borders of earlier axes come along
-        rest = (slice(None),) * (spatial_ndim - 1 - a)
-        first, last = (Ellipsis, 0) + rest, (Ellipsis, -1) + rest
-        if mode == "replicate":
-            out[first] = out[(Ellipsis, 1) + rest]
-            out[last] = out[(Ellipsis, -2) + rest]
-        else:
-            out[first] = 0
-            out[last] = 0
+    inner = tuple(slice(1, -1) if a in axes else slice(None) for a in range(out.ndim))
+    out[inner] = values
+    for a in axes:  # the borders of earlier axes come along
+        out[_slice_at(out.ndim, a, 0)] = out[_slice_at(out.ndim, a, 1)]
+        out[_slice_at(out.ndim, a, -1)] = out[_slice_at(out.ndim, a, -2)]
     return out
 
 
-def _unpad_fold(gpad: np.ndarray, spatial_ndim: int, mode: str) -> np.ndarray:
+def _unpad_fold(gpad: np.ndarray, axes) -> np.ndarray:
     """Adjoint of :func:`_pad_spatial`: collapse pad borders back inward."""
     out = gpad
-    for a in range(spatial_ndim):
-        axis = out.ndim - spatial_ndim + a
-        inner = out[_slice_at(out.ndim, axis, slice(1, -1))].copy()
-        if mode == "replicate":
-            inner[_slice_at(inner.ndim, axis, 0)] += out[_slice_at(out.ndim, axis, 0)]
-            inner[_slice_at(inner.ndim, axis, -1)] += out[
-                _slice_at(out.ndim, axis, -1)
-            ]
+    for a in axes:
+        inner = out[_slice_at(out.ndim, a, slice(1, -1))].copy()
+        inner[_slice_at(inner.ndim, a, 0)] += out[_slice_at(out.ndim, a, 0)]
+        inner[_slice_at(inner.ndim, a, -1)] += out[_slice_at(out.ndim, a, -1)]
         out = inner
     return out
 
 
-def _tap_sum(values: np.ndarray, w: np.ndarray, padding: str):
+def _tap_sum(values: np.ndarray, w: np.ndarray):
     """The convolution as a sum of shifted copies of the padded input, one
     per tap, and its VJP ``g -> (gx, gw)``."""
     spatial_ndim = values.ndim - 2
     spatial = values.shape[2:]
-    padded = _pad_spatial(values, spatial_ndim, padding)
+    axes = range(2, values.ndim)
+    padded = _pad_spatial(values, axes)
     offsets = list(np.ndindex(*w.shape[1:]))
     per_channel = (1, w.shape[0]) + (1,) * spatial_ndim
 
@@ -184,80 +180,67 @@ def _tap_sum(values: np.ndarray, w: np.ndarray, padding: str):
             sl = window(off)
             gw[(slice(None),) + off] = np.einsum(f"{sites},{sites}->c", g, padded[sl])
             gpad[sl] += tap(off) * g
-        return _unpad_fold(gpad, spatial_ndim, padding), gw
+        return _unpad_fold(gpad, axes), gw
 
     return out, vjp
 
 
 @lru_cache(maxsize=64)
-def _shift_matrices(n: int, padding: str, dtype: np.dtype) -> np.ndarray:
+def _shift_matrices(n: int, dtype: np.dtype) -> np.ndarray:
     """Read-only ``(3, n, n)`` 0/1 matrices ``S``: ``(row @ S[t])[k]`` is
-    ``row[k + t - 1]``, the edge sample (replicate) or 0 (zero) beyond."""
-    sites = np.arange(n)
-    out = np.zeros((3, n, n), dtype)
-    for t in range(3):
-        src = sites + t - 1
-        if padding == "replicate":
-            src = np.clip(src, 0, n - 1)
-        keep = (src >= 0) & (src < n)
-        out[t, src[keep], sites[keep]] = 1
+    ``row[k + t - 1]`` with the row's edges padded, the column windows of
+    the padded identity."""
+    padded = _pad_spatial(np.eye(n, dtype=dtype), (1,))
+    out = np.stack([padded[:, t : t + n] for t in range(3)])
     out.flags.writeable = False
     return out
 
 
-def _add_row_shift(
-    out: np.ndarray, z: np.ndarray, step: int, padding: str, adjoint: bool = False
-) -> None:
-    """``out += T z`` in place, ``T`` the shift ``(T z)[y] = z[y + step]`` by
-    ``step = -1`` or ``+1`` rows, the edge row (replicate) or 0 (zero) beyond
-    the edge; ``out += T.T z`` with ``adjoint``."""
-    if (step < 0) != adjoint:
-        out[..., 1:, :] += z[..., :-1, :]
-    else:
-        out[..., :-1, :] += z[..., 1:, :]
-    if padding == "replicate":
-        edge = 0 if step < 0 else -1
-        out[..., edge, :] += z[..., edge, :]
-
-
-def _banded_rows(values: np.ndarray, w: np.ndarray, padding: str):
+def _banded_rows(values: np.ndarray, w: np.ndarray):
     """A 2-D convolution as banded matrix products, and its VJP.
 
     Row offset ``i`` of the taps becomes one ``(W, W)`` matrix per channel,
     ``M[c, i] = sum_t w[c, i, t] S[t]`` (:func:`_shift_matrices`), which holds
-    the row's three taps with the column edges folded in. The output is
-    ``x @ M[:, 1]`` plus ``x @ M[:, i]`` shifted ``i - 1`` rows for ``i`` in
-    0 and 2 (:func:`_add_row_shift`): one GEMM per (sample, channel) slice.
+    the row's three taps with the column edges folded in. The output is the
+    sum over ``i`` of ``rows_i @ M[:, i]``, ``rows_i`` the window of rows
+    ``i : i + H`` of the row-padded input: one GEMM per (sample, channel)
+    slice. The VJP scatters ``g @ M[:, i].T`` into a row-padded gradient
+    and folds its borders back (:func:`_unpad_fold`). The matrices are built
+    one offset at a time, in the forward pass and again in the VJP, so a
+    call holds one offset's matrices next to the padded rows and the graph
+    keeps neither.
     """
     channels, height, width = w.shape[0], values.shape[-2], values.shape[-1]
-    shifts = _shift_matrices(width, padding, np.result_type(values, w)).reshape(3, -1)
-    mats = (w.reshape(-1, 3) @ shifts).reshape(channels, 3, width, width)
-    out = values @ mats[:, 1]
-    for i in (0, 2):
-        _add_row_shift(out, values @ mats[:, i], i - 1, padding)
+    shifts = _shift_matrices(width, np.result_type(values, w)).reshape(3, -1)
+
+    def band(i):  # M[:, i], (channels, W, W)
+        return (w[:, i] @ shifts).reshape(channels, width, width)
+
+    rows = _pad_spatial(values, (2,))
+    out = rows[..., :height, :] @ band(0)
+    for i in (1, 2):
+        out += rows[..., i : i + height, :] @ band(i)
 
     def vjp(g):
-        tmats = mats.swapaxes(-1, -2)
-        gx = g @ tmats[:, 1]
-        for i in (0, 2):
-            _add_row_shift(gx, g @ tmats[:, i], i - 1, padding, adjoint=True)
-        # (B, C, W, H + 2): the input's rows shifted i - 1, transposed, at
-        # [..., i : i + H]; their products with g, summed over the batch, are
-        # the gradients of the matrices M[:, i].
-        rows = _pad_spatial(values.swapaxes(-1, -2), 1, padding)
+        # -0.0 is the exact additive identity: a sum keeps the sign of a zero.
+        gpad = np.full(g.shape[:2] + (height + 2, width), -0.0, g.dtype)
+        for i in range(3):
+            gpad[..., i : i + height, :] += g @ band(i).swapaxes(-1, -2)
+        # The products of the input's row windows with g, summed over the
+        # batch, are the gradients of the matrices M[:, i].
+        rows = _pad_spatial(values, (2,)).swapaxes(-1, -2)
         grams = np.stack(
             [(rows[..., i : i + height] @ g).sum(axis=0) for i in range(3)], axis=1
         )
         gw = (grams.reshape(3 * channels, -1) @ shifts.T).reshape(w.shape)
-        return gx, gw
+        return _unpad_fold(gpad, (2,)), gw
 
     return out, vjp
 
 
-def depthwise_conv_op(
-    x: Tensor, weight: Tensor, bias: Tensor | None, padding: str = "replicate"
-) -> Tensor:
-    """Per-channel 3-tap (1-D) or 3x3 (2-D) convolution, stride 1.
+def depthwise_conv_op(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """Per-channel 3-tap (1-D) or 3x3 (2-D) convolution, stride 1, with
+    replicated edges.
 
     A 2-D map whose extents are both at most :data:`MATRIX_AXIS_MAX` runs
     as banded matrix products (:func:`_banded_rows`), any other map as a sum
@@ -268,7 +251,7 @@ def depthwise_conv_op(
     # Sites over the batch, channels, and taps per channel.
     macs.add_macs(macs.depthwise_macs(x.values[:, 0].size, w.shape[0], w[0].size))
     banded = spatial_ndim == 2 and max(x.values.shape[2:]) <= MATRIX_AXIS_MAX
-    out, conv_vjp = (_banded_rows if banded else _tap_sum)(x.values, w, padding)
+    out, conv_vjp = (_banded_rows if banded else _tap_sum)(x.values, w)
     if bias is not None:
         out += bias.values.reshape((1, -1) + (1,) * spatial_ndim)
 
@@ -402,22 +385,16 @@ class PointwiseConv:
 class DepthwiseConv:
     """Per-channel convolution, kernel extent 3 per spatial axis, stride 1."""
 
-    def __init__(
-        self, channels: int, dims: int, rng, dtype=np.float64,
-        padding: str = "replicate", name="",
-    ):
-        if padding not in ("replicate", "zero"):
-            raise ValueError(f"unsupported padding {padding!r}")
+    def __init__(self, channels: int, dims: int, rng, dtype=np.float64, name=""):
         taps = (3,) * dims
         fan_in = prod(taps)
-        self.padding = padding
         self.weight = Parameter(
             _uniform(rng, (channels,) + taps, fan_in, dtype), f"{name}.w"
         )
         self.bias = Parameter(np.zeros(channels, dtype=dtype), f"{name}.b", decay=False)
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
-        return depthwise_conv_op(x, self.weight, self.bias, self.padding)
+        return depthwise_conv_op(x, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -478,7 +455,7 @@ class Dropout:
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
+        self.p = float(p)
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
         if mode != TRAIN or self.p == 0.0:
@@ -504,23 +481,29 @@ class InnerBlockSpec:
     features: int
     expansion: int = 2
     depth: int = 1
-    padding: str = "replicate"
 
     def __post_init__(self):
-        if self.features < 1 or self.expansion < 1 or self.depth < 1:
-            raise ValueError("features, expansion, and depth must be positive")
+        for name in ("features", "expansion", "depth"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     def describe(self) -> dict:
+        # ARNN1 block records name the edge rule; replication is the only one.
         return {
-            "features": self.features,
-            "expansion": self.expansion,
-            "depth": self.depth,
-            "padding": self.padding,
+            "features": int(self.features),
+            "expansion": int(self.expansion),
+            "depth": int(self.depth),
+            "padding": "replicate",
         }
 
     @classmethod
     def from_description(cls, desc: dict) -> "InnerBlockSpec":
-        return cls(**desc)
+        fields = dict(desc)
+        padding = fields.pop("padding", None)
+        if padding != "replicate":
+            raise ValueError(f"block padding must be 'replicate', got {padding!r}")
+        return cls(**fields)
 
 
 class InnerBlock:
@@ -536,10 +519,7 @@ class InnerBlock:
             layers += [
                 BatchNorm(wide, dtype, name=f"{name}.bn{2 * i}"),
                 SiLU(),
-                DepthwiseConv(
-                    wide, dims, rng, dtype, padding=spec.padding,
-                    name=f"{name}.dw{i}",
-                ),
+                DepthwiseConv(wide, dims, rng, dtype, name=f"{name}.dw{i}"),
                 BatchNorm(wide, dtype, name=f"{name}.bn{2 * i + 1}"),
                 SiLU(),
                 PointwiseConv(

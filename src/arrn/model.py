@@ -182,7 +182,6 @@ class ArrnModel:
         self.classes = classes
         self.expansion = expansion
         self.depth = depth
-        self.head_dropout = head_dropout
         self.dtype = np.dtype(dtype)
 
         bound = 1.0 / np.sqrt(input_features)
@@ -219,6 +218,10 @@ class ArrnModel:
         )
         self.skipped: list[LaplacianResidual] = []  # a cast's omitted prefix
         self.version = 0  # never changes; the benchmark tracer reads it
+
+    @property
+    def head_dropout(self) -> float:
+        return self.head.dropout.p
 
     # -- parameters and state ------------------------------------------------
 

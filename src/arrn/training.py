@@ -47,8 +47,11 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        if self.dropout is not None and not is_probability(self.dropout):
-            raise ValueError("dropout probability must lie in [0, 1]")
+            object.__setattr__(self, name, float(value))  # numpy floats save as JSON
+        if self.dropout is not None:
+            if not is_probability(self.dropout):
+                raise ValueError("dropout probability must lie in [0, 1]")
+            object.__setattr__(self, "dropout", float(self.dropout))
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
 

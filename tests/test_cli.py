@@ -23,6 +23,18 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def rewrite_manifest(src, dst, edit):
+    """Copy the ARNN1 file ``src`` (magic, u32 manifest length, manifest,
+    blob) to ``dst`` with its manifest edited in place by ``edit``."""
+    raw = src.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 6)
+    manifest = json.loads(raw[10 : 10 + length])
+    edit(manifest)
+    header = json.dumps(manifest).encode()
+    dst.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header
+                    + raw[10 + length :])
+
+
 @pytest.fixture
 def noise_signal(tmp_path):
     rng = np.random.default_rng(3)
@@ -365,16 +377,29 @@ class TestTrainEval:
     def test_checkpoint_dropout_field_unlike_a_flag_exits_2(
         self, tmp_path, trained, dropout
     ):
-        # ARNN1: magic, u32 manifest length, manifest, blob.
-        raw = trained[1].read_bytes()
-        (length,) = struct.unpack_from("<I", raw, 6)
-        manifest = json.loads(raw[10 : 10 + length])
-        header = json.dumps({**manifest, "dropout": dropout}).encode()
         bad = tmp_path / "bad.arnn"
-        bad.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header
-                        + raw[10 + length :])
+        rewrite_manifest(trained[1], bad, lambda m: m.update(dropout=dropout))
         out = tmp_path / "s.csv"
         assert run("eval", "--checkpoint", bad, "--resolutions", "64,32",
+                   "--classes", "3", "--samples-per-class", "16",
+                   "--data-seed", "1", "--out", out, "--no-timing") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("padding", ["zero", None], ids=["zero", "missing"])
+    def test_checkpoint_block_padding_other_than_replicate_exits_2(
+        self, tmp_path, trained, padding
+    ):
+        # Depthwise convolutions replicate their edges; a record that names
+        # another rule, or none, describes no model arrn can build.
+        def edit(manifest):
+            for block in manifest["blocks"]:
+                del block["padding"]
+                if padding is not None:
+                    block["padding"] = padding
+
+        bad, out = tmp_path / "bad.arnn", tmp_path / "s.csv"
+        rewrite_manifest(trained[1], bad, edit)
+        assert run("eval", "--checkpoint", bad, "--resolutions", "64",
                    "--classes", "3", "--samples-per-class", "16",
                    "--data-seed", "1", "--out", out, "--no-timing") == 2
         assert not out.exists()
@@ -482,6 +507,18 @@ def test_rejected_train_value_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_input_features_shape_the_generated_dataset(tmp_path):
+    ckpt = tmp_path / "model.arnn"
+    assert run(*TINY_TRAIN, "--input-features", "2", "--out", ckpt) == 0
+    model, manifest = load_checkpoint(ckpt)
+    assert model.input_features == 2
+    assert manifest["extra"]["dataset"]["features"] == 2
+    # eval generates its test split with the checkpoint's input features.
+    assert run("eval", "--checkpoint", ckpt, "--resolutions", "16,8",
+               "--samples-per-class", "4", "--out", tmp_path / "s.csv",
+               "--no-timing") == 0
+
+
 def test_zero_dropout_checkpoint_evaluates_as_dropout_off(tmp_path):
     ckpt, sweep = tmp_path / "model.arnn", tmp_path / "sweep.csv"
     assert run(*TINY_TRAIN, "--dropout", "0", "--out", ckpt) == 0
@@ -505,8 +542,13 @@ def test_stored_dropout_probability_sets_the_eval_label(tmp_path, dropout, label
 
 
 def test_input_features_unlike_the_data_exits_3(tmp_path, capsys):
-    out = tmp_path / "model.arnn"
-    assert run(*TINY_TRAIN, "--input-features", "2", "--out", out) == 3
+    # A dataset cache is used as is: one-feature inputs for a two-feature model.
+    cache, ckpt, out = tmp_path / "cache", tmp_path / "model.arnn", tmp_path / "s.csv"
+    assert run(*TINY_TRAIN, "--data-cache", cache, "--out", tmp_path / "one.arnn") == 0
+    assert run(*TINY_TRAIN, "--input-features", "2", "--out", ckpt) == 0
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--resolutions", "16,8",
+               "--data-cache", cache, "--out", out) == 3
     assert capsys.readouterr().err.startswith("shape error:")
     assert not out.exists()
 
@@ -772,7 +814,7 @@ def test_rejected_model_leaves_an_existing_cache_as_is(tmp_path, capsys):
     before = {p.name: p.read_bytes() for p in cache.iterdir()}
     ckpt.unlink()
     capsys.readouterr()
-    assert run(*TINY_TRAIN, "--input-features", "0", "--data-cache", cache,
+    assert run(*TINY_TRAIN, "--expansion", "0", "--data-cache", cache,
                "--out", ckpt) == 64
     assert capsys.readouterr().err.startswith("usage error:")
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == before

@@ -120,17 +120,26 @@ class TestPointwiseConv:
 
 
 class TestPadSpatial:
-    @pytest.mark.parametrize("padding", ["replicate", "zero"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dims", [1, 2])
-    def test_equals_np_pad_bitwise(self, dims, dtype, padding):
-        mode = "edge" if padding == "replicate" else "constant"
+    @pytest.mark.parametrize(
+        "dims, axes", [(1, (2,)), (2, (2, 3)), (2, (2,)), (2, (3,))],
+        ids=["1", "2", "2-rows", "2-columns"],
+    )
+    def test_equals_np_pad_bitwise(self, dims, axes, dtype):
         for extents in itertools.product(range(1, 5), repeat=dims):
             x = rng_for(sum(extents)).standard_normal((2, 3) + extents).astype(dtype)
-            out = _pad_spatial(x, dims, padding)
-            expected = np.pad(x, [(0, 0)] * 2 + [(1, 1)] * dims, mode=mode)
+            out = _pad_spatial(x, axes)
+            widths = [(1, 1) if a in axes else (0, 0) for a in range(x.ndim)]
+            expected = np.pad(x, widths, mode="edge")
             assert out.dtype == dtype and out.shape == expected.shape
             assert out.tobytes() == expected.tobytes(), extents
+
+    @pytest.mark.parametrize("axes", [(2,), (2, 3), (3,)])
+    def test_unpad_fold_is_the_adjoint(self, axes):
+        x = rng_for(36).standard_normal((2, 3, 4, 5))
+        y = rng_for(37).standard_normal(_pad_spatial(x, axes).shape)
+        lhs = np.vdot(_pad_spatial(x, axes), y)
+        assert lhs == pytest.approx(np.vdot(x, layers._unpad_fold(y, axes)), rel=1e-12)
 
 
 class TestDepthwiseConv:
@@ -142,15 +151,14 @@ class TestDepthwiseConv:
         params = [x, layer.weight, layer.bias]
         assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
 
-    @pytest.mark.parametrize("padding", ["replicate", "zero"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("extents", [(5,), (5, 5), (65, 3)], ids=["1", "2", "65x3"])
-    def test_forward_equals_the_tap_sum(self, extents, dtype, padding):
+    def test_forward_equals_the_tap_sum(self, extents, dtype):
         dims = len(extents)
-        layer = DepthwiseConv(3, dims, rng_for(20), dtype=dtype, padding=padding)
+        layer = DepthwiseConv(3, dims, rng_for(20), dtype=dtype)
         layer.bias.assign(rng_for(21).standard_normal(3))
         x = rng_for(22).standard_normal((2, 3) + extents).astype(dtype)
-        expected = tap_sum(layer.weight.values, layer.bias.values, x, padding)
+        expected = tap_sum(layer.weight.values, layer.bias.values, x, "replicate")
         out = layer.forward(Tensor(x)).values
         if not banded(extents):
             np.testing.assert_array_equal(out, expected)
@@ -158,23 +166,20 @@ class TestDepthwiseConv:
         # The banded matrix products sum in another order: each output lies
         # within 8 eps of the magnitudes it sums, against an f64 tap sum.
         w, b = layer.weight.values.astype(np.float64), layer.bias.values
-        exact = tap_sum(w, b.astype(np.float64), x.astype(np.float64), padding)
+        exact = tap_sum(w, b.astype(np.float64), x.astype(np.float64), "replicate")
         scale = tap_sum(np.abs(w), np.abs(b).astype(np.float64),
-                        np.abs(x).astype(np.float64), padding)
+                        np.abs(x).astype(np.float64), "replicate")
         assert out.dtype == dtype
         assert np.all(np.abs(out - exact) <= 8 * np.finfo(dtype).eps * scale)
 
-    @pytest.mark.parametrize("padding", ["replicate", "zero"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "extents", [(1, 1), (1, 5), (5, 1), (6, 4), (24, 16), (64, 64)],
         ids=lambda e: "x".join(map(str, e)),
     )
-    def test_banded_sample_is_bitwise_the_same_in_any_batch(
-        self, extents, dtype, padding
-    ):
+    def test_banded_sample_is_bitwise_the_same_in_any_batch(self, extents, dtype):
         assert banded(extents)
-        layer = DepthwiseConv(3, 2, rng_for(25), dtype=dtype, padding=padding)
+        layer = DepthwiseConv(3, 2, rng_for(25), dtype=dtype)
         layer.bias.assign(rng_for(26).standard_normal(3))
         x = rng_for(27).standard_normal((5, 3) + extents).astype(dtype)
         whole = layer.forward(Tensor(x)).values
@@ -193,48 +198,46 @@ class TestDepthwiseConv:
         layer.forward(Tensor(rng_for(29).standard_normal((1, 2) + extents)))
         assert len(calls) == banded(extents)
 
-    def test_gradcheck_zero_padding(self):
-        layer = DepthwiseConv(2, 1, rng_for(10), padding="zero")
-        x = Parameter(rng_for(11).standard_normal((1, 2, 5)))
-        params = [x, layer.weight, layer.bias]
-        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
-
-    @pytest.mark.parametrize("padding", ["replicate", "zero"])
     @pytest.mark.parametrize(
         "extents", [(6, 4), (3, 5), (1, 4), (4, 1), (65, 3)],
         ids=lambda e: "x".join(map(str, e)),
     )
-    def test_gradcheck_2d(self, extents, padding):
-        layer = DepthwiseConv(2, 2, rng_for(30), padding=padding)
+    def test_gradcheck_2d(self, extents):
+        layer = DepthwiseConv(2, 2, rng_for(30))
         layer.bias.assign(rng_for(31).standard_normal(2))
         x = Parameter(rng_for(32).standard_normal((2, 2) + extents))
         params = [x, layer.weight, layer.bias]
         assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
 
-    @pytest.mark.parametrize("padding", ["replicate", "zero"])
     @pytest.mark.parametrize("extents", [(1, 1), (7, 5), (16, 24)])
-    def test_banded_vjp_equals_the_tap_vjp(self, extents, padding):
+    def test_banded_vjp_equals_the_tap_vjp(self, extents):
         rng = rng_for(33)
         x = rng.standard_normal((3, 4) + extents)
         w = rng.standard_normal((4, 3, 3))
         g = rng.standard_normal(x.shape)
-        out, vjp = layers._banded_rows(x, w, padding)
-        tap_out, tap_vjp = layers._tap_sum(x, w, padding)
+        out, vjp = layers._banded_rows(x, w)
+        tap_out, tap_vjp = layers._tap_sum(x, w)
         np.testing.assert_allclose(out, tap_out, rtol=0, atol=1e-13)
         for got, want in zip(vjp(g), tap_vjp(g)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_shift_matrices_are_cached_and_read_only(self):
-        s = layers._shift_matrices(4, "replicate", np.dtype(np.float64))
-        assert s is layers._shift_matrices(4, "replicate", np.dtype(np.float64))
+        s = layers._shift_matrices(4, np.dtype(np.float64))
+        assert s is layers._shift_matrices(4, np.dtype(np.float64))
         assert not s.flags.writeable
         row = np.arange(1.0, 5.0)
         np.testing.assert_array_equal(np.stack([row @ m for m in s]),
                                       [[1, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 4]])
-        zero = layers._shift_matrices(4, "zero", np.dtype(np.float64))
-        np.testing.assert_array_equal(np.stack([row @ m for m in zero]),
-                                      [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_shift_matrices_are_windows_of_the_edge_padded_identity(self, n):
+        for dtype in (np.float32, np.float64):
+            s = layers._shift_matrices(n, np.dtype(dtype))
+            padded = np.pad(np.eye(n, dtype=dtype), [(0, 0), (1, 1)], mode="edge")
+            assert s.dtype == dtype and s.shape == (3, n, n)
+            for t in range(3):
+                assert s[t].tobytes() == padded[:, t : t + n].tobytes(), (dtype, t)
 
     def test_replicate_padding_preserves_constancy(self):
         layer = DepthwiseConv(2, 2, rng_for(12))
@@ -426,11 +429,20 @@ class TestZeroConstancy:
         assert ok, f"deviation {dev}"
 
     def test_zero_padded_conv_fails_on_nonzero_bias(self):
-        # A replicated conv with nonzero bias feeds a constant into the
-        # zero-padded conv, whose edges then see injected zeros.
-        block = InnerBlock(
-            InnerBlockSpec(2, expansion=1, depth=2, padding="zero"), 1, rng_for(34)
-        )
+        # A pointwise conv with nonzero bias feeds a constant into a
+        # zero-padded depthwise conv, whose edges then see injected zeros.
+        # arrn pads only by replication, so the counterexample is built here.
+        class ZeroPaddedConv(DepthwiseConv):
+            def forward(self, x, mode="eval", rng=None):
+                w, b = self.weight.values, self.bias.values
+                return Tensor(tap_sum(w, b, x.values, "zero"))
+
+        block = InnerBlock(InnerBlockSpec(2, expansion=1, depth=2), 1, rng_for(34))
+        block.layers = [
+            ZeroPaddedConv(2, 1, rng_for(34)) if isinstance(layer, DepthwiseConv)
+            else layer
+            for layer in block.layers
+        ]
         self._randomize(block, 35)
         block.layers[0].bias.assign(np.array([0.7, -0.4]))
         ok, dev = zero_constancy_check(block, GridSpec((8,)), 2)

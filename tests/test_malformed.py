@@ -161,11 +161,24 @@ def test_hostile_manifest_value_loads_or_is_a_format_error(
 # Values a reader must refuse rather than load as something else.
 # ---------------------------------------------------------------------------
 
+def _blocks(**fields):
+    """The block records of :func:`_make_checkpoint`'s model with ``fields``
+    set; a field set to ``None`` is left out."""
+    records = [{"features": width, "expansion": 2, "depth": 1,
+                "padding": "replicate", **fields} for width in (4, 8)]
+    return [{k: v for k, v in r.items() if v is not None} for r in records]
+
+
 REFUSED = [
     ("checkpoint", "input_features", 1.5),  # int() would load a 1-channel model
     ("checkpoint", "input_features", True),
     ("checkpoint", "classes", 1.5),
     ("checkpoint", "classes", True),
+    ("checkpoint", "blocks", _blocks(padding="zero")),
+    ("checkpoint", "blocks", _blocks(padding=None)),
+    ("checkpoint", "blocks", _blocks(expansion=True)),
+    ("checkpoint", "blocks", _blocks(depth=1.0)),
+    ("checkpoint", "kernel", {"variant": "windowed_sinc", "taps_per_axis": 9.5}),
     ("dataset", "spec.level_extents", [[64], [30], [16]]),
     ("dataset", "spec.samples_per_class", 1.5),
     ("dataset", "spec.seed", 1.5),

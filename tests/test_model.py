@@ -1218,3 +1218,12 @@ def test_count_that_is_no_integer_is_rejected(field, value):
     with pytest.raises(ValueError, match="must be integers"):
         ArrnModel(LADDER, features=(2, 2, 2), kernel=PERFECT,
                   rng=np.random.default_rng(0), **counts)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("expansion", 2.5), ("expansion", True), ("depth", 1.0), ("depth", 0),
+])
+def test_block_count_that_is_no_positive_integer_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        ArrnModel(LADDER, 1, (2, 2, 2), 4, PERFECT, np.random.default_rng(0),
+                  **{field: value})

@@ -7,6 +7,7 @@ periodic-sinc (Dirichlet) interpolation formula, and a double-loop
 circular convolution.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -209,6 +210,15 @@ class TestKernels:
             SmoothingKernelSpec(variant="boxcar")
         with pytest.raises(ValueError):
             SmoothingKernelSpec.truncated_gaussian(sigma_factor=-1.0)
+
+    @pytest.mark.parametrize("taps", [9.5, 9.0, True])
+    def test_tap_count_that_is_no_integer_is_rejected(self, taps):
+        with pytest.raises(ValueError, match="taps_per_axis must be an integer"):
+            SmoothingKernelSpec.windowed_sinc(taps)
+
+    def test_numpy_tap_count_is_described_as_a_plain_int(self):
+        desc = SmoothingKernelSpec.windowed_sinc(np.int64(9)).describe()
+        assert json.dumps(desc) == '{"variant": "windowed_sinc", "taps_per_axis": 9}'
 
     @pytest.mark.parametrize("fields", [
         {"variant": "windowed_sinc", "taps_per_axis": MAX_TAPS + 2},

@@ -147,6 +147,21 @@ class TestTrain:
     def test_zero_optimiser_settings_allowed(self):
         TrainConfig(learning_rate=0.0, min_learning_rate=0.0, weight_decay=0.0)
 
+    @pytest.mark.parametrize("field", [
+        "learning_rate", "min_learning_rate", "weight_decay", "dropout",
+    ])
+    def test_numpy_float_setting_is_stored_as_a_float(self, field):
+        config = TrainConfig(**{field: np.float32(0.25)})
+        assert type(getattr(config, field)) is float
+        assert json.loads(json.dumps(config.describe()))[field] == 0.25
+
+    def test_numpy_float_head_dropout_saves(self, tmp_path):
+        model = ArrnModel(ResolutionLadder.from_extents([16, 8]), 1, (2, 2), 2,
+                          SmoothingKernelSpec.perfect(), np.random.default_rng(0),
+                          head_dropout=np.float32(0.25))
+        assert type(model.head_dropout) is float
+        save_checkpoint(tmp_path / "model.arnn", model)
+
     @pytest.mark.parametrize("shape", [(4, 2, 64), (4, 1, 32), (4, 64)])
     def test_inputs_unlike_the_model_rejected(self, shape):
         model = build_model()
