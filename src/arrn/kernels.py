@@ -49,7 +49,8 @@ class SmoothingKernelSpec:
     at most :data:`MAX_TAPS` taps per axis at factor 1, so
     ``taps_per_axis <= MAX_TAPS`` and
     ``radius_factor * sigma_factor <= (MAX_TAPS - 1) / 2``; every field is
-    checked, also those the variant does not use.
+    checked, also those the variant does not use. A numpy scalar is stored
+    as the Python number it holds, a Python number as given.
     """
 
     variant: str = PERFECT
@@ -58,6 +59,10 @@ class SmoothingKernelSpec:
     radius_factor: float = 2.0
 
     def __post_init__(self):
+        for name in ("taps_per_axis", "sigma_factor", "radius_factor"):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):  # numpy scalars save as JSON
+                object.__setattr__(self, name, value.item())
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if not is_integer(self.taps_per_axis):

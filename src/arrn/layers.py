@@ -13,18 +13,22 @@ the edge sites of a constant map, so a block would no longer map a
 constant to a constant. :func:`_pad_spatial` and its adjoint
 :func:`_unpad_fold` are the only code that knows this edge rule.
 
-A depthwise convolution over a 2-D map whose two extents are both at most
-:data:`arrn.resample.MATRIX_AXIS_MAX` runs as banded matrix products: row
-offset ``i`` of a channel's 3x3 taps is one ``(W, W)`` matrix ``M_i`` with
-the column padding folded in, and the output is the sum of ``rows_i @
-M_i``, ``rows_i`` a window of the row-padded input, one GEMM per (sample,
-channel) slice, so a sample's output is bitwise the same in any batch. A
-1-D map, or a 2-D map with a longer axis, runs the sum of shifted copies
-of its padded input. Per call (2-core Xeon, one BLAS thread, f64 ``(2,
-16, W, W)``, median of 40, microseconds), matrices against the tap sum: W
-= 16 49 vs 195, 32 449 vs 811, 64 3984 vs 5497, 96 9596 vs 8232, 128
-18499 vs 12371; on a 1-D ``(128, 16, 64)`` f32 map the vector-matrix
-products lose, 482 vs 343.
+A depthwise convolution over a map whose extents are all at most
+:data:`arrn.resample.MATRIX_AXIS_MAX` runs as banded matrix products. On
+a 2-D map, row offset ``i`` of a channel's 3x3 taps is one ``(W, W)``
+matrix ``M_i`` with the column padding folded in, and the output is the
+sum of ``rows_i @ M_i``, ``rows_i`` a window of the row-padded input, one
+GEMM per (sample, channel) slice. On a 1-D map a channel's three taps are
+one ``(n, n)`` matrix, and its rows are multiplied on fixed tiles of
+:data:`arrn.resample.ROW_TILE` rows (:func:`arrn.resample.tiled_rows`),
+the batch completed with zero rows: one product over the whole batch
+would let BLAS choose its kernel by the row count. Either way a sample's
+output is bitwise the same in any batch. A map with a longer axis runs
+the sum of shifted copies of its padded input. Per call (2-core Xeon, one
+BLAS thread, median of 40, microseconds), matrices against the tap sum:
+f64 ``(2, 16, W, W)``, W = 16 49 vs 195, 32 449 vs 811, 64 3984 vs 5497,
+96 9596 vs 8232, 128 18499 vs 12371; f32 ``(B, 16, 64)``, B = 1 42 vs 37,
+16 37 vs 65, 128 178 vs 415, 256 273 vs 939.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .autodiff import (
 )
 from .errors import NumericError, ShapeError
 from .grids import GridSpec, is_integer
-from .resample import MATRIX_AXIS_MAX
+from .resample import MATRIX_AXIS_MAX, tiled_rows
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -238,20 +242,55 @@ def _banded_rows(values: np.ndarray, w: np.ndarray):
     return out, vjp
 
 
+def _banded_tiles(values: np.ndarray, w: np.ndarray):
+    """A 1-D convolution as banded matrix products on row tiles, and its VJP.
+
+    Channel ``c`` becomes one ``(n, n)`` matrix ``M[c] = sum_t w[c, t]
+    S[t]`` (:func:`_shift_matrices`), which holds its three taps with the
+    edges folded in, and the output is ``values[:, c] @ M[c]``, run by
+    :func:`arrn.resample.tiled_rows` so that a sample's output is bitwise
+    the same in any batch. The VJP runs the same tiles with ``M.T`` and
+    contracts the per-channel products ``values[:, c].T @ g[:, c]``, the
+    gradients of the matrices, with the ``S[t]`` for the taps. The VJP
+    builds ``M.T`` anew from the transposed ``S[t]``, so the graph keeps no
+    matrix, and its products take contiguous operands: a transposed view
+    of ``M`` made them twice as slow in f32.
+    """
+    channels, width = w.shape[0], values.shape[-1]
+    shifts = _shift_matrices(width, np.result_type(values, w))
+
+    def band(s):  # sum_t w[:, t] s[t], (channels, n, n)
+        return (w @ s.reshape(3, -1)).reshape(channels, width, width)
+
+    out = tiled_rows(values, band(shifts))
+
+    def vjp(g):
+        gx = tiled_rows(g, band(shifts.swapaxes(1, 2)))
+        grams = values.transpose(1, 2, 0) @ g.transpose(1, 0, 2)
+        return gx, grams.reshape(channels, -1) @ shifts.reshape(3, -1).T
+
+    return out, vjp
+
+
 def depthwise_conv_op(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     """Per-channel 3-tap (1-D) or 3x3 (2-D) convolution, stride 1, with
     replicated edges.
 
-    A 2-D map whose extents are both at most :data:`MATRIX_AXIS_MAX` runs
-    as banded matrix products (:func:`_banded_rows`), any other map as a sum
-    of shifted copies (:func:`_tap_sum`); both count ``taps`` MACs per site.
+    A map whose extents are all at most :data:`MATRIX_AXIS_MAX` runs as
+    banded matrix products, a 1-D one on row tiles (:func:`_banded_tiles`),
+    a 2-D one per (sample, channel) slice (:func:`_banded_rows`); any other
+    map runs as a sum of shifted copies (:func:`_tap_sum`). All count
+    ``taps`` MACs per site.
     """
     spatial_ndim = x.values.ndim - 2
     w = weight.values  # (channels, 3[, 3])
     # Sites over the batch, channels, and taps per channel.
     macs.add_macs(macs.depthwise_macs(x.values[:, 0].size, w.shape[0], w[0].size))
-    banded = spatial_ndim == 2 and max(x.values.shape[2:]) <= MATRIX_AXIS_MAX
-    out, conv_vjp = (_banded_rows if banded else _tap_sum)(x.values, w)
+    if max(x.values.shape[2:]) > MATRIX_AXIS_MAX:
+        conv = _tap_sum
+    else:
+        conv = _banded_tiles if spatial_ndim == 1 else _banded_rows
+    out, conv_vjp = conv(x.values, w)
     if bias is not None:
         out += bias.values.reshape((1, -1) + (1,) * spatial_ndim)
 

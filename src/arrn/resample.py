@@ -28,16 +28,15 @@ axis, each mapping real samples to real samples. An axis of at most
 ``n_in x n_out`` matrix, built once in f64 per kernel, extents and dtype
 and cached read-only: the perfect kernel's by one real transform pair on
 the identity, an approximate kernel's as the circulant of its taps, every
-``f``-th column kept for a decimation by ``f``. The last axis is a
-product ``x @ M`` and the one before it ``M.T @ x``, one matrix product
-per trailing 2-D slice. On a 2-D grid, or on a 1-D grid with a channel
-axis, such a slice lies within one sample, so a sample's result is the
-same bit for bit whatever batch it is in; a 1-D ``(batch, n)`` stack is
-one slice, whose rows share one matrix product. The adjoint is the
-transpose ``M.T``. A longer axis runs one ``scipy.fft.rfft``/``irfft``
-pass (the band scales ``m/n`` and ``n/m`` carried by the transforms'
-normalisation) or one ``scipy.ndimage.convolve1d``; scipy is imported
-only there.
+``f``-th column kept for a decimation by ``f``. On a 2-D grid the last
+axis is a product ``x @ M`` and the one before it ``M.T @ x``, one matrix
+product per trailing 2-D slice, which lies within one sample. On a 1-D
+grid every row is multiplied alone, on the fixed row tiles of
+:func:`tiled_rows`. On either grid a sample's result is the same bit for
+bit whatever batch it is in. The adjoint is the transpose ``M.T``. A
+longer axis runs one ``scipy.fft.rfft``/``irfft`` pass (the band scales
+``m/n`` and ``n/m`` carried by the transforms' normalisation) or one
+``scipy.ndimage.convolve1d``; scipy is imported only there.
 
 Every low-pass, downsample, resampling and adjoint is one call of one
 band operator, which takes the kernel spec, checks an approximate
@@ -74,12 +73,49 @@ _PERFECT = SmoothingKernelSpec.perfect()
 # product of m * n * k > 2**18 multiplies over threads, and those stall on a
 # loaded machine: a 256x256 decompose, whose 128-point axes are 128^3
 # products, read 32 ms in 2 of 40 processes against 1.6-3.0 ms otherwise.
-# At 64 the products of a 2-D map of up to 64x64, or of a 1-D one of up to 64
-# channels, stay on the calling thread; 64 is also the longest axis the
+# At 64 the products of a 2-D map of up to 64x64, and the row tiles of a 1-D
+# one, stay on the calling thread; 64 is also the longest axis the
 # benchmark workloads run. Its second user, `layers.depthwise_conv_op`, runs
-# a 2-D map of at most 64x64 as banded (W, W) matrix products, which beat its
-# tap sum 2.5x at 64 but only 1.1x at 96 and 0.9x at 128 (f64, (2, 16, W, W)).
+# a map whose axes are all at most 64 as banded (n, n) matrix products: on a
+# 2-D map they beat its tap sum 2.5x at 64 but only 1.1x at 96 and 0.9x at
+# 128 (f64, (2, 16, W, W)); a 1-D map runs them on the row tiles below.
 MATRIX_AXIS_MAX = 64
+
+# Rows per product of `tiled_rows`: a one-row batch pays for 16 rows, and a
+# batch of B rows makes ceil(B / 16) BLAS calls per channel.
+ROW_TILE = 16
+
+
+def tiled_rows(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``out[b, c] = x[b, c] @ mats[c]`` for ``x`` of shape ``(B, C, n)`` and
+    ``mats`` of shape ``(C, n, k)``, every product of one fixed shape.
+
+    The batch is cut into tiles of :data:`ROW_TILE` rows, the last one
+    completed with zero rows, and each product is one ``(ROW_TILE, n) @
+    (n, k)`` GEMM over one channel of one tile. A row's result is then
+    bitwise the same in any batch. One product over the whole batch is
+    not: BLAS picks its kernel by the row count, so a 1-row batch takes
+    another path, and some row counts round differently in f64. The full
+    tiles are strided views of ``x`` and of the output, so only a last
+    partial tile is copied.
+    """
+    batch, channels, n = x.shape
+    out = np.empty((batch, channels, mats.shape[-1]), np.result_type(x, mats))
+    mats = mats[:, None]
+
+    def tiles(a):  # (T * ROW_TILE, C, m) -> its (C, T, ROW_TILE, m) view
+        return a.reshape(-1, ROW_TILE, channels, a.shape[-1]).transpose(2, 0, 1, 3)
+
+    full = batch - batch % ROW_TILE
+    if full:
+        np.matmul(tiles(x[:full]), mats, out=tiles(out[:full]))
+    if full < batch:
+        last = np.zeros((ROW_TILE, channels, n), out.dtype)
+        last[: batch - full] = x[full:]
+        last_out = np.empty((ROW_TILE,) + out.shape[1:], out.dtype)
+        np.matmul(tiles(last), mats, out=tiles(last_out))
+        out[full:] = last_out[: batch - full]
+    return out
 
 
 def _spatial(x: np.ndarray, extents: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,7 +255,10 @@ def _band_op(
         mat = _axis_matrix(kernel, n, m, k, dtype)
         if adjoint:
             mat = mat.T
-        if axis == -1:
+        if len(out) == 1:  # a 1-D grid: every row alone, on row tiles
+            rows = y.reshape(-1, 1, y.shape[-1])
+            y = tiled_rows(rows, mat[None]).reshape(y.shape[:-1] + mat.shape[-1:])
+        elif axis == -1:
             y = y @ mat
         else:
             y = np.swapaxes(np.matmul(mat.T, np.swapaxes(y, axis, -2)), axis, -2)

@@ -9,6 +9,7 @@ fixed config reproduces checkpoints byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,17 @@ class TrainConfig:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative")
             object.__setattr__(self, name, float(value))  # numpy floats save as JSON
+        try:
+            betas = tuple(self.betas)
+        except TypeError:
+            betas = ()
+        # A beta of 1 makes AdamW's bias correction 1 - beta**t zero.
+        if len(betas) != 2 or not all(
+            isinstance(b, numbers.Real) and not isinstance(b, bool) and 0.0 <= b < 1.0
+            for b in betas
+        ):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
+        object.__setattr__(self, "betas", tuple(float(b) for b in betas))
         if self.dropout is not None:
             if not is_probability(self.dropout):
                 raise ValueError("dropout probability must lie in [0, 1]")

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from arrn.autodiff import Parameter, Tensor, gradient_check
+from arrn.autodiff import Parameter, Tensor, gradient_check, no_grad
 from arrn import layers
 from arrn.grids import GridSpec
 from arrn.layers import (
@@ -24,7 +24,7 @@ from arrn.layers import (
     softmax_cross_entropy,
     zero_constancy_check,
 )
-from arrn.resample import MATRIX_AXIS_MAX
+from arrn.resample import MATRIX_AXIS_MAX, ROW_TILE
 
 
 def rng_for(seed):
@@ -32,7 +32,8 @@ def rng_for(seed):
 
 
 def banded(extents):
-    """Whether a depthwise convolution over ``extents`` runs as matrices."""
+    """Whether a depthwise convolution over ``extents`` runs as per-slice
+    matrices (:func:`arrn.layers._banded_rows`)."""
     return len(extents) == 2 and max(extents) <= MATRIX_AXIS_MAX
 
 
@@ -152,7 +153,9 @@ class TestDepthwiseConv:
         assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("extents", [(5,), (5, 5), (65, 3)], ids=["1", "2", "65x3"])
+    @pytest.mark.parametrize(
+        "extents", [(5,), (5, 5), (65, 3), (65,)], ids=["1", "2", "65x3", "65"]
+    )
     def test_forward_equals_the_tap_sum(self, extents, dtype):
         dims = len(extents)
         layer = DepthwiseConv(3, dims, rng_for(20), dtype=dtype)
@@ -160,7 +163,7 @@ class TestDepthwiseConv:
         x = rng_for(22).standard_normal((2, 3) + extents).astype(dtype)
         expected = tap_sum(layer.weight.values, layer.bias.values, x, "replicate")
         out = layer.forward(Tensor(x)).values
-        if not banded(extents):
+        if max(extents) > MATRIX_AXIS_MAX:  # the tap sum itself
             np.testing.assert_array_equal(out, expected)
             return
         # The banded matrix products sum in another order: each output lies
@@ -197,6 +200,60 @@ class TestDepthwiseConv:
         layer = DepthwiseConv(2, len(extents), rng_for(28))
         layer.forward(Tensor(rng_for(29).standard_normal((1, 2) + extents)))
         assert len(calls) == banded(extents)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_1d_sample_is_bitwise_the_same_in_any_batch(self, n, dtype):
+        layer = DepthwiseConv(3, 1, rng_for(40), dtype=dtype)
+        layer.bias.assign(rng_for(41).standard_normal(3))
+        x = rng_for(42).standard_normal((300, 3, n)).astype(dtype)
+        with no_grad():
+            whole = layer.forward(Tensor(x)).values
+
+            def same(rows):
+                part = layer.forward(Tensor(x[rows])).values
+                return part.tobytes() == whole[rows].tobytes()
+
+            # Prefixes and suffixes of every length put each sample at
+            # every offset within a tile, and in a padded last tile.
+            for batch in range(1, 301):
+                assert same(slice(0, batch)) and same(slice(300 - batch, 300)), batch
+            for b in (0, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 299):
+                assert same(slice(b, b + 1)), b
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_gradcheck_1d(self, n):
+        layer = DepthwiseConv(2, 1, rng_for(43))
+        layer.bias.assign(rng_for(44).standard_normal(2))
+        # A full tile and a padded one.
+        x = Parameter(rng_for(45).standard_normal((ROW_TILE + 1, 2, n)))
+        params = [x, layer.weight, layer.bias]
+        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("batch", [1, 3, ROW_TILE + 3])
+    def test_tiled_vjp_equals_the_tap_vjp(self, n, batch):
+        rng = rng_for(46)
+        x = rng.standard_normal((batch, 4, n))
+        w = rng.standard_normal((4, 3))
+        g = rng.standard_normal(x.shape)
+        out, vjp = layers._banded_tiles(x, w)
+        tap_out, tap_vjp = layers._tap_sum(x, w)
+        np.testing.assert_allclose(out, tap_out, rtol=0, atol=1e-13)
+        for got, want in zip(vjp(g), tap_vjp(g)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("extents", [(64,), (65,), (5,), (5, 5)])
+    def test_1d_tiles_run_exactly_within_the_bound(self, extents, monkeypatch):
+        calls = []
+        tiles = layers._banded_tiles
+        monkeypatch.setattr(
+            layers, "_banded_tiles", lambda *a: calls.append(a) or tiles(*a)
+        )
+        layer = DepthwiseConv(2, len(extents), rng_for(47))
+        layer.forward(Tensor(rng_for(48).standard_normal((1, 2) + extents)))
+        assert len(calls) == (len(extents) == 1 and max(extents) <= MATRIX_AXIS_MAX)
 
     @pytest.mark.parametrize(
         "extents", [(6, 4), (3, 5), (1, 4), (4, 1), (65, 3)],

@@ -25,6 +25,7 @@ from arrn.kernels import MAX_TAPS, SmoothingKernelSpec, realized_taps
 from arrn.macs import band_macs
 from arrn.resample import (
     MATRIX_AXIS_MAX,
+    ROW_TILE,
     _axis_matrix,
     check_bandlimited,
     decimate,
@@ -251,6 +252,21 @@ class TestKernels:
     def test_windowed_sinc_factor_one_is_identity(self):
         taps = SINC.realize(1)
         np.testing.assert_allclose(taps, np.eye(len(taps))[(len(taps) - 1) // 2])
+
+    def test_numpy_gaussian_factors_are_stored_as_python_floats(self):
+        kernel = SmoothingKernelSpec.truncated_gaussian(np.float32(0.6), np.float64(2.0))
+        assert type(kernel.sigma_factor) is float and type(kernel.radius_factor) is float
+        assert kernel.sigma_factor == float(np.float32(0.6))
+        assert json.loads(json.dumps(kernel.describe()))["radius_factor"] == 2.0
+
+    @pytest.mark.parametrize("sigma", [1, np.int64(1)], ids=["int", "numpy-int"])
+    def test_integer_gaussian_factors_are_kept_as_ints(self, sigma):
+        kernel = SmoothingKernelSpec.truncated_gaussian(sigma, 3)
+        text = json.dumps(kernel.describe())
+        assert text == ('{"variant": "truncated_gaussian", "sigma_factor": 1, '
+                        '"radius_factor": 3}')
+        again = SmoothingKernelSpec.from_description(json.loads(text))
+        assert json.dumps(again.describe()) == text
 
     def test_description_roundtrip(self):
         for kernel in (PERFECT, SINC, GAUSS):
@@ -675,6 +691,19 @@ class TestBandMatrices:
     def test_a_stack_equals_its_slices_bitwise(self, fine, band, dtype, kernel):
         # Each slice carries channels, as a batch row of a feature map does.
         x = np.random.default_rng(6).standard_normal((5, 3) + fine).astype(dtype)
+        y = downsample_array(x, band, kernel)
+        _slices_match(lambda v: lowpass_array(v, band, kernel), x)
+        _slices_match(lambda v: downsample_array(v, band, kernel), x)
+        _slices_match(lambda v: downsample_adjoint_array(v, fine, kernel), y)
+        _slices_match(lambda v: resample_perfect_array(v, fine), y)
+
+    @pytest.mark.parametrize("kernel", [PERFECT, SINC, GAUSS], ids=["perfect", "sinc", "gauss"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 300])
+    def test_a_1d_stack_equals_its_rows_bitwise(self, batch, dtype, kernel):
+        # A (batch, n) stack has no channel axis: each row is a sample.
+        fine, band = (64,), (16,)
+        x = np.random.default_rng(9).standard_normal((batch,) + fine).astype(dtype)
         y = downsample_array(x, band, kernel)
         _slices_match(lambda v: lowpass_array(v, band, kernel), x)
         _slices_match(lambda v: downsample_array(v, band, kernel), x)

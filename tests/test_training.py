@@ -162,6 +162,29 @@ class TestTrain:
         assert type(model.head_dropout) is float
         save_checkpoint(tmp_path / "model.arnn", model)
 
+    def test_numpy_float_kernel_factor_saves(self, tmp_path):
+        kernel = SmoothingKernelSpec.truncated_gaussian(sigma_factor=np.float32(0.6))
+        model = ArrnModel(ResolutionLadder.from_extents([16, 8]), 1, (2, 2), 2,
+                          kernel, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.arnn", model)
+
+    @pytest.mark.parametrize("betas", [
+        (1.0, 0.999), (0.9, 1.0), (-0.1, 0.999), (float("nan"), 0.999),
+        (0.9, float("inf")), (0.9,), (0.9, 0.99, 0.999), (True, 0.999), 0.9,
+    ])
+    def test_bad_betas_rejected(self, betas):
+        with pytest.raises(ValueError, match="betas must be two numbers in"):
+            TrainConfig(betas=betas)
+
+    def test_numpy_betas_are_stored_as_python_floats(self):
+        config = TrainConfig(betas=[np.float32(0.5), np.float64(0.999)])
+        assert config.betas == (0.5, 0.999)
+        assert all(type(b) is float for b in config.betas)
+        assert json.loads(json.dumps(config.describe()))["betas"] == [0.5, 0.999]
+
+    def test_default_betas_describe_as_before(self):
+        assert json.dumps(TrainConfig().describe()["betas"]) == "[0.9, 0.999]"
+
     @pytest.mark.parametrize("shape", [(4, 2, 64), (4, 1, 32), (4, 64)])
     def test_inputs_unlike_the_model_rejected(self, shape):
         model = build_model()
