@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from math import prod
 
 import numpy as np
 
@@ -250,6 +251,18 @@ def decimate_op(x: Tensor, to_extents: tuple[int, ...]) -> Tensor:
     return node(out, (x,), lambda g: (zero_insert_array(g, fine),))
 
 
+def channel_rows(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """A ``(batch, channels, *spatial)`` map as ``(batch, channels * sites)``
+    rows, and its sites; a per-channel ``v`` is the row ``np.repeat(v, sites)``."""
+    return values.reshape(values.shape[0], -1), prod(values.shape[2:])
+
+
+def channel_sum(rows: np.ndarray, sites: int, other: np.ndarray | None = None):
+    """Per-channel sum of ``rows`` (times ``other``): batch first, then sites."""
+    total = rows.sum(axis=0) if other is None else np.einsum("bk,bk->k", rows, other)
+    return total.reshape(-1, sites).sum(axis=1)
+
+
 def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Apply an (out, in) matrix and an optional per-channel bias at every site.
 
@@ -262,8 +275,9 @@ def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
     flat = x.values.reshape(batch, cin, -1)
     macs.add_macs(macs.pointwise_macs(flat[:, 0].size, cin, w.shape[0]))
     out = np.matmul(w, flat)
+    rows, sites = channel_rows(out)  # a view: the product is contiguous
     if bias is not None:
-        out += bias.values[:, None]
+        rows += np.repeat(bias.values, sites)
 
     def vjp(g):
         gf = g.reshape(out.shape)
@@ -271,7 +285,7 @@ def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
         gw = np.matmul(gf, flat.transpose(0, 2, 1)).sum(axis=0)
         if bias is None:
             return gx, gw
-        return gx, gw, gf.sum(axis=(0, 2))
+        return gx, gw, channel_sum(g.reshape(rows.shape), sites)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return node(out.reshape((batch, w.shape[0]) + x.values.shape[2:]), parents, vjp)

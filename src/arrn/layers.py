@@ -29,6 +29,20 @@ BLAS thread, median of 40, microseconds), matrices against the tap sum:
 f64 ``(2, 16, W, W)``, W = 16 49 vs 195, 32 449 vs 811, 64 3984 vs 5497,
 96 9596 vs 8232, 128 18499 vs 12371; f32 ``(B, 16, 64)``, B = 1 42 vs 37,
 16 37 vs 65, 128 178 vs 415, 256 273 vs 939.
+
+Per-channel work runs on the ``(batch, channels * sites)`` row view of a
+map (:func:`arrn.autodiff.channel_rows`). A per-channel vector ``v`` is
+the one row ``np.repeat(v, sites)``, broadcast over the batch in one
+contiguous pass, where the column ``v[:, None]`` restarts numpy's inner
+loop for each of the ``batch * channels`` site runs. A per-channel sum
+(:func:`arrn.autodiff.channel_sum`) adds the batch axis first, then each
+channel's sites. Elementwise results are bitwise the column broadcast's,
+so eval outputs do not depend on the layout; the training sums round in
+their own order. Per call (same machine, f32, median of 300,
+microseconds), column layout against rows: train batch norm forward and
+VJP on ``(128, C, S)``, C x S = 16 x 64 605 vs 415, 32 x 32 727 vs 417,
+32 x 16 509 vs 209; on ``(128, 32, 32)`` the pointwise convolution's bias
+add 48 vs 31 and its bias gradient 109 vs 16.
 """
 
 from __future__ import annotations
@@ -46,6 +60,8 @@ from .autodiff import (
     Parameter,
     Tensor,
     add,
+    channel_rows,
+    channel_sum,
     matmul,
     no_grad,
     node,
@@ -291,14 +307,15 @@ def depthwise_conv_op(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     else:
         conv = _banded_tiles if spatial_ndim == 1 else _banded_rows
     out, conv_vjp = conv(x.values, w)
+    rows, sites = channel_rows(out)  # a view: every conv returns a fresh map
     if bias is not None:
-        out += bias.values.reshape((1, -1) + (1,) * spatial_ndim)
+        rows += np.repeat(bias.values, sites)
 
     def vjp(g):
         gx, gw = conv_vjp(g)
         if bias is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+        return gx, gw, channel_sum(g.reshape(rows.shape), sites)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return node(out, parents, vjp)
@@ -309,26 +326,21 @@ def batchnorm_op(
 ) -> Tensor:
     """Per-channel normalization with frozen statistics (eval mode with
     running statistics): one per-channel affine map ``x * scale + shift``."""
-    ndim = x.values.ndim
-    axes = (0,) + tuple(range(2, ndim))
-    shape = (1, -1) + (1,) * (ndim - 2)
+    rows, sites = channel_rows(x.values)
     std = np.sqrt(var + BN_EPS)
     scale = gamma.values / std
-    shift = (beta.values - mean * scale).reshape(shape)
-    scale = scale.reshape(shape)
-    out = x.values * scale
+    shift = np.repeat(beta.values - mean * scale, sites)
+    scale = np.repeat(scale, sites)
+    out = rows * scale
     out += shift
 
     def vjp(g):
-        xhat = (x.values - mean.reshape(shape)) / std.reshape(shape)
-        return g * scale, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        g = g.reshape(rows.shape)
+        xhat = (rows - np.repeat(mean, sites)) / np.repeat(std, sites)
+        gx = (g * scale).reshape(x.values.shape)
+        return gx, channel_sum(g, sites, xhat), channel_sum(g, sites)
 
-    return node(out, (x, gamma, beta), vjp)
-
-
-def _channel_sum(flat: np.ndarray) -> np.ndarray:
-    """Per-channel sum of a ``(batch, channels, sites)`` array, sites first."""
-    return flat.sum(axis=2).sum(axis=0)
+    return node(out.reshape(x.values.shape), (x, gamma, beta), vjp)
 
 
 def batchnorm_train_op(
@@ -338,26 +350,25 @@ def batchnorm_train_op(
     returned with the output. The backward pass needs two per-channel
     sums, ``sg = sum(g)`` and ``sgx = sum(g * xhat)``, which are also the
     beta and gamma gradients."""
-    batch, channels = x.values.shape[:2]
-    flat = x.values.reshape(batch, channels, -1)
-    n = batch * flat.shape[2]
-    mean = _channel_sum(flat) / n
-    xhat = flat - mean[:, None]
-    var = np.einsum("bcs,bcs->c", xhat, xhat) / n
+    rows, sites = channel_rows(x.values)
+    n = rows.shape[0] * sites
+    mean = channel_sum(rows, sites) / n
+    xhat = rows - np.repeat(mean, sites)
+    var = channel_sum(xhat, sites, xhat) / n
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv[:, None]
-    out = xhat * gamma.values[:, None]
-    out += beta.values[:, None]
+    xhat *= np.repeat(inv, sites)
+    out = xhat * np.repeat(gamma.values, sites)
+    out += np.repeat(beta.values, sites)
 
     def vjp(g):
-        gf = g.reshape(xhat.shape)
-        sg = _channel_sum(gf)
-        sgx = np.einsum("bcs,bcs->c", gf, xhat)
+        g = g.reshape(rows.shape)
+        sg = channel_sum(g, sites)
+        sgx = channel_sum(g, sites, xhat)
         # gamma * inv * (g - sg / n - xhat * sgx / n), in one buffer.
-        gx = xhat * (sgx / n)[:, None]
-        np.subtract(gf, gx, out=gx)
-        gx -= (sg / n)[:, None]
-        gx *= (gamma.values * inv)[:, None]
+        gx = xhat * np.repeat(sgx / n, sites)
+        np.subtract(g, gx, out=gx)
+        gx -= np.repeat(sg / n, sites)
+        gx *= np.repeat(gamma.values * inv, sites)
         return gx.reshape(x.values.shape), sgx, sg
 
     return node(out.reshape(x.values.shape), (x, gamma, beta), vjp), mean, var

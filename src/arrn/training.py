@@ -87,7 +87,8 @@ class TrainConfig:
 
 class AdamW:
     """Adam with decoupled weight decay; decay skips flagged parameters
-    (biases, normalization scales and shifts)."""
+    (biases, normalization scales and shifts). A parameter with no gradient
+    (a skipped block's) keeps its value, moments and own step count."""
 
     def __init__(
         self,
@@ -102,7 +103,7 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.weight_decay = weight_decay
         self.eps = eps
-        self.step_count = 0
+        self._t = [0] * len(params)
         self._m = [np.zeros_like(p.values) for p in params]
         self._v = [np.zeros_like(p.values) for p in params]
 
@@ -112,14 +113,13 @@ class AdamW:
 
     def step(self, learning_rate: float | None = None):
         lr = self.learning_rate if learning_rate is None else learning_rate
-        self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
         for i, p in enumerate(self.params):
-            grad = p.grad
-            if grad is None:
-                grad = np.zeros_like(p.values)
-            grad = grad.astype(np.float64)
+            if p.grad is None:
+                continue
+            self._t[i] += 1
+            b1c = 1.0 - self.beta1 ** self._t[i]
+            b2c = 1.0 - self.beta2 ** self._t[i]
+            grad = p.grad.astype(np.float64)
             self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
             self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad**2
             update = (self._m[i] / b1c) / (np.sqrt(self._v[i] / b2c) + self.eps)

@@ -5,7 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from arrn.autodiff import Parameter, Tensor, gradient_check, no_grad
+from arrn.autodiff import (
+    Parameter,
+    Tensor,
+    channel_rows,
+    channel_sum,
+    gradient_check,
+    no_grad,
+)
 from arrn import layers
 from arrn.grids import GridSpec
 from arrn.layers import (
@@ -382,6 +389,115 @@ class TestBatchNorm:
         x = Parameter(rng_for(15).standard_normal((3, 2, 4)))
         params = [x, layer.gamma, layer.beta]
         assert gradient_check(lambda: layer.forward(x, mode=mode), params) <= 1e-6
+
+
+class TestChannelRows:
+    """Per-channel work on the ``(batch, channels * sites)`` row view: eval
+    results bitwise equal to the per-channel column broadcast, and the
+    batch-first training sums within a fixed tolerance of f64."""
+
+    EVAL_SHAPES = [(3, 4), (1, 4), (3, 1), (3, 4, 5), (1, 1, 5), (3, 4, 5, 3),
+                   (1, 4, 5, 3), (3, 1, 4, 3)]
+    SUM_SPATIAL = [(16,), (5, 3), (1,)]
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @staticmethod
+    def column(v, ndim):
+        """``v`` as a per-channel column of a ``ndim``-axis map:
+        ``v[:, None]`` for ``(B, C, n)``."""
+        return v.reshape((-1,) + (1,) * (ndim - 2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", EVAL_SHAPES)
+    def test_eval_ops_equal_the_column_broadcast_bitwise(self, shape, dtype):
+        rng = rng_for(30)
+        batch, channels = shape[:2]
+        x = Tensor(rng.standard_normal(shape).astype(dtype))
+        b = Tensor(rng.standard_normal(channels).astype(dtype))
+        w = Tensor(rng.standard_normal((channels, channels)).astype(dtype))
+        with no_grad():
+            plain = layers.project_channels(x, w).values.reshape(batch, channels, -1)
+            got = layers.project_channels(x, w, b).values.reshape(plain.shape)
+        assert got.tobytes() == (plain + b.values[:, None]).tobytes()
+
+        if len(shape) > 2:
+            taps = Tensor(rng.standard_normal((channels,) + (3,) * (len(shape) - 2))
+                          .astype(dtype))
+            with no_grad():
+                plain = depthwise_conv_op(x, taps, None).values
+                got = depthwise_conv_op(x, taps, b).values
+            assert got.tobytes() == (plain + self.column(b.values, len(shape))).tobytes()
+
+        layer = BatchNorm(channels, dtype=dtype)
+        layer.gamma.assign(rng.uniform(0.5, 1.5, channels))
+        layer.beta.assign(rng.standard_normal(channels))
+        layer.running_mean = rng.standard_normal(channels).astype(dtype)
+        layer.running_var = rng.uniform(0.5, 2.0, channels).astype(dtype)
+        scale = layer.gamma.values / np.sqrt(layer.running_var + layers.BN_EPS)
+        shift = layer.beta.values - layer.running_mean * scale
+        scale, shift = self.column(scale, len(shape)), self.column(shift, len(shape))
+        xp = Parameter(x.values)
+        out = layer.forward(xp, mode="eval")
+        assert out.dtype == dtype
+        assert out.values.tobytes() == (x.values * scale + shift).tobytes()
+        g = rng.standard_normal(shape).astype(dtype)
+        out.backward(g)
+        assert xp.grad.tobytes() == (g * scale).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 300])
+    @pytest.mark.parametrize("spatial", SUM_SPATIAL)
+    def test_batch_first_sums_match_f64(self, spatial, batch, dtype):
+        tol = self.TOL[dtype]
+        rng = rng_for(31)
+        channels = 4
+        shape = (batch, channels) + spatial
+        axes = (0,) + tuple(range(2, len(shape)))
+        x = (3.0 * rng.standard_normal(shape) + 1.5).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        x64, g64 = x.astype(np.float64), g.astype(np.float64)
+
+        def close(got, want):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+        rows, sites = channel_rows(x)
+        assert rows.shape == (batch, channels * sites) and np.shares_memory(rows, x)
+        close(channel_sum(rows, sites), x64.sum(axis=axes))
+        # A raw product sum cancels: its rounding is bounded by the sum of
+        # the terms' magnitudes, not by the result (summing sites first
+        # misses this f32 one by as much).
+        got = channel_sum(rows, sites, channel_rows(g)[0])
+        scale = np.abs(x64 * g64).sum(axis=axes)
+        assert np.all(np.abs(got - (x64 * g64).sum(axis=axes)) <= tol * scale)
+
+        gamma = Parameter(rng.uniform(0.5, 1.5, channels).astype(dtype))
+        beta = Parameter(rng.standard_normal(channels).astype(dtype))
+        xp = Parameter(x)
+        out, mean, var = layers.batchnorm_train_op(xp, gamma, beta)
+        out.backward(g)
+        n = x.size // channels
+        mean64, var64 = x64.mean(axis=axes), x64.var(axis=axes)
+        inv64 = self.column(1.0 / np.sqrt(var64 + layers.BN_EPS), len(shape))
+        xhat64 = (x64 - self.column(mean64, len(shape))) * inv64
+        sg64, sgx64 = g64.sum(axis=axes), (g64 * xhat64).sum(axis=axes)
+        gx64 = (self.column(gamma.values.astype(np.float64), len(shape)) * inv64) * (
+            g64 - self.column(sg64, len(shape)) / n
+            - xhat64 * self.column(sgx64, len(shape)) / n
+        )
+        close(mean, mean64)
+        close(var, var64)
+        close(beta.grad, sg64)
+        close(gamma.grad, sgx64)
+        close(xp.grad, gx64)
+
+        for op, weight in (
+            (layers.project_channels, rng.standard_normal((channels, channels))),
+            (depthwise_conv_op, rng.standard_normal((channels,) + (3,) * len(spatial))),
+        ):
+            bias = Parameter(np.zeros(channels, dtype))
+            op(Tensor(x), Tensor(weight.astype(dtype)), bias).backward(g)
+            close(bias.grad, sg64)
 
 
 class TestHeadAndLoss:

@@ -10,6 +10,7 @@ from arrn.data import SynthDatasetSpec, generate_dataset
 from arrn.errors import NumericError, ShapeError
 from arrn.grids import ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
+from arrn.layers import TRAIN, softmax_cross_entropy
 from arrn.model import ArrnModel, save_checkpoint
 from arrn.training import AdamW, TrainConfig, cosine_learning_rate, train
 
@@ -59,6 +60,27 @@ class TestAdamW:
         opt.step()
         assert decayed.values[0] == pytest.approx(1.0 - 0.1 * 0.5)
         assert spared.values[0] == pytest.approx(1.0)
+
+    def test_a_skipped_block_keeps_its_parameters_and_moments_bitwise(self):
+        model = build_model()
+        ds = toy_dataset(samples=8)
+        opt = AdamW(model.parameters(), learning_rate=1e-2, weight_decay=0.1)
+        skipped = {id(p) for p in model.residuals[0].block.parameters()}
+        state = [(p.values.copy(), m.copy(), v.copy())
+                 for p, m, v in zip(opt.params, opt._m, opt._v)]
+        logits = model.forward_graph(
+            ds.train.inputs, dropped=1, mode=TRAIN, rng=np.random.default_rng(0)
+        )
+        softmax_cross_entropy(logits, ds.train.labels).backward()
+        opt.step()
+        for p, m, v, (p0, m0, v0) in zip(opt.params, opt._m, opt._v, state):
+            assert (p.grad is None) == (id(p) in skipped)
+            unchanged = [a.tobytes() == b.tobytes() for a, b in
+                         ((p.values, p0), (m, m0), (v, v0))]
+            if id(p) in skipped:
+                assert all(unchanged), p.name
+            else:
+                assert not unchanged[1], p.name  # a gradient reached its moment
 
 
 class TestSchedule:
