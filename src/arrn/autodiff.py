@@ -1,9 +1,21 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tensor` records the values of a computation node plus, for
-non-leaf nodes, its parents and a vector-Jacobian closure. Calling
-``backward`` on any node seeds its gradient and propagates adjoints in
-reverse topological order, accumulating into every reachable leaf.
+A :class:`Tensor` holds the values of a computation and, for an op's
+result, a :class:`GradNode`: its gradient, its parents' nodes and a
+vector-Jacobian closure. Calling ``backward`` on any tensor seeds its
+gradient and propagates adjoints over the nodes in reverse topological
+order, accumulating into every reachable leaf.
+
+The graph is made of nodes, not tensors: a node references no tensor, so
+an op's output array lives only while forward code holds its tensor or a
+VJP closure holds the array. Each closure captures the arrays and shapes
+its VJP reads and nothing else, never an input tensor. During a training
+step the graph therefore keeps the inputs that the convolutions, SiLU and
+the cross-entropy read, the batch norms' normalized maps and SiLU's
+denominators, but not the outputs of the low-pass, decimation, constant
+rejection and downsample, nor a convolution's output that only feeds a
+batch norm. A leaf gets its node the first time an op reads it or its
+gradient is set.
 
 The resampling primitives from :mod:`arrn.resample` are wrapped here as
 differentiable ops; their backward passes use closed-form adjoints:
@@ -15,7 +27,7 @@ differentiable ops; their backward passes use closed-form adjoints:
   into the fine layout (see :func:`arrn.resample.downsample_adjoint_array`).
 
 Inside a :func:`no_grad` context every op returns a bare tensor with no
-parents and no closure, so evaluation (:func:`arrn.model.forward_full`,
+node, so evaluation (:func:`arrn.model.forward_full`,
 :func:`arrn.model.forward_adapted` and everything built on them) builds
 no graph and keeps no array alive for a backward pass that never runs.
 Every op has one implementation; it hands its result, parents and closure
@@ -42,16 +54,54 @@ from .resample import (
 from .signal import mean_reject_array
 
 
-class Tensor:
-    """A node in the reverse-mode graph."""
+class GradNode:
+    """The gradient side of one tensor: its ``grad``, its parents' nodes and
+    its vector-Jacobian closure (``None`` on a leaf)."""
 
-    __slots__ = ("values", "grad", "_parents", "_vjp")
+    __slots__ = ("grad", "parents", "vjp")
+
+    def __init__(self, parents=(), vjp=None):
+        self.grad = None
+        self.parents = parents
+        self.vjp = vjp
+
+
+class Tensor:
+    """Values, and the node that carries them in the reverse-mode graph."""
+
+    __slots__ = ("values", "_node")
 
     def __init__(self, values, parents=(), vjp=None):
         self.values = np.asarray(values)
-        self.grad = None
-        self._parents = tuple(parents)
-        self._vjp = vjp
+        self._node = (
+            None if vjp is None else GradNode(tuple(p.grad_node for p in parents), vjp)
+        )
+
+    @property
+    def grad_node(self) -> GradNode:
+        """This tensor's node; a leaf gets one when an op or a gradient first
+        needs it."""
+        if self._node is None:
+            self._node = GradNode()
+        return self._node
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.grad_node.grad = value
+
+    @property
+    def _vjp(self):
+        """The closure ``backward`` calls for this tensor's node; the benchmark
+        tracer (``benchmarks/tracing.py``) replaces it to time the closure."""
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self.grad_node.vjp = vjp
 
     @property
     def shape(self):
@@ -62,7 +112,8 @@ class Tensor:
         return self.values.dtype
 
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self, seed: np.ndarray | None = None):
         """Propagate adjoints from this node back to every reachable leaf.
@@ -77,9 +128,10 @@ class Tensor:
         if seed.shape != self.values.shape:
             raise ValueError(f"seed shape {seed.shape} != value shape {self.shape}")
 
-        topo: list[Tensor] = []
+        root = self.grad_node
+        topo: list[GradNode] = []
         visited: set[int] = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -89,10 +141,10 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 stack.append((parent, False))
 
-        self.grad = seed if self.grad is None else self.grad + seed
+        root.grad = seed if root.grad is None else root.grad + seed
         # Nodes whose grad is an array this call allocated. Only those are
         # summed into in place: a first contribution is stored as is and may
         # alias another node's grad (``add`` returns ``(g, g)``) or the seed.
@@ -101,9 +153,9 @@ class Tensor:
         # keeps them out of the caller's, so MAC counts are forward-only.
         with macs.recording():
             for node in reversed(topo):
-                if node._vjp is None or node.grad is None:
+                if node.vjp is None or node.grad is None:
                     continue
-                for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+                for parent, contribution in zip(node.parents, node.vjp(node.grad)):
                     if contribution is None:
                         continue
                     if parent.grad is None:
@@ -113,7 +165,7 @@ class Tensor:
                     else:
                         parent.grad = parent.grad + contribution
                         owned.add(id(parent))
-                if node is not self:
+                if node is not root:
                     node.grad = None
 
     # operator sugar used by layers and tests
@@ -184,9 +236,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return node(
-        a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values)
-    )
+    av, bv = a.values, b.values
+    return node(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -199,20 +250,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     """Scale row ``i`` of ``a`` (its leading axis) by ``s[i]``."""
     a, s = as_tensor(a), as_tensor(s)
-    column = s.values.reshape((-1,) + (1,) * (a.values.ndim - 1))
+    av = a.values
+    column = s.values.reshape((-1,) + (1,) * (av.ndim - 1))
 
     def vjp(g):
-        return g * column, (g * a.values).reshape(len(column), -1).sum(axis=1)
+        return g * column, (g * av).reshape(len(column), -1).sum(axis=1)
 
-    return node(a.values * column, (a, s), vjp)
+    return node(av * column, (a, s), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """The matrix product ``a @ b`` of two matrices."""
     a, b = as_tensor(a), as_tensor(b)
-    return node(
-        a.values @ b.values, (a, b), lambda g: (g @ b.values.T, a.values.T @ g)
-    )
+    av, bv = a.values, b.values
+    return node(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +322,26 @@ def project_channels(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
     spatial axes, such as the pooled head input, is the case S = 1.
     """
     w = weight.values
-    batch, cin = x.values.shape[:2]
+    shape = x.values.shape
+    batch, cin = shape[:2]
     flat = x.values.reshape(batch, cin, -1)
     macs.add_macs(macs.pointwise_macs(flat[:, 0].size, cin, w.shape[0]))
     out = np.matmul(w, flat)
     rows, sites = channel_rows(out)  # a view: the product is contiguous
-    if bias is not None:
+    biased = bias is not None
+    if biased:
         rows += np.repeat(bias.values, sites)
 
     def vjp(g):
-        gf = g.reshape(out.shape)
-        gx = np.matmul(w.T, gf).reshape(x.values.shape)
+        gf = g.reshape(batch, w.shape[0], -1)
+        gx = np.matmul(w.T, gf).reshape(shape)
         gw = np.matmul(gf, flat.transpose(0, 2, 1)).sum(axis=0)
-        if bias is None:
+        if not biased:
             return gx, gw
-        return gx, gw, channel_sum(g.reshape(rows.shape), sites)
+        return gx, gw, channel_sum(*channel_rows(g))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return node(out.reshape((batch, w.shape[0]) + x.values.shape[2:]), parents, vjp)
+    parents = (x, weight, bias) if biased else (x, weight)
+    return node(out.reshape((batch, w.shape[0]) + shape[2:]), parents, vjp)
 
 
 def gradient_check(

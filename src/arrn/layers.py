@@ -120,16 +120,17 @@ def _slice_at(ndim: int, axis: int, index) -> tuple:
 
 def silu_op(x: Tensor) -> Tensor:
     # x / d with d = 1 + exp(-x), built in one buffer: four passes, one rounding.
-    d = np.negative(x.values)
+    xv = x.values
+    d = np.negative(xv)
     with np.errstate(over="ignore"):  # an overflow makes d inf and the output -0
         np.exp(d, out=d)
     d += 1.0
-    out = x.values / d
+    out = xv / d
 
     def vjp(g):
         s = np.reciprocal(d)  # the sigmoid
         gx = 1.0 - s  # g * s * (1 + x * (1 - s)), built in one buffer
-        gx *= x.values
+        gx *= xv
         gx += 1.0
         gx *= s
         gx *= g
@@ -308,16 +309,17 @@ def depthwise_conv_op(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
         conv = _banded_tiles if spatial_ndim == 1 else _banded_rows
     out, conv_vjp = conv(x.values, w)
     rows, sites = channel_rows(out)  # a view: every conv returns a fresh map
-    if bias is not None:
+    biased = bias is not None
+    if biased:
         rows += np.repeat(bias.values, sites)
 
     def vjp(g):
         gx, gw = conv_vjp(g)
-        if bias is None:
+        if not biased:
             return gx, gw
-        return gx, gw, channel_sum(g.reshape(rows.shape), sites)
+        return gx, gw, channel_sum(*channel_rows(g))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (x, weight, bias) if biased else (x, weight)
     return node(out, parents, vjp)
 
 
@@ -326,6 +328,7 @@ def batchnorm_op(
 ) -> Tensor:
     """Per-channel normalization with frozen statistics (eval mode with
     running statistics): one per-channel affine map ``x * scale + shift``."""
+    shape = x.values.shape
     rows, sites = channel_rows(x.values)
     std = np.sqrt(var + BN_EPS)
     scale = gamma.values / std
@@ -337,10 +340,10 @@ def batchnorm_op(
     def vjp(g):
         g = g.reshape(rows.shape)
         xhat = (rows - np.repeat(mean, sites)) / np.repeat(std, sites)
-        gx = (g * scale).reshape(x.values.shape)
+        gx = (g * scale).reshape(shape)
         return gx, channel_sum(g, sites, xhat), channel_sum(g, sites)
 
-    return node(out.reshape(x.values.shape), (x, gamma, beta), vjp)
+    return node(out.reshape(shape), (x, gamma, beta), vjp)
 
 
 def batchnorm_train_op(
@@ -350,6 +353,7 @@ def batchnorm_train_op(
     returned with the output. The backward pass needs two per-channel
     sums, ``sg = sum(g)`` and ``sgx = sum(g * xhat)``, which are also the
     beta and gamma gradients."""
+    shape = x.values.shape
     rows, sites = channel_rows(x.values)
     n = rows.shape[0] * sites
     mean = channel_sum(rows, sites) / n
@@ -357,31 +361,33 @@ def batchnorm_train_op(
     var = channel_sum(xhat, sites, xhat) / n
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= np.repeat(inv, sites)
-    out = xhat * np.repeat(gamma.values, sites)
+    gain = gamma.values
+    out = xhat * np.repeat(gain, sites)
     out += np.repeat(beta.values, sites)
 
     def vjp(g):
-        g = g.reshape(rows.shape)
+        g = g.reshape(xhat.shape)
         sg = channel_sum(g, sites)
         sgx = channel_sum(g, sites, xhat)
         # gamma * inv * (g - sg / n - xhat * sgx / n), in one buffer.
         gx = xhat * np.repeat(sgx / n, sites)
         np.subtract(g, gx, out=gx)
         gx -= np.repeat(sg / n, sites)
-        gx *= np.repeat(gamma.values * inv, sites)
-        return gx.reshape(x.values.shape), sgx, sg
+        gx *= np.repeat(gain * inv, sites)
+        return gx.reshape(shape), sgx, sg
 
-    return node(out.reshape(x.values.shape), (x, gamma, beta), vjp), mean, var
+    return node(out.reshape(shape), (x, gamma, beta), vjp), mean, var
 
 
 def global_mean_pool_op(x: Tensor) -> Tensor:
-    axes = tuple(range(2, x.values.ndim))
-    sites = prod(x.values.shape[2:])
+    shape = x.values.shape
+    axes = tuple(range(2, len(shape)))
+    sites = prod(shape[2:])
     out = x.values.mean(axis=axes)
 
     def vjp(g):
         expanded = g.reshape(g.shape + (1,) * len(axes))
-        return (np.broadcast_to(expanded / sites, x.values.shape).astype(g.dtype),)
+        return (np.broadcast_to(expanded / sites, shape).astype(g.dtype),)
 
     return node(out, (x,), vjp)
 

@@ -500,9 +500,9 @@ def equivalence_report(
             mean_abs += float(diff.mean()) / repetitions
             denom = max(float(np.max(np.abs(full[rows]))), 1e-30)
             max_rel = max(max_rel, float(diff.max()) / denom)
-    return {
-        "level": level,
-        "repetitions": repetitions,
+    return {  # plain ints, so the report is JSON however they were given
+        "level": int(level),
+        "repetitions": int(repetitions),
         "max_abs": max_abs,
         "mean_abs": mean_abs,
         "max_rel": max_rel,

@@ -6,6 +6,7 @@ identity <A x, y> = <x, A^T y> on random vectors.
 """
 
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
@@ -73,8 +74,9 @@ class TestEngine:
 
 
 def _graph(root):
-    """Every node reachable from ``root``, in the order backward visits them."""
-    topo, visited, stack = [], set(), [(root, False)]
+    """Every node reachable from the tensor ``root``, in the order backward
+    visits them."""
+    topo, visited, stack = [], set(), [(root.grad_node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -82,18 +84,18 @@ def _graph(root):
         elif id(node) not in visited:
             visited.add(id(node))
             stack.append((node, True))
-            stack.extend((parent, False) for parent in node._parents)
+            stack.extend((parent, False) for parent in node.parents)
     return topo
 
 
 def _reference_grads(root, seed):
     """Gradients by out-of-place accumulation into copies, in backward's order."""
-    grads = {id(root): seed.copy()}
+    grads = {id(root.grad_node): seed.copy()}
     for node in reversed(_graph(root)):
         g = grads.get(id(node))
-        if node._vjp is None or g is None:
+        if node.vjp is None or g is None:
             continue
-        for parent, contribution in zip(node._parents, node._vjp(g)):
+        for parent, contribution in zip(node.parents, node.vjp(g)):
             if contribution is None:
                 continue
             key = id(parent)
@@ -158,7 +160,7 @@ class TestBackwardAccumulation:
         root.backward(seed)
         np.testing.assert_array_equal(seed, kept)
         for node in nodes:
-            if node is root or node._vjp is None:
+            if node is root.grad_node or node.vjp is None:
                 np.testing.assert_array_equal(node.grad, expected[id(node)])
             else:
                 assert node.grad is None
@@ -172,6 +174,72 @@ class TestBackwardAccumulation:
         add(a, scale(a, 2.0)).backward(np.ones(2))
         np.testing.assert_array_equal(a.grad, 2 * a.values + 3.0)
         np.testing.assert_array_equal(held, kept)
+
+
+class TestRetention:
+    """The graph keeps only the arrays its VJPs read: once ``forward_graph``
+    returns, no array survives that only forward code used."""
+
+    @pytest.mark.parametrize("dropped", [0, 1])
+    @pytest.mark.parametrize("extents", [[32, 16, 8], [(12, 8), (6, 4), (3, 2)]],
+                             ids=["1d", "2d"])
+    def test_unread_outputs_die_with_the_forward(self, monkeypatch, extents, dropped):
+        from arrn import model as model_module
+        from arrn.grids import ResolutionLadder
+        from arrn.model import ArrnModel, LaplacianResidual
+
+        refs = {name: [] for name in
+                ("lowpass_op", "decimate_op", "mean_reject_op", "downsample_op")}
+        refs["conv_into_norm"] = []
+        in_residual = [False]
+
+        def record(name, op):
+            def wrapper(*args, **kwargs):
+                out = op(*args, **kwargs)
+                if in_residual[0]:  # forward_graph's own resampling feeds a mix
+                    refs[name].append(weakref.ref(out.values))
+                return out
+            return wrapper
+
+        for name in ("lowpass_op", "decimate_op", "mean_reject_op", "downsample_op"):
+            monkeypatch.setattr(model_module, name,
+                                record(name, getattr(model_module, name)))
+        residual_forward = LaplacianResidual.forward
+
+        def residual(self, *args, **kwargs):
+            in_residual[0] = True
+            try:
+                return residual_forward(self, *args, **kwargs)
+            finally:
+                in_residual[0] = False
+
+        monkeypatch.setattr(LaplacianResidual, "forward", residual)
+        norm = layers.batchnorm_train_op
+
+        def norm_of_a_conv(x, gamma, beta):
+            refs["conv_into_norm"].append(weakref.ref(x.values))
+            return norm(x, gamma, beta)
+
+        monkeypatch.setattr(layers, "batchnorm_train_op", norm_of_a_conv)
+
+        rng = np.random.default_rng(7)
+        model = ArrnModel(ResolutionLadder.from_extents(extents), 1, (3, 4, 4), 3,
+                          PERFECT, rng, dtype=np.float32)
+        values = rng.standard_normal((5, 1) + model.ladder[0].extents)
+        logits = model.forward_graph(values.astype(np.float32), dropped,
+                                     mode=layers.TRAIN, rng=np.random.default_rng(8))
+        loss = layers.softmax_cross_entropy(logits, np.array([0, 1, 2, 0, 1]))
+        del logits
+        for name, found in refs.items():
+            assert found, name
+            assert all(ref() is None for ref in found), name
+
+        seed = np.ones_like(loss.values)
+        expected = _reference_grads(loss, seed)
+        loss.backward(seed)
+        for p in model.parameters():
+            if p.grad is not None:
+                assert p.grad.tobytes() == expected[id(p.grad_node)].tobytes(), p.name
 
 
 class TestAdjoints:
@@ -410,8 +478,8 @@ class TestNoGrad:
         with_graph = op()
         with no_grad():
             bare = op()
-        assert with_graph._vjp is not None and with_graph._parents
-        assert bare._parents == () and bare._vjp is None
+        assert with_graph._vjp is not None and with_graph.grad_node.parents
+        assert bare._node is None and bare._vjp is None
         np.testing.assert_array_equal(bare.values, with_graph.values)
 
     def test_restored_after_exception_and_when_nested(self):
