@@ -357,9 +357,9 @@ def gradient_check(
     degenerate cases (e.g. operators whose output always sums to zero).
     The relative error is measured per parameter as
     ``max|g_ad - g_fd| / max(max|g_fd|, max|g_ad|, 1e-6)``; the floor
-    keeps parameters with an exactly-zero gradient (e.g. a bias feeding a
-    train-mode batch normalization) from dividing finite-difference noise
-    by itself.
+    keeps parameters with an exactly-zero gradient (e.g. a per-channel
+    shift of a train-mode batch normalization's input, which its mean
+    subtraction cancels) from dividing finite-difference noise by itself.
     """
     out = output_fn()
     weights = np.random.default_rng(1234).standard_normal(out.values.shape)

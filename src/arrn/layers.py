@@ -6,6 +6,16 @@ satisfy to sit inside an adaptive-resolution residual: with a zero input
 the block then produces a per-channel constant that the constant-rejection
 filter cancels exactly.
 
+Block convolutions have no bias. Each one feeds a batch norm, whose
+train-mode mean subtraction cancels a per-channel bias, or, for a block's
+last pointwise convolution, the constant rejection, which removes it
+exactly: such a bias would only ever get rounding noise for a gradient. A
+convolution's ``bias`` is ``None`` unless :meth:`BatchNorm.fold_into`
+made it, as ``beta - mean * s``, so a block's zero-input constant comes
+from its norms' ``beta`` and running means. :func:`depthwise_conv_op` and
+:func:`arrn.autodiff.project_channels` take an optional bias for those
+folds and for the head.
+
 Layers operate on batched feature maps of shape ``(batch, channels,
 *spatial)``. Depthwise convolutions keep resolution fixed and replicate
 their edges, the only padding there is: a zero pad would feed zeros into
@@ -41,8 +51,9 @@ so eval outputs do not depend on the layout; the training sums round in
 their own order. Per call (same machine, f32, median of 300,
 microseconds), column layout against rows: train batch norm forward and
 VJP on ``(128, C, S)``, C x S = 16 x 64 605 vs 415, 32 x 32 727 vs 417,
-32 x 16 509 vs 209; on ``(128, 32, 32)`` the pointwise convolution's bias
-add 48 vs 31 and its bias gradient 109 vs 16.
+32 x 16 509 vs 209; on ``(128, 32, 32)`` the bias add of
+:func:`arrn.autodiff.project_channels` 48 vs 31 and its bias gradient 109
+vs 16.
 """
 
 from __future__ import annotations
@@ -67,7 +78,6 @@ from .autodiff import (
     node,
     project_channels,
     scale_rows,
-    sub,
 )
 from .errors import NumericError, ShapeError
 from .grids import GridSpec, is_integer
@@ -427,19 +437,25 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
 
 
 class PointwiseConv:
+    """Channel mixing at every site, with no bias of its own."""
+
+    bias = None  # only a batch-norm fold (BatchNorm.fold_into) sets one
+
     def __init__(self, cin: int, cout: int, rng, dtype=np.float64, name=""):
         self.weight = Parameter(_uniform(rng, (cout, cin), cin, dtype), f"{name}.w")
-        self.bias = Parameter(np.zeros(cout, dtype=dtype), f"{name}.b", decay=False)
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
         return project_channels(x, self.weight, self.bias)
 
     def parameters(self):
-        return [self.weight, self.bias]
+        return [self.weight]
 
 
 class DepthwiseConv:
-    """Per-channel convolution, kernel extent 3 per spatial axis, stride 1."""
+    """Per-channel convolution, kernel extent 3 per spatial axis, stride 1,
+    with no bias of its own."""
+
+    bias = None  # only a batch-norm fold (BatchNorm.fold_into) sets one
 
     def __init__(self, channels: int, dims: int, rng, dtype=np.float64, name=""):
         taps = (3,) * dims
@@ -447,13 +463,12 @@ class DepthwiseConv:
         self.weight = Parameter(
             _uniform(rng, (channels,) + taps, fan_in, dtype), f"{name}.w"
         )
-        self.bias = Parameter(np.zeros(channels, dtype=dtype), f"{name}.b", decay=False)
 
     def forward(self, x: Tensor, mode: str = EVAL, rng=None) -> Tensor:
         return depthwise_conv_op(x, self.weight, self.bias)
 
     def parameters(self):
-        return [self.weight, self.bias]
+        return [self.weight]
 
 
 class BatchNorm:
@@ -486,16 +501,16 @@ class BatchNorm:
         """``conv`` followed by this layer in eval mode, as one convolution.
 
         A copy of ``conv`` (a :class:`PointwiseConv` or
-        :class:`DepthwiseConv`) whose weight and bias are scaled per output
-        channel by ``s = gamma / sqrt(var + eps)``, with ``beta - mean * s``
-        added to the bias. The fold is built from the parameters by graph
-        ops on every call, so gradients still reach ``gamma`` and ``beta``.
+        :class:`DepthwiseConv`, which has no bias) whose weight is scaled
+        per output channel by ``s = gamma / sqrt(var + eps)`` and whose bias
+        is ``beta - mean * s``. The fold is built from the parameters by
+        graph ops on every call, so gradients still reach ``gamma`` and
+        ``beta``.
         """
         s = scale_rows(self.gamma, 1.0 / np.sqrt(self.running_var + BN_EPS))
         folded = copy.copy(conv)
         folded.weight = scale_rows(conv.weight, s)
-        shifted = sub(conv.bias, self.running_mean)
-        folded.bias = add(scale_rows(shifted, s), self.beta)
+        folded.bias = add(scale_rows(-self.running_mean, s), self.beta)
         return folded
 
 

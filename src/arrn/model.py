@@ -53,10 +53,12 @@ from .layers import (
     EVAL,
     TRAIN,
     BatchNorm,
+    DepthwiseConv,
     FeatureMap,
     GlobalPoolHead,
     InnerBlock,
     InnerBlockSpec,
+    PointwiseConv,
     silu_op,
 )
 from .resample import resample_perfect_array
@@ -434,9 +436,10 @@ def entry_level(
 def randomize_for_verification(model: ArrnModel, rng: np.random.Generator) -> None:
     """Give every parameter and normalization statistic generic values.
 
-    Verification models need nonzero biases and shifted running statistics
-    so that blocks produce a nonzero constant on zero input; variances are
-    kept away from zero to avoid amplifying float noise.
+    Verification models need nonzero norm shifts ``beta`` and running means,
+    so that every block produces a nonzero constant on zero input (a block
+    convolution has no bias); variances are kept away from zero to avoid
+    amplifying float noise.
     """
     for p in model.parameters():
         fan = p.values.shape[-1] if p.values.ndim > 1 else 1.0
@@ -570,8 +573,29 @@ def save_checkpoint(
     atomic_write(path, ARNN_MAGIC + struct.pack("<I", len(header)) + header + blob)
 
 
+def _block_biases(model: ArrnModel) -> dict[str, tuple[np.ndarray, BatchNorm | None]]:
+    """The block-convolution biases an older ARNN1 file may hold, by name:
+    a zero buffer for each, and the norm after its convolution (``None``
+    after a block's last pointwise convolution)."""
+    out = {}
+    for res in model.residuals:
+        layers = res.block.layers
+        for layer, after in zip(layers, layers[1:] + [None]):
+            if isinstance(layer, (PointwiseConv, DepthwiseConv)):
+                name = layer.weight.name.removesuffix(".w") + ".b"
+                out[name] = (np.zeros(layer.weight.values.shape[0], model.dtype), after)
+    return out
+
+
 def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
-    """Rebuild a model from an ARNN1 file; returns (model, manifest)."""
+    """Rebuild a model from an ARNN1 file; returns (model, manifest).
+
+    Files written while block convolutions had biases still load. Each such
+    bias ``b`` moves into the running mean ``m`` of the norm after its
+    convolution, as ``m - b``: in eval mode the norm reads ``x + b - m``,
+    and in train mode its mean subtraction cancels ``b``. The last pointwise
+    bias of a block is dropped, since the constant rejection removes it.
+    """
     raw = read_file(path, "checkpoint")
     if not raw.startswith(ARNN_MAGIC):
         raise FormatError(f"{path}: bad magic bytes (not an ARNN1 checkpoint)")
@@ -617,7 +641,8 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
                 f"probability in [0, 1] for each of {len(model.residuals)} residuals"
             )
         stored = np.dtype(dtype).newbyteorder("<")
-        unread = model.state()
+        legacy = _block_biases(model)
+        unread = model.state() | {name: bias for name, (bias, _) in legacy.items()}
         for entry in manifest["arrays"]:
             name = entry["name"]
             target = unread.pop(name, None)
@@ -633,8 +658,12 @@ def load_checkpoint(path: str | Path) -> tuple[ArrnModel, dict]:
                 raise FormatError(f"{path}: truncated parameter blob")
             target[...] = np.frombuffer(blob, dtype=stored).reshape(target.shape)
             off += target.nbytes
-    if unread:
-        raise FormatError(f"{path}: missing arrays {sorted(unread)}")
+    missing = sorted(unread.keys() - legacy.keys())
+    if missing:
+        raise FormatError(f"{path}: missing arrays {missing}")
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes after blob")
+    for bias, norm in legacy.values():
+        if norm is not None:  # an absent bias is zero: m - 0 is m bitwise
+            norm.running_mean -= bias
     return model, manifest

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from arrn import macs
-from arrn.autodiff import Parameter, Tensor, gradient_check, no_grad
+from arrn.autodiff import Parameter, Tensor, gradient_check, no_grad, project_channels
 from arrn.data import SynthDatasetSpec, generate_dataset
 from arrn.evaluate import ADAPTED, FULL, count_macs, evaluate_sweep
 from arrn.grids import GridSpec, ResolutionLadder
@@ -29,6 +29,7 @@ from arrn.layers import (
     InnerBlockSpec,
     PointwiseConv,
     SiLU,
+    depthwise_conv_op,
     softmax_cross_entropy,
     zero_constancy_check,
 )
@@ -181,14 +182,20 @@ class TestCriterion5GradientChecks:
             nonlocal worst
             worst = max(worst, gradient_check(build_out, params))
 
+        # Block convolutions have no bias; the ops' optional bias is the
+        # one the eval folds and the head pass.
         x = Parameter(rng.standard_normal((2, 3, 6)))
         layer = PointwiseConv(3, 4, rng)
-        check(lambda: layer.forward(x), [x, layer.weight, layer.bias])
+        bias = Parameter(rng.standard_normal(4))
+        check(lambda: layer.forward(x), [x, layer.weight])
+        check(lambda: project_channels(x, layer.weight, bias), [x, layer.weight, bias])
 
         for dims in (1, 2):
             xd = Parameter(rng.standard_normal((2, 2) + (4,) * dims))
             conv = DepthwiseConv(2, dims, rng)
-            check(lambda: conv.forward(xd), [xd, conv.weight, conv.bias])
+            bd = Parameter(rng.standard_normal(2))
+            check(lambda: conv.forward(xd), [xd, conv.weight])
+            check(lambda: depthwise_conv_op(xd, conv.weight, bd), [xd, conv.weight, bd])
 
         xb = Parameter(rng.standard_normal((3, 2, 5)))
         bn = BatchNorm(2)

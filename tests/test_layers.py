@@ -123,8 +123,20 @@ class TestPointwiseConv:
     def test_gradcheck(self):
         layer = PointwiseConv(3, 4, rng_for(6))
         x = Parameter(rng_for(7).standard_normal((2, 3, 5)))
-        params = [x, layer.weight, layer.bias]
-        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+        assert gradient_check(lambda: layer.forward(x), [x, layer.weight]) <= 1e-6
+        # The op's optional bias, which the eval folds and the head pass.
+        bias = Parameter(rng_for(8).standard_normal(4))
+        params = [x, layer.weight, bias]
+        assert gradient_check(
+            lambda: layers.project_channels(x, layer.weight, bias), params
+        ) <= 1e-6
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_block_convolutions_have_no_bias(self, dims):
+        # Each feeds a batch norm or the constant rejection, which cancel a bias.
+        for layer in (PointwiseConv(3, 4, rng_for(9)),
+                      DepthwiseConv(3, dims, rng_for(9))):
+            assert layer.bias is None and layer.parameters() == [layer.weight]
 
 
 class TestPadSpatial:
@@ -154,10 +166,13 @@ class TestDepthwiseConv:
     @pytest.mark.parametrize("dims", [1, 2])
     def test_gradcheck_replicate(self, dims):
         layer = DepthwiseConv(2, dims, rng_for(8))
+        bias = Parameter(rng_for(10).standard_normal(2))
         shape = (2, 2) + (4,) * dims
         x = Parameter(rng_for(9).standard_normal(shape))
-        params = [x, layer.weight, layer.bias]
-        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+        params = [x, layer.weight, bias]
+        assert gradient_check(
+            lambda: depthwise_conv_op(x, layer.weight, bias), params
+        ) <= 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -166,16 +181,16 @@ class TestDepthwiseConv:
     def test_forward_equals_the_tap_sum(self, extents, dtype):
         dims = len(extents)
         layer = DepthwiseConv(3, dims, rng_for(20), dtype=dtype)
-        layer.bias.assign(rng_for(21).standard_normal(3))
+        bias = Parameter(rng_for(21).standard_normal(3).astype(dtype))
         x = rng_for(22).standard_normal((2, 3) + extents).astype(dtype)
-        expected = tap_sum(layer.weight.values, layer.bias.values, x, "replicate")
-        out = layer.forward(Tensor(x)).values
+        expected = tap_sum(layer.weight.values, bias.values, x, "replicate")
+        out = depthwise_conv_op(Tensor(x), layer.weight, bias).values
         if max(extents) > MATRIX_AXIS_MAX:  # the tap sum itself
             np.testing.assert_array_equal(out, expected)
             return
         # The banded matrix products sum in another order: each output lies
         # within 8 eps of the magnitudes it sums, against an f64 tap sum.
-        w, b = layer.weight.values.astype(np.float64), layer.bias.values
+        w, b = layer.weight.values.astype(np.float64), bias.values
         exact = tap_sum(w, b.astype(np.float64), x.astype(np.float64), "replicate")
         scale = tap_sum(np.abs(w), np.abs(b).astype(np.float64),
                         np.abs(x).astype(np.float64), "replicate")
@@ -190,11 +205,11 @@ class TestDepthwiseConv:
     def test_banded_sample_is_bitwise_the_same_in_any_batch(self, extents, dtype):
         assert banded(extents)
         layer = DepthwiseConv(3, 2, rng_for(25), dtype=dtype)
-        layer.bias.assign(rng_for(26).standard_normal(3))
+        bias = Parameter(rng_for(26).standard_normal(3).astype(dtype))
         x = rng_for(27).standard_normal((5, 3) + extents).astype(dtype)
-        whole = layer.forward(Tensor(x)).values
+        whole = depthwise_conv_op(Tensor(x), layer.weight, bias).values
         for rows in (slice(0, 1), slice(4, 5), slice(1, 4)):
-            part = layer.forward(Tensor(x[rows])).values
+            part = depthwise_conv_op(Tensor(x[rows]), layer.weight, bias).values
             assert part.tobytes() == whole[rows].tobytes(), rows
 
     @pytest.mark.parametrize("extents", [(5, 5), (65, 3), (5,)])
@@ -212,13 +227,13 @@ class TestDepthwiseConv:
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
     def test_1d_sample_is_bitwise_the_same_in_any_batch(self, n, dtype):
         layer = DepthwiseConv(3, 1, rng_for(40), dtype=dtype)
-        layer.bias.assign(rng_for(41).standard_normal(3))
+        bias = Parameter(rng_for(41).standard_normal(3).astype(dtype))
         x = rng_for(42).standard_normal((300, 3, n)).astype(dtype)
         with no_grad():
-            whole = layer.forward(Tensor(x)).values
+            whole = depthwise_conv_op(Tensor(x), layer.weight, bias).values
 
             def same(rows):
-                part = layer.forward(Tensor(x[rows])).values
+                part = depthwise_conv_op(Tensor(x[rows]), layer.weight, bias).values
                 return part.tobytes() == whole[rows].tobytes()
 
             # Prefixes and suffixes of every length put each sample at
@@ -231,11 +246,13 @@ class TestDepthwiseConv:
     @pytest.mark.parametrize("n", [1, 3, 64])
     def test_gradcheck_1d(self, n):
         layer = DepthwiseConv(2, 1, rng_for(43))
-        layer.bias.assign(rng_for(44).standard_normal(2))
+        bias = Parameter(rng_for(44).standard_normal(2))
         # A full tile and a padded one.
         x = Parameter(rng_for(45).standard_normal((ROW_TILE + 1, 2, n)))
-        params = [x, layer.weight, layer.bias]
-        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+        params = [x, layer.weight, bias]
+        assert gradient_check(
+            lambda: depthwise_conv_op(x, layer.weight, bias), params
+        ) <= 1e-6
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("batch", [1, 3, ROW_TILE + 3])
@@ -268,10 +285,12 @@ class TestDepthwiseConv:
     )
     def test_gradcheck_2d(self, extents):
         layer = DepthwiseConv(2, 2, rng_for(30))
-        layer.bias.assign(rng_for(31).standard_normal(2))
+        bias = Parameter(rng_for(31).standard_normal(2))
         x = Parameter(rng_for(32).standard_normal((2, 2) + extents))
-        params = [x, layer.weight, layer.bias]
-        assert gradient_check(lambda: layer.forward(x), params) <= 1e-6
+        params = [x, layer.weight, bias]
+        assert gradient_check(
+            lambda: depthwise_conv_op(x, layer.weight, bias), params
+        ) <= 1e-6
 
     @pytest.mark.parametrize("extents", [(1, 1), (7, 5), (16, 24)])
     def test_banded_vjp_equals_the_tap_vjp(self, extents):
@@ -305,15 +324,13 @@ class TestDepthwiseConv:
 
     def test_replicate_padding_preserves_constancy(self):
         layer = DepthwiseConv(2, 2, rng_for(12))
-        layer.bias.assign(np.array([0.3, -0.2]))
         x = Tensor(np.full((1, 2, 4, 4), 1.7))
-        out = layer.forward(x).values
+        out = depthwise_conv_op(x, layer.weight, Tensor(np.array([0.3, -0.2]))).values
         assert np.max(out.std(axis=(2, 3))) <= 1e-12
 
     def test_averaging_kernel_known_values(self):
         layer = DepthwiseConv(1, 1, rng_for(13))
         layer.weight.assign(np.array([[1.0, 1.0, 1.0]]) / 3.0)
-        layer.bias.assign(np.zeros(1))
         x = Tensor(np.array([[[0.0, 3.0, 6.0, 9.0]]]))
         out = layer.forward(x).values[0, 0]
         # Edge replication: first window sees (0, 0, 3), last sees (6, 9, 9).
@@ -565,7 +582,7 @@ class TestInnerBlock:
 
     def test_full_block_gradcheck_small_2d(self):
         block = InnerBlock(InnerBlockSpec(2, expansion=2, depth=1), 2, rng_for(26))
-        # Nonzero biases and shifted running stats make the check non-trivial.
+        # Nonzero norm shifts make the check non-trivial.
         for p in block.parameters():
             if p.values.ndim == 1:
                 p.assign(rng_for(27).standard_normal(p.shape) * 0.3 + p.values)
@@ -602,9 +619,11 @@ class TestZeroConstancy:
         assert ok, f"deviation {dev}"
 
     def test_zero_padded_conv_fails_on_nonzero_bias(self):
-        # A pointwise conv with nonzero bias feeds a constant into a
-        # zero-padded depthwise conv, whose edges then see injected zeros.
-        # arrn pads only by replication, so the counterexample is built here.
+        # The norm after the expansion turns a zero input into a nonzero
+        # constant, which reaches a zero-padded depthwise conv, whose edges
+        # then see injected zeros. In eval mode the norm after that conv
+        # folds into it as a nonzero bias. arrn pads only by replication, so
+        # the counterexample is built here.
         class ZeroPaddedConv(DepthwiseConv):
             def forward(self, x, mode="eval", rng=None):
                 w, b = self.weight.values, self.bias.values
@@ -617,7 +636,7 @@ class TestZeroConstancy:
             for layer in block.layers
         ]
         self._randomize(block, 35)
-        block.layers[0].bias.assign(np.array([0.7, -0.4]))
+        block.layers[1].beta.assign(np.array([0.7, -0.4]))
         ok, dev = zero_constancy_check(block, GridSpec((8,)), 2)
         assert not ok and dev > 1e-6
 

@@ -1,18 +1,21 @@
 """Residual-chain semantics: the skip theorem and its supporting contracts."""
 
+import functools
 import json
 import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from arrn import macs
 from arrn import model as model_module
 from arrn.autodiff import Tensor, no_grad, project_channels
+from arrn.cli import main as cli_main
 from arrn.errors import FormatError, GridError, ShapeError
 from arrn.grids import GridSpec, ResolutionLadder
 from arrn.kernels import SmoothingKernelSpec
@@ -56,7 +59,7 @@ LADDER = ResolutionLadder.from_extents([32, 16, 8])
 
 
 def build_model(seed=0, kernel=PERFECT, dtype=np.float64, ladder=LADDER,
-                features=(4, 8, 8), classes=3, input_features=1):
+                features=(4, 8, 8), classes=3, input_features=1, depth=1):
     rng = np.random.default_rng(seed)
     model = ArrnModel(
         ladder=ladder,
@@ -65,10 +68,26 @@ def build_model(seed=0, kernel=PERFECT, dtype=np.float64, ladder=LADDER,
         classes=classes,
         kernel=kernel,
         rng=rng,
+        depth=depth,
         dtype=dtype,
     )
     randomize_for_verification(model, rng)
     return model
+
+
+KERNEL_SEEDS = range(4)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_gaps(seed):
+    """The worst full-against-adapted logit gap at entry 1, per kernel, of
+    the models that ``seed`` builds."""
+    gaps = {}
+    for name, kernel in (("perfect", PERFECT), ("sinc", SINC), ("gauss", GAUSS)):
+        model = build_model(seed=seed, kernel=kernel)
+        gaps[name] = equivalence_report(model, 1, np.random.default_rng(50 + seed))[
+            "max_abs"]
+    return gaps
 
 
 def random_input(model, seed=0, batch=2, level=0):
@@ -171,16 +190,19 @@ class TestSkipTheorem:
         assert rep_g["max_abs"] > rep_p["max_abs"]
         assert rep_g["max_abs"] > 1e-6
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_kernel_quality_ordering(self, seed):
-        discrepancies = {}
-        for name, kernel in (("perfect", PERFECT), ("sinc", SINC), ("gauss", GAUSS)):
-            model = build_model(seed=seed, kernel=kernel)
-            rep = equivalence_report(model, 1, np.random.default_rng(50 + seed))
-            discrepancies[name] = rep["max_abs"]
-        assert discrepancies["perfect"] <= discrepancies["sinc"]
-        assert discrepancies["sinc"] <= discrepancies["gauss"]
-        assert discrepancies["perfect"] <= 1e-9
+        gaps = kernel_gaps(seed)
+        assert gaps["perfect"] <= gaps["sinc"]
+        assert gaps["perfect"] <= 1e-9
+
+    def test_median_sinc_gap_is_at_most_the_gaussian_gap(self):
+        # Model by model the sinc gap can exceed the Gaussian one (seed 2:
+        # 0.113 against 0.109), so the ordering is asserted on the median,
+        # the statistic of acceptance criterion 6.
+        median = {name: np.median([kernel_gaps(seed)[name] for seed in KERNEL_SEEDS])
+                  for name in ("sinc", "gauss")}
+        assert median["sinc"] <= median["gauss"]
 
 
 class TestResidualLevel:
@@ -702,6 +724,85 @@ class TestCastGradients:
                 assert np.abs(p.grad).max() > 1e3 * bound, p.name
 
 
+class TestDeadParameters:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_every_parameter_gets_a_gradient(self, depth):
+        # A parameter whose effect a later op cancels, such as a bias before
+        # a train-mode batch norm or the constant rejection, gets rounding
+        # noise (below 1e-15) for a gradient, which AdamW turns into steps.
+        # Every parameter here reads at least 3e-6.
+        model = build_model(seed=140, depth=depth)
+        values = random_input(model, seed=141, batch=8).values
+        logits = model.forward_graph(values, 0, mode=TRAIN,
+                                     rng=np.random.default_rng(142))
+        softmax_cross_entropy(logits, np.arange(8) % 3).backward()
+        for p in model.parameters():
+            assert p.grad is not None, p.name
+            assert np.max(np.abs(p.grad)) >= 1e-10, p.name
+
+
+@st.composite
+def uneven_ladders(draw):
+    """Ladders of 2 or 3 levels, each level 2 or 3 times finer than the next
+    per axis: 1-D with an odd or non-power-of-two extent, or 2-D with
+    unequal axes."""
+    dims = draw(st.sampled_from([1, 2]))
+    levels = [tuple(draw(st.integers(1, 5)) for _ in range(dims))]
+    for _ in range(draw(st.integers(1, 2))):
+        levels.insert(0, tuple(n * draw(st.sampled_from([2, 3])) for n in levels[0]))
+    if dims == 1:
+        assume(any(n & (n - 1) for (n,) in levels))  # not all powers of two
+    else:
+        assume(levels[0][0] != levels[0][1])
+    return levels
+
+
+class TestZeroInputOnUnevenLadders:
+    """A randomised model's blocks each map a zero input to a nonzero
+    spatial constant, which the constant rejection cancels: a zero input
+    gives the same logits at every entry level."""
+
+    TOL = {np.float32: 1e-5, np.float64: 1e-10}
+    NONZERO = 1e-5  # far above the rounding of either dtype
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        extents=uneven_ladders(),
+        widths=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        expansion=st.integers(1, 2),
+        depth=st.integers(1, 2),
+        kernel=st.sampled_from([PERFECT, SINC, GAUSS]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_give_nonzero_constants_and_logits_stay_constant(
+        self, extents, widths, expansion, depth, kernel, dtype, seed
+    ):
+        ladder = ResolutionLadder.from_extents(extents)
+        rng = np.random.default_rng(seed)
+        model = ArrnModel(ladder, 2, tuple(widths[: len(ladder)]), 3, kernel, rng,
+                          expansion=expansion, depth=depth, dtype=dtype)
+        randomize_for_verification(model, rng)
+        tol = self.TOL[dtype]
+        for res in model.residuals:
+            zero = Tensor(np.zeros((1, res.in_features) + res.in_grid.extents, dtype))
+            with no_grad():
+                out = res.block.forward(zero).values
+            ok, dev = zero_constancy_check(res.block, res.in_grid, res.in_features,
+                                           tol=tol, dtype=dtype)
+            assert ok, (res.level, dev)
+            assert np.max(np.abs(out)) > self.NONZERO, res.level
+        logits = [
+            forward_adapted(model, FeatureMap(
+                grid, np.zeros((2, 2) + grid.extents, dtype)))
+            for grid in ladder.levels
+        ]
+        scale = max(1.0, float(np.max(np.abs(logits[0]))))
+        for entry in logits:
+            assert entry[0].tobytes() == entry[1].tobytes()
+            assert np.max(np.abs(entry - logits[0])) <= tol * scale
+
+
 class TestInputValidation:
     def test_wrong_grid(self):
         model = build_model(seed=60)
@@ -1215,6 +1316,73 @@ class TestCheckpoint:
             load_checkpoint(path)
         except (FormatError, GridError, ShapeError):
             pass
+
+
+BIASED = Path(__file__).parent / "data" / "block_biases"
+BIASED_FILES = ["1d_float32", "1d_float64", "2d_float32", "2d_float64"]
+
+
+class TestFilesWithBlockBiases:
+    """ARNN1 files written while block convolutions had biases: randomised
+    depth-2 models with nonzero biases (1-D 12/6/3 with the windowed sinc,
+    2-D 8x6/4x3/2x1 with the Gaussian; two input features, widths 2/3/4,
+    three classes, dropout 0.25), in f32 and f64. One generator, seeded
+    2024, built each model, ran :func:`randomize_for_verification` on it
+    and drew three inputs at every entry level; ``logits.npz`` holds them
+    and the logits the writer gave them (``<file>.input<u>``,
+    ``<file>.logits<u>``)."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_load_with_the_logits_they_were_written_with(self, dtype):
+        # Each pre-norm bias moves into a running mean, which leaves the eval
+        # logits bitwise the same; dropping each block's last pointwise bias
+        # changes them by the rounding of the constant rejection.
+        reference = np.load(BIASED / "logits.npz")
+        worst = 0.0
+        for name in (f"1d_{dtype}", f"2d_{dtype}"):
+            model, _ = load_checkpoint(BIASED / f"{name}.arnn")
+            for u, grid in enumerate(model.ladder.levels):
+                want = reference[f"{name}.logits{u}"]
+                got = forward_adapted(
+                    model, FeatureMap(grid, reference[f"{name}.input{u}"]))
+                assert got.dtype == want.dtype
+                gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+                worst = max(worst, gap)
+        print(f"{dtype}: largest relative logit gap {worst:.2e}")
+        assert worst <= 8 * np.finfo(dtype).eps
+
+    @pytest.mark.parametrize("name", BIASED_FILES)
+    def test_a_resave_holds_no_bias_and_saves_again_byte_identically(
+        self, tmp_path, name
+    ):
+        model, manifest = load_checkpoint(BIASED / f"{name}.arnn")
+        save_checkpoint(tmp_path / "a.arnn", model, manifest["dropout"][0])
+        again, resaved = load_checkpoint(tmp_path / "a.arnn")
+        save_checkpoint(tmp_path / "b.arnn", again, resaved["dropout"][0])
+        assert (tmp_path / "a.arnn").read_bytes() == (tmp_path / "b.arnn").read_bytes()
+        assert [a["name"] for a in resaved["arrays"]] == list(model.state())
+        assert not any(".block.expand.b" in a["name"] for a in resaved["arrays"])
+        fmap = random_input(model, seed=150)
+        want = forward_full(model, fmap)
+        assert forward_full(again, fmap).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edit", ["wrong-shape", "repeated"])
+    def test_a_malformed_bias_entry_is_a_format_error(self, tmp_path, edit):
+        def apply(arrays):
+            i = next(i for i, a in enumerate(arrays) if a["name"] == "res1.block.dw0.b")
+            if edit == "wrong-shape":
+                arrays[i]["shape"] = [2]  # the convolution has 6 channels
+            else:
+                arrays.insert(i + 1, dict(arrays[i]))
+
+        path = tmp_path / "model.arnn"
+        path.write_bytes(rewrite_manifest(
+            (BIASED / "1d_float64.arnn").read_bytes(), edit_arrays(apply)))
+        with pytest.raises(FormatError, match="res1.block.dw0.b"):
+            load_checkpoint(path)
+        code = cli_main(["bench", "--checkpoint", str(path), "--resolutions", "12",
+                         "--out", str(tmp_path / "bench.csv")])
+        assert code == 2
 
 
 @pytest.mark.parametrize("field, value", [
